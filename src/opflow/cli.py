@@ -16,8 +16,6 @@ flags override file values.  Exit status: 0 success (warnings allowed),
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import hashlib
 import json
 import logging
@@ -39,10 +37,15 @@ from .corpus import (
     tokenize_corpus,
 )
 from .errors import ConfigError, DataError
-from .eventcluster import kmeans_seeded, seed_centroids, vectorize, write_cluster_report
+from .eventcluster import (
+    Clustering, DocVector, kmeans_seeded, seed_centroids, vectorize, write_cluster_report,
+)
 from .flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
     DEFAULT_TEMPLATE,
+    Correlogram,
+    DailySeries,
+    Peak,
     build_daily_series,
     correlogram,
     detect_peaks,
@@ -65,6 +68,8 @@ from .synthflow import (
 from .termbase import (
     DEFAULT_EVENT_LEXICON,
     DEFAULT_TOP_M,
+    TermWeight,
+    augment_query,
     compute_tfidf,
     document_frequencies,
     load_lexicon,
@@ -300,18 +305,6 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
     return scales, shifts
 
 
-def _load_template_for(config: PipelineConfig):
-    if config.template is not None:
-        return load_template(config.template)
-    return DEFAULT_TEMPLATE
-
-
-def _load_lexicon_for(config: PipelineConfig):
-    if config.lexicon is not None:
-        return load_lexicon(config.lexicon)
-    return DEFAULT_EVENT_LEXICON
-
-
 def _load_inputs(config: PipelineConfig) -> tuple[Corpus, dict[str, TokenizedDoc]]:
     corpus = load_corpus(config.corpus)
     stopwords = load_stopwords(config.stopwords) if config.stopwords else frozenset()
@@ -327,30 +320,21 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, dict[str, TokenizedDoc], Flow
     return flow, tokenized, query
 
 
-def cmd_series(config: PipelineConfig) -> int:
-    """Write raw and smoothed daily dynamics of the filtered flow."""
-    validate_config(config)
-    flow, _, _ = _flow(config)
+def dynamics_series(flow: Corpus, config: PipelineConfig) -> tuple[DailySeries, DailySeries]:
+    """Raw and smoothed daily counts of the flow."""
     series = build_daily_series(flow)
-    out = Path(config.out_dir)
-    write_series_csv(series, out / SERIES_RAW)
-    write_series_csv(smooth(series, config.window), out / SERIES_SMOOTHED)
     log.info("series: %d docs over %d days", len(flow), len(series.values))
-    return 0
+    return series, smooth(series, config.window)
 
 
-def cmd_correlogram(config: PipelineConfig) -> int:
-    """Write template correlation over the grid, plus the peak report."""
-    validate_config(config)
-    flow, _, _ = _flow(config)
-    series = build_daily_series(flow)
-    template = _load_template_for(config)
+def dynamics_correlogram(
+    series: DailySeries, config: PipelineConfig
+) -> tuple[Correlogram, list[Peak]]:
+    """Template correlation over the scale/shift grid, and its peaks."""
+    template = load_template(config.template) if config.template else DEFAULT_TEMPLATE
     scales, shifts = resolve_grids(config, len(series.values))
     corr = correlogram(series, template, scales=scales, shifts=shifts)
-    out = Path(config.out_dir)
-    write_correlogram_csv(corr, out / CORRELOGRAM_CSV)
     peaks = detect_peaks(corr, config.threshold, config.top_n)
-    write_peaks_csv(peaks, out / PEAKS_CSV)
     if not corr.defined_cells():
         log.warning("correlogram: every window is flat, no defined cells")
     elif not peaks:
@@ -361,25 +345,76 @@ def cmd_correlogram(config: PipelineConfig) -> int:
             "correlogram: best peak l=%d k=%d c=%.4f (%s..%s)",
             best.shift, best.scale, best.value, best.window_start, best.window_end,
         )
+    return corr, peaks
+
+
+def _write_series(series: DailySeries, smoothed: DailySeries, out: Path) -> None:
+    write_series_csv(series, out / SERIES_RAW)
+    write_series_csv(smoothed, out / SERIES_SMOOTHED)
+
+
+def _write_correlogram(corr: Correlogram, peaks: list[Peak], out: Path) -> None:
+    write_correlogram_csv(corr, out / CORRELOGRAM_CSV)
+    write_peaks_csv(peaks, out / PEAKS_CSV)
+
+
+def cmd_series(config: PipelineConfig) -> int:
+    """Write raw and smoothed daily dynamics of the filtered flow."""
+    validate_config(config)
+    flow, _, _ = _flow(config)
+    _write_series(*dynamics_series(flow, config), Path(config.out_dir))
     return 0
 
 
-def _write_event_terms(terms: list[str], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for term in terms:
-            handle.write(term + "\n")
+def cmd_correlogram(config: PipelineConfig) -> int:
+    """Write template correlation over the grid, plus the peak report."""
+    validate_config(config)
+    flow, _, _ = _flow(config)
+    series = build_daily_series(flow)
+    _write_correlogram(*dynamics_correlogram(series, config), Path(config.out_dir))
+    return 0
 
 
-def _write_augmented_query(
-    query: FlowQuery | None, event_terms: list[str], path: Path
-) -> None:
-    groups = [sorted(g) for g in query.required_groups] if query is not None else []
-    excluded = sorted(query.excluded_terms) if query is not None else []
+@dataclass
+class Events:
+    """What the events stage finds in one stage corpus."""
+
+    ranked: list[TermWeight]
+    matched: list[str]
+    corpus: Corpus
+    graph: SourceGraph
+
+
+def find_events(
+    corpus: Corpus, tokenized: dict[str, TokenizedDoc], config: PipelineConfig
+) -> Events:
+    """Rank terms, match the event lexicon, keep the documents carrying
+    an event term, and project them onto sources."""
+    lexicon = load_lexicon(config.lexicon) if config.lexicon else DEFAULT_EVENT_LEXICON
+    tok_list = [tokenized[doc.id] for doc in corpus]
+    ranked = compute_tfidf(tok_list)
+    matched = match_event_terms(ranked, lexicon, top_m=config.top_m, tokenized=tok_list)
+    if matched:
+        event_query = FlowQuery(required_groups=[frozenset(matched)])
+        event_corpus = filter_by_query(corpus, event_query, tokenized)
+    else:
+        log.warning("events: no lexicon term among the top %d ranked terms", config.top_m)
+        event_corpus = Corpus([])
+    graph = source_link_graph(event_corpus) if len(event_corpus) else SourceGraph({}, {})
+    log.info(
+        "events: %d matched terms, %d event docs, %d source links",
+        len(matched), len(event_corpus), len(graph.edges),
+    )
+    return Events(ranked, matched, event_corpus, graph)
+
+
+def _write_augmented_query(query: FlowQuery | None, event_terms: list[str], path: Path) -> None:
+    """The flow query narrowed by one OR-group of the event terms."""
     if event_terms:
-        groups = groups + [sorted(event_terms)]
+        query = augment_query(query, event_terms) if query else FlowQuery([frozenset(event_terms)])
     payload = {
-        "required_groups": groups,
-        "excluded_terms": excluded,
+        "required_groups": [sorted(g) for g in query.required_groups] if query else [],
+        "excluded_terms": sorted(query.excluded_terms) if query else [],
         "event_terms": list(event_terms),
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -387,47 +422,47 @@ def _write_augmented_query(
         handle.write("\n")
 
 
+def _write_events(events: Events, query: FlowQuery | None, out: Path) -> None:
+    write_term_report(events.ranked, out / TERMS_TSV)
+    (out / EVENT_TERMS_TXT).write_text("".join(t + "\n" for t in events.matched), encoding="utf-8")
+    _write_augmented_query(query, events.matched, out / AUGMENTED_QUERY_JSON)
+    save_corpus(events.corpus, out / EVENT_CORPUS)
+    write_source_graph(events.graph, out / SOURCE_EDGES_TSV, out / SOURCE_NODES_TSV)
+
+
 def cmd_events(config: PipelineConfig) -> int:
     """Rank terms, match the event lexicon, narrow to event documents,
     and project the event flow onto sources."""
     validate_config(config)
     flow, tokenized, query = _flow(config)
-    lexicon = _load_lexicon_for(config)
-    tok_list = [tokenized[doc.id] for doc in flow]
-    ranked = compute_tfidf(tok_list)
-    out = Path(config.out_dir)
-    write_term_report(ranked, out / TERMS_TSV)
-    matched = match_event_terms(ranked, lexicon, top_m=config.top_m, tokenized=tok_list)
-    _write_event_terms(matched, out / EVENT_TERMS_TXT)
-    _write_augmented_query(query, matched, out / AUGMENTED_QUERY_JSON)
-    if matched:
-        event_query = FlowQuery(required_groups=[frozenset(matched)])
-        event_corpus = filter_by_query(flow, event_query, tokenized)
-    else:
-        log.warning(
-            "events: no lexicon term among the top %d ranked terms", config.top_m
-        )
-        event_corpus = Corpus([])
-    save_corpus(event_corpus, out / EVENT_CORPUS)
-    if len(event_corpus):
-        graph = source_link_graph(event_corpus)
-    else:
-        graph = SourceGraph(nodes={}, edges={})
-    write_source_graph(graph, out / SOURCE_EDGES_TSV, out / SOURCE_NODES_TSV)
-    log.info(
-        "events: %d matched terms, %d event docs, %d source links",
-        len(matched), len(event_corpus), len(graph.edges),
-    )
+    _write_events(find_events(flow, tokenized, config), query, Path(config.out_dir))
     return 0
 
 
+def cluster_events(
+    corpus: Corpus, tokenized: dict[str, TokenizedDoc], terms: list[str], config: PipelineConfig
+) -> tuple[list[DocVector], list[str], Clustering]:
+    """Seeded k-means over the corpus, one cluster per seed term; idf
+    comes from this corpus alone.  Returns the vectors, the ids of the
+    documents left without a vector, and the clustering."""
+    tok_list = [tokenized[doc.id] for doc in corpus]
+    df = document_frequencies(tok_list)
+    vectors = vectorize(tok_list, df, len(tok_list))
+    vectorized_ids = {v.doc_id for v in vectors}
+    omitted = [doc.id for doc in corpus if doc.id not in vectorized_ids]
+    seeds = seed_centroids(terms)
+    clustering = kmeans_seeded(vectors, seeds, max_iter=config.max_iter, top_t=config.top_t)
+    log.info(
+        "cluster: k=%d, %d docs, %d iterations, Q=%.4f",
+        len(seeds), len(vectors), clustering.iterations,
+        clustering.q_history[-1] if clustering.q_history else 0.0,
+    )
+    return vectors, omitted, clustering
+
+
 def _read_event_terms(path: Path) -> list[str]:
-    terms = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        term = normalize_term(line)
-        if term:
-            terms.append(term)
-    return terms
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [term for term in map(normalize_term, lines) if term]
 
 
 def cmd_cluster(config: PipelineConfig) -> int:
@@ -439,46 +474,18 @@ def cmd_cluster(config: PipelineConfig) -> int:
             f"no event terms at {terms_path}: run the events subcommand first,"
             " or point --terms at a term file"
         )
-    seeds_terms = _read_event_terms(terms_path)
-    if not seeds_terms:
+    seed_terms = _read_event_terms(terms_path)
+    if not seed_terms:
         raise ConfigError(
             f"event term file {terms_path} is empty: run the events subcommand"
             " on a corpus that matches the lexicon, or pass --terms"
         )
     corpus, tokenized = _load_inputs(config)
-    tok_list = [tokenized[doc.id] for doc in corpus]
-    df = document_frequencies(tok_list)
-    vectors = vectorize(tok_list, df, len(tok_list))
-    vectorized_ids = {v.doc_id for v in vectors}
-    omitted = [doc.id for doc in corpus if doc.id not in vectorized_ids]
-    seeds = seed_centroids(seeds_terms)
-    clustering = kmeans_seeded(
-        vectors, seeds, max_iter=config.max_iter, top_t=config.top_t
-    )
+    vectors, omitted, clustering = cluster_events(corpus, tokenized, seed_terms, config)
     write_cluster_report(
         clustering, vectors, Path(config.out_dir) / CLUSTERS_JSON, omitted_doc_ids=omitted
     )
-    log.info(
-        "cluster: k=%d, %d docs, %d iterations, Q=%.4f",
-        len(seeds), len(vectors), clustering.iterations,
-        clustering.q_history[-1] if clustering.q_history else 0.0,
-    )
     return 0
-
-
-def _read_top_peak(path: Path):
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows:
-        return None
-    row = rows[0]
-    return (
-        int(row["l"]),
-        int(row["k"]),
-        float(row["c"]),
-        date.fromisoformat(row["window_start"]),
-        date.fromisoformat(row["window_end"]),
-    )
 
 
 def _write_manifest(out_dir: Path, notes: list[str]) -> None:
@@ -492,9 +499,9 @@ def _write_manifest(out_dir: Path, notes: list[str]) -> None:
 
 
 def cmd_pipeline(config: PipelineConfig) -> int:
-    """All stages in order, sharing one output directory, ending with a
-    digest manifest.  A stage failure aborts with the stage name; files
-    already written stay in place."""
+    """All stages in order on one load and one tokenization of the corpus,
+    ending with a digest manifest.  A stage failure aborts with the stage
+    name; files already written stay in place."""
     validate_config(config)
     out = Path(config.out_dir)
     for name in PIPELINE_ARTIFACTS + (MANIFEST_TXT,):
@@ -511,58 +518,49 @@ def cmd_pipeline(config: PipelineConfig) -> int:
         except ValueError as exc:
             raise DataError(f"stage {name}: {exc}") from exc
 
-    def stage_flow() -> Corpus:
-        flow, _, _ = _flow(config)
-        save_corpus(flow, out / FLOW_CORPUS)
-        return flow
+    flow, tokenized, query = run_stage("flow", lambda: _flow(config))
+    save_corpus(flow, out / FLOW_CORPUS)
 
-    flow = run_stage("flow", stage_flow)
-    flow_config = dataclasses.replace(config, corpus=out / FLOW_CORPUS)
+    def stage_dynamics() -> list[Peak]:
+        series, smoothed = dynamics_series(flow, config)
+        _write_series(series, smoothed, out)
+        corr, peaks = dynamics_correlogram(series, config)
+        _write_correlogram(corr, peaks, out)
+        return peaks
 
-    def stage_dynamics() -> None:
-        cmd_series(flow_config)
-        cmd_correlogram(flow_config)
+    peaks = run_stage("dynamics", stage_dynamics)
 
-    run_stage("dynamics", stage_dynamics)
-
-    def stage_narrowing() -> Path:
-        peak = _read_top_peak(out / PEAKS_CSV)
-        if peak is None:
+    def stage_narrowing() -> Corpus:
+        if not peaks:
             notes.append("narrowing: none (no peak at or above threshold)")
-            return out / FLOW_CORPUS
-        l, k, c, window_start, window_end = peak
-        narrowed = filter_by_dates(flow, window_start, window_end)
-        if len(narrowed) == 0:
-            notes.append(
-                f"narrowing: none (peak window {window_start}..{window_end} holds no documents)"
-            )
-            return out / FLOW_CORPUS
+            return flow
+        # a peak's window of counts is not flat, so it holds a document
+        best = peaks[0]
+        narrowed = filter_by_dates(flow, best.window_start, best.window_end)
         save_corpus(narrowed, out / NARROWED_CORPUS)
         notes.append(
-            f"narrowing: {window_start}..{window_end} (peak l={l} k={k} c={c!r})"
+            f"narrowing: {best.window_start}..{best.window_end}"
+            f" (peak l={best.shift} k={best.scale} c={best.value!r})"
         )
-        return out / NARROWED_CORPUS
+        return narrowed
 
-    stage4_corpus = run_stage("narrowing", stage_narrowing)
+    stage_corpus = run_stage("narrowing", stage_narrowing)
 
-    run_stage(
-        "terms",
-        lambda: cmd_events(dataclasses.replace(config, corpus=stage4_corpus)),
-    )
+    def stage_terms() -> Events:
+        events = find_events(stage_corpus, tokenized, config)
+        _write_events(events, query, out)
+        return events
+
+    events = run_stage("terms", stage_terms)
 
     def stage_clustering() -> None:
-        event_terms = _read_event_terms(out / EVENT_TERMS_TXT)
-        if not event_terms:
+        if not events.matched:
             notes.append("clustering: skipped (no event terms matched)")
             return
-        cluster_config = dataclasses.replace(
-            config,
-            corpus=out / EVENT_CORPUS,
-            terms=out / EVENT_TERMS_TXT,
-            query="",
-            exclude="",
+        vectors, omitted, clustering = cluster_events(
+            events.corpus, tokenized, events.matched, config
         )
-        cmd_cluster(cluster_config)
+        write_cluster_report(clustering, vectors, out / CLUSTERS_JSON, omitted_doc_ids=omitted)
 
     run_stage("clustering", stage_clustering)
     _write_manifest(out, notes)

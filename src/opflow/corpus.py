@@ -20,6 +20,9 @@ from .errors import DataError
 # Unicode letter/digit runs; underscore is a separator, not a word character.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _MIN_TOKEN_LEN = 2
+# A maximal run reaches _MIN_TOKEN_LEN exactly when that many word
+# characters stand next to each other, so this finds whether a token exists.
+_ANY_TOKEN_RE = re.compile(r"[^\W_]{%d,}" % _MIN_TOKEN_LEN, re.UNICODE)
 
 
 class CorpusFormatError(DataError):
@@ -210,7 +213,7 @@ def _parse_record(obj: dict, line_no: int) -> Document:
         body=obj["body"],
         language=language,
     )
-    if not _extract_tokens(doc.title + " " + doc.body):
+    if not _ANY_TOKEN_RE.search((doc.title + " " + doc.body).casefold()):
         raise CorpusFormatError(f"line {line_no}: document {doc.id!r} has no tokens")
     return doc
 

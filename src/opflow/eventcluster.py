@@ -245,7 +245,9 @@ def kmeans_seeded(
     top_t: int = 25,
 ) -> Clustering:
     """Alternate assignment and centroid re-estimation until the
-    assignment is a fixed point (or max_iter passes have run).
+    assignment is a fixed point (or max_iter passes have run).  A pass
+    that assigns no document (no vectors, or none sharing a term with a
+    centroid) leaves every centroid in place, so it is a fixed point.
 
     q_history records Q of each pass, i.e. the sum of winning
     similarities against the centroids that produced the assignment.
@@ -267,7 +269,8 @@ def kmeans_seeded(
                 q += best_sims[vec.doc_id]
         q_history.append(q)
         iterations = it
-        if assignments == prev or it == max_iter:
+        nothing_assigned = all(j == UNASSIGNED for j in assignments.values())
+        if assignments == prev or it == max_iter or nothing_assigned:
             # centroids now in hand are the ones the final pass used
             break
         centroids = recompute_centroids(assignments, vectors, top_t, centroids)

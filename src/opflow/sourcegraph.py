@@ -65,21 +65,6 @@ def horizontal_visibility_graph(series: DailySeries) -> VisibilityGraph:
     return VisibilityGraph(node_count=n, edges=edges)
 
 
-def per_source_series(corpus: Corpus) -> dict[str, DailySeries]:
-    """Daily document counts per source, all on the corpus-wide span."""
-    whole = build_daily_series(corpus)
-    start = whole.start_date
-    n = len(whole.values)
-    counts: dict[str, list[float]] = {}
-    for doc in corpus.documents:
-        per = counts.setdefault(doc.source, [0.0] * n)
-        per[(doc.day() - start).days] += 1.0
-    return {
-        source: DailySeries(start_date=start, values=vals)
-        for source, vals in counts.items()
-    }
-
-
 def _dominant_sources(corpus: Corpus, n: int, start) -> list[str | None]:
     by_day: list[Counter] = [Counter() for _ in range(n)]
     for doc in corpus.documents:

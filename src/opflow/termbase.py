@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, FlowQuery, TokenizedDoc, filter_by_query, normalize_term
+from .corpus import FlowQuery, TokenizedDoc, normalize_term
 from .errors import DataError
 
 DEFAULT_TOP_M = 200
@@ -161,16 +161,6 @@ def augment_query(base: FlowQuery, event_terms: list[str]) -> FlowQuery:
         required_groups=list(base.required_groups) + [frozenset(event_terms)],
         excluded_terms=base.excluded_terms,
     )
-
-
-def filter_event_documents(
-    corpus: Corpus,
-    tokenized: dict[str, TokenizedDoc],
-    base: FlowQuery,
-    event_terms: list[str],
-) -> Corpus:
-    """Documents of the flow that also carry at least one event term."""
-    return filter_by_query(corpus, augment_query(base, event_terms), tokenized)
 
 
 def write_term_report(ranked: list[TermWeight], path: str | Path) -> None:

@@ -419,6 +419,23 @@ def test_pipeline_clears_stale_artifacts(fx, tmp_path):
     assert unrelated.read_text() == "mine"
 
 
+def test_pipeline_loads_and_tokenizes_the_corpus_once(fx, tmp_path, monkeypatch):
+    import opflow.cli as cli
+
+    calls = {"load_corpus": 0, "tokenize_corpus": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert run_pipeline(fx, tmp_path) == 0
+    assert (tmp_path / CLUSTERS_JSON).is_file()  # the chain ran to its last stage
+    assert calls == {"load_corpus": 1, "tokenize_corpus": 1}
+
+
 def test_pipeline_equals_manual_stage_composition(fx, tmp_path):
     pipe = tmp_path / "pipe"
     manual = tmp_path / "manual"

@@ -208,6 +208,20 @@ def test_load_corpus_zero_token_document(tmp_path):
         load_corpus(p)
 
 
+@pytest.mark.parametrize(
+    "title, has_tokens", [("ß", True), ("a _ b", False)], ids=["sharp-s", "underscore"]
+)
+def test_load_corpus_token_check_agrees_with_the_tokenizer(tmp_path, title, has_tokens):
+    # "ß" casefolds to "ss"; "_" separates tokens, leaving two 1-char runs
+    line = GOOD_LINE.replace("Referendum", title).replace("words here", "")
+    p = _write(tmp_path, "c.jsonl", line + "\n")
+    if has_tokens:
+        assert load_corpus(p).documents[0].title == title
+    else:
+        with pytest.raises(CorpusFormatError, match="line 1: .* has no tokens"):
+            load_corpus(p)
+
+
 def test_load_corpus_merges_identical_duplicates(tmp_path):
     p = _write(tmp_path, "c.jsonl", GOOD_LINE + "\n" + GOOD_LINE + "\n")
     assert len(load_corpus(p)) == 1

@@ -220,6 +220,14 @@ def test_kmeans_max_iter_one_is_a_single_pass():
     assert len(result.q_history) == 1
 
 
+@pytest.mark.parametrize("vectors", [[], [unit("d0", "zz")]], ids=["no-vectors", "orthogonal"])
+def test_kmeans_that_assigns_nothing_is_a_single_pass(vectors):
+    result = kmeans_seeded(vectors, seed_centroids(["protest"]))
+    assert result.iterations == 1
+    assert result.q_history == [0.0]
+    assert result.assignments == {v.doc_id: UNASSIGNED for v in vectors}
+
+
 def test_kmeans_exact_sim_budget_per_iteration():
     vectors = _planted_vectors()
     seeds = seed_centroids(["aa", "bb"])

@@ -9,11 +9,10 @@ from datetime import date, datetime, timedelta, timezone
 import pytest
 
 from opflow.corpus import Corpus, Document
-from opflow.flowseries import DailySeries, build_daily_series
+from opflow.flowseries import DailySeries
 from opflow.sourcegraph import (
     SourceGraph,
     horizontal_visibility_graph,
-    per_source_series,
     source_link_graph,
     write_source_graph,
 )
@@ -118,28 +117,6 @@ def test_hvg_invariant_under_monotone_rescaling():
     base = horizontal_visibility_graph(series(values)).edges
     rescaled = horizontal_visibility_graph(series([10 * v + 3 for v in values])).edges
     assert base == rescaled
-
-
-# --- per-source series -----------------------------------------------------
-
-
-def test_per_source_series_partitions_the_flow():
-    corpus = mkcorpus([["aa", "bb", "aa"], ["bb"], [], ["cc", "aa"]])
-    whole = build_daily_series(corpus)
-    per = per_source_series(corpus)
-    assert set(per) == {"aa", "bb", "cc"}
-    for s in per.values():
-        assert s.start_date == whole.start_date
-        assert len(s.values) == len(whole.values)
-    summed = [sum(s.values[i] for s in per.values()) for i in range(len(whole.values))]
-    assert summed == whole.values
-
-
-def test_per_source_series_counts():
-    corpus = mkcorpus([["aa", "aa"], ["bb"], ["aa"]])
-    per = per_source_series(corpus)
-    assert per["aa"].values == [2.0, 0.0, 1.0]
-    assert per["bb"].values == [0.0, 1.0, 0.0]
 
 
 # --- source projection -----------------------------------------------------

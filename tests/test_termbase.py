@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opflow.corpus import Corpus, Document, FlowQuery, TokenizedDoc, parse_timestamp, tokenize_corpus
+from opflow.corpus import FlowQuery, TokenizedDoc
 from opflow.termbase import (
     DEFAULT_EVENT_LEXICON,
     DEFAULT_TOP_M,
@@ -19,7 +19,6 @@ from opflow.termbase import (
     augment_query,
     compute_tfidf,
     document_frequencies,
-    filter_event_documents,
     load_lexicon,
     match_event_terms,
     write_term_report,
@@ -172,20 +171,6 @@ def test_augment_query_adds_one_group():
 def test_augment_query_rejects_empty_terms():
     with pytest.raises(ValueError):
         augment_query(FlowQuery(required_groups=[{"brexit"}]), [])
-
-
-def test_filter_event_documents_narrows():
-    docs = [
-        Document(id="a", published_at=parse_timestamp("2016-06-01T10:00:00Z"),
-                 source="s", title="brexit protest", body="streets"),
-        Document(id="b", published_at=parse_timestamp("2016-06-02T10:00:00Z"),
-                 source="s", title="brexit markets", body="currency"),
-    ]
-    corpus = Corpus.from_documents(docs)
-    tokenized = tokenize_corpus(corpus)
-    base = FlowQuery(required_groups=[{"brexit"}])
-    out = filter_event_documents(corpus, tokenized, base, ["protest"])
-    assert [d.id for d in out] == ["a"]
 
 
 # --- report ----------------------------------------------------------------
