@@ -12,11 +12,15 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from opflow.cli import load_burst_spec, load_cluster_spec
 from opflow.corpus import save_corpus
-from opflow.flowseries import DEFAULT_TEMPLATE
-from opflow.synthflow import generate_burst_series, generate_cluster_corpus, write_ground_truth
-from opflow.flowseries import write_series_csv
+from opflow.flowseries import DEFAULT_TEMPLATE, write_series_csv
+from opflow.synthflow import (
+    generate_burst_series,
+    generate_cluster_corpus,
+    load_burst_spec,
+    load_cluster_spec,
+    write_ground_truth,
+)
 
 BURST_SPEC = """\
 # one lifecycle-shaped bump in a two-month window

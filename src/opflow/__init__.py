@@ -28,7 +28,6 @@ from .eventcluster import (
     DocVector,
     assign,
     kmeans_seeded,
-    quality_q,
     recompute_centroids,
     seed_centroids,
     sim,
@@ -64,7 +63,6 @@ from .synthflow import (
 )
 from .termbase import (
     DEFAULT_EVENT_LEXICON,
-    EventLexicon,
     TermWeight,
     augment_query,
     compute_tfidf,
@@ -72,61 +70,3 @@ from .termbase import (
     load_lexicon,
     match_event_terms,
 )
-
-__all__ = [
-    "Corpus",
-    "Document",
-    "FlowQuery",
-    "TokenizedDoc",
-    "filter_by_dates",
-    "filter_by_query",
-    "load_corpus",
-    "load_stopwords",
-    "normalize_term",
-    "save_corpus",
-    "tokenize",
-    "tokenize_corpus",
-    "ConfigError",
-    "DataError",
-    "UNASSIGNED",
-    "Centroid",
-    "Clustering",
-    "DocVector",
-    "assign",
-    "kmeans_seeded",
-    "quality_q",
-    "recompute_centroids",
-    "seed_centroids",
-    "sim",
-    "vectorize",
-    "DEFAULT_SMOOTHING_WINDOW",
-    "DEFAULT_TEMPLATE",
-    "Correlogram",
-    "DailySeries",
-    "LifecycleTemplate",
-    "Peak",
-    "build_daily_series",
-    "correlogram",
-    "detect_peaks",
-    "load_template",
-    "sample_template",
-    "smooth",
-    "window_correlation",
-    "SourceGraph",
-    "VisibilityGraph",
-    "horizontal_visibility_graph",
-    "source_link_graph",
-    "BurstSpec",
-    "ClusterDef",
-    "ClusterSpec",
-    "generate_burst_series",
-    "generate_cluster_corpus",
-    "DEFAULT_EVENT_LEXICON",
-    "EventLexicon",
-    "TermWeight",
-    "augment_query",
-    "compute_tfidf",
-    "document_frequencies",
-    "load_lexicon",
-    "match_event_terms",
-]

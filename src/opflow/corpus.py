@@ -218,6 +218,19 @@ def _parse_record(obj: dict, line_no: int) -> Document:
     return doc
 
 
+def _decode_error_message(path: str | Path) -> str:
+    """Locate the first invalid UTF-8 byte of a file by its line.  The
+    text reader decodes in chunks and cannot say where it failed, so the
+    raw bytes are scanned again."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        return f"line {line_no}: invalid UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
+    return f"corpus file {path} is not valid UTF-8"
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file into a validated, sorted Corpus.
 
@@ -225,24 +238,27 @@ def load_corpus(path: str | Path) -> Corpus:
     a duplicate id with differing content is an error.
     """
     docs: dict[str, Document] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"line {line_no}: record must be a JSON object")
-            doc = _parse_record(obj, line_no)
-            prior = docs.get(doc.id)
-            if prior is None:
-                docs[doc.id] = doc
-            elif prior != doc:
-                raise CorpusFormatError(
-                    f"line {line_no}: duplicate id {doc.id!r} with differing content"
-                )
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+                if not isinstance(obj, dict):
+                    raise CorpusFormatError(f"line {line_no}: record must be a JSON object")
+                doc = _parse_record(obj, line_no)
+                prior = docs.get(doc.id)
+                if prior is None:
+                    docs[doc.id] = doc
+                elif prior != doc:
+                    raise CorpusFormatError(
+                        f"line {line_no}: duplicate id {doc.id!r} with differing content"
+                    )
+    except UnicodeDecodeError:
+        raise CorpusFormatError(_decode_error_message(path)) from None
     if not docs:
         raise CorpusFormatError(f"corpus file {path} contains no records")
     return Corpus.from_documents(list(docs.values()))

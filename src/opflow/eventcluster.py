@@ -45,9 +45,6 @@ class DocVector:
     doc_id: str
     weights: dict[str, float]
 
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights.values()))
-
 
 @dataclass
 class Centroid:
@@ -107,34 +104,22 @@ def vectorize(
     return vectors
 
 
-def seed_centroids(
-    event_terms: list[str], groups: list[list[str]] | None = None
-) -> list[Centroid]:
-    """One centroid per keyword group (default: one group per term).
-
-    A group's centroid is uniform over the distinct tokens of its terms
-    (phrases contribute each constituent token), L2-normalized.
+def seed_centroids(event_terms: list[str]) -> list[Centroid]:
+    """One centroid per event term, uniform over the term's distinct
+    tokens (a phrase contributes each constituent token), L2-normalized.
     """
     if not event_terms:
         raise ValueError("at least one event term is required")
-    if groups is None:
-        groups = [[t] for t in event_terms]
-    seen: set[str] = set()
-    for group in groups:
-        if not group:
-            raise ValueError("seed groups must be non-empty")
-        for term in group:
-            if term in seen:
-                raise ValueError(f"term {term!r} appears in more than one seed group")
-            seen.add(term)
-    if seen != set(event_terms):
-        raise ValueError("seed groups must cover exactly the event terms")
     centroids = []
-    for j, group in enumerate(groups, start=1):
-        tokens = sorted({tok for term in group for tok in term.split(" ")})
+    seen: set[str] = set()
+    for j, term in enumerate(event_terms, start=1):
+        if term in seen:
+            raise ValueError(f"term {term!r} appears in more than one seed group")
+        seen.add(term)
+        tokens = sorted(set(term.split(" ")))
         w = 1.0 / math.sqrt(len(tokens))
         centroids.append(
-            Centroid(cluster_index=j, weights={t: w for t in tokens}, seed_terms=list(group))
+            Centroid(cluster_index=j, weights={t: w for t in tokens}, seed_terms=[term])
         )
     return centroids
 
@@ -149,13 +134,18 @@ def sim(d: DocVector, c: Centroid) -> float:
     return sum(w * b[t] for t, w in a.items() if t in b)
 
 
-def _assign_with_sims(
+def assign(
     vectors: list[DocVector], centroids: list[Centroid]
 ) -> tuple[dict[str, int], dict[str, float]]:
-    """One assignment pass; returns (assignments, best sim per doc).
+    """One assignment pass: map each doc to the centroid with the largest
+    similarity, and report that similarity per doc.
 
-    Exactly len(centroids) * len(vectors) sim evaluations.
+    Ties go to the smallest cluster index; docs with zero similarity to
+    every centroid go to the UNASSIGNED bucket.  Exactly
+    len(centroids) * len(vectors) sim evaluations.
     """
+    if not centroids:
+        raise ValueError("at least one centroid is required")
     assignments: dict[str, int] = {}
     best_sims: dict[str, float] = {}
     for vec in vectors:
@@ -169,18 +159,6 @@ def _assign_with_sims(
         assignments[vec.doc_id] = best_j
         best_sims[vec.doc_id] = best_s
     return assignments, best_sims
-
-
-def assign(vectors: list[DocVector], centroids: list[Centroid]) -> dict[str, int]:
-    """Map each doc to the centroid with the largest similarity.
-
-    Ties go to the smallest cluster index; docs with zero similarity to
-    every centroid go to the UNASSIGNED bucket.
-    """
-    if not centroids:
-        raise ValueError("at least one centroid is required")
-    assignments, _ = _assign_with_sims(vectors, centroids)
-    return assignments
 
 
 def recompute_centroids(
@@ -223,21 +201,6 @@ def recompute_centroids(
     return out
 
 
-def quality_q(
-    assignments: dict[str, int],
-    vectors: list[DocVector],
-    centroids: list[Centroid],
-) -> float:
-    """Sum of member-to-centroid similarities; unassigned docs excluded."""
-    by_index = {c.cluster_index: c for c in centroids}
-    total = 0.0
-    for vec in vectors:
-        j = assignments.get(vec.doc_id, UNASSIGNED)
-        if j != UNASSIGNED:
-            total += sim(vec, by_index[j])
-    return total
-
-
 def kmeans_seeded(
     vectors: list[DocVector],
     seeds: list[Centroid],
@@ -262,7 +225,7 @@ def kmeans_seeded(
     iterations = 0
     assignments: dict[str, int] = {}
     for it in range(1, max_iter + 1):
-        assignments, best_sims = _assign_with_sims(vectors, centroids)
+        assignments, best_sims = assign(vectors, centroids)
         q = 0.0
         for vec in vectors:
             if assignments[vec.doc_id] != UNASSIGNED:

@@ -51,9 +51,6 @@ class DailySeries:
     def dates(self) -> list[date]:
         return [self.start_date + timedelta(days=i) for i in range(len(self.values))]
 
-    def end_date(self) -> date:
-        return self.start_date + timedelta(days=len(self.values) - 1)
-
 
 @dataclass
 class LifecycleTemplate:

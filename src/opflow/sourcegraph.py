@@ -25,9 +25,6 @@ class VisibilityGraph:
     node_count: int
     edges: set[tuple[int, int]]  # (i, j) with i < j
 
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if a == i or b == i)
-
 
 @dataclass
 class SourceGraph:
@@ -35,11 +32,6 @@ class SourceGraph:
 
     nodes: dict[str, int]  # source -> document count
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def weight(self, a: str, b: str) -> int:
-        if a > b:
-            a, b = b, a
-        return self.edges.get((a, b), 0)
 
 
 def horizontal_visibility_graph(series: DailySeries) -> VisibilityGraph:

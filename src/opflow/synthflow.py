@@ -13,17 +13,23 @@ can be regenerated independently and byte-identically.  Gaussian noise
 is produced by the Box-Muller transform of uniform draws rather than a
 library normal, so the exact sample sequence is pinned by this module
 and not by the numerics backend.
+
+The flat ``key = value`` spec files that describe a fixture are read
+here as well, together with the typed-value helper the command line
+uses for its config files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, Document, normalize_term
+from .errors import ConfigError
 from .flowseries import DailySeries, LifecycleTemplate, sample_template
 
 DEFAULT_SOURCES = ("agency-alpha", "channel-beta", "daily-gamma", "portal-delta")
@@ -62,6 +68,8 @@ class BurstSpec:
             raise ValueError(f"baseline must be >= 0, got {self.baseline}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,8 @@ class ClusterSpec:
             raise ValueError("shared_terms_per_doc > 0 needs a shared vocab")
         if not self.sources:
             raise ValueError("at least one source name is required")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 def _gauss(rng: np.random.Generator) -> float:
@@ -225,3 +235,113 @@ def write_ground_truth(truth: dict[str, int], path) -> None:
         handle.write("doc_id\tcluster\n")
         for doc_id in sorted(truth):
             handle.write(f"{doc_id}\t{truth[doc_id]}\n")
+
+
+def read_kv_file(path) -> list[tuple[str, str]]:
+    """Flat "key = value" lines; '#' comments and blanks ignored.
+
+    Returned as pairs because some consumers allow repeated keys.
+    """
+    pairs = []
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        pairs.append((key.strip(), value.strip()))
+    return pairs
+
+
+def typed_values(pairs: list[tuple[str, str]], types: dict[str, type], where) -> dict:
+    """Each key's value coerced to its type in ``types``; a repeated key
+    keeps its last value.  Unknown keys and unparsable values are
+    ConfigErrors."""
+    values = {}
+    for key, raw in pairs:
+        if key not in types:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        kind = types[key]
+        try:
+            values[key] = date.fromisoformat(raw) if kind is date else kind(raw)
+        except ValueError:
+            wanted = "an ISO date" if kind is date else "a number"
+            raise ConfigError(f"{where}: key {key!r} needs {wanted}, got {raw!r}") from None
+    return values
+
+
+_BURST_SPEC_TYPES = {
+    "length_days": int, "plant_shift": int, "plant_scale": int, "amplitude": float,
+    "baseline": float, "noise_sigma": float, "seed": int, "start_date": date,
+}
+
+_CLUSTER_SPEC_TYPES = {
+    "cluster": str, "vocab_size": int, "shared_size": int, "topical_terms_per_doc": int,
+    "shared_terms_per_doc": int, "seed": int, "sources": str,
+}
+
+
+def load_burst_spec(path, seed_override: int | None = None) -> BurstSpec:
+    """Burst spec file: one "key = value" line per BurstSpec field, with
+    ``seed`` for the noise seed; ``seed_override`` replaces it."""
+    values = typed_values(read_kv_file(path), _BURST_SPEC_TYPES, path)
+    for key in ("length_days", "plant_shift", "plant_scale", "amplitude"):
+        if key not in values:
+            raise ConfigError(f"{path}: burst spec is missing key {key!r}")
+    seed = values.pop("seed", 0)
+    try:
+        return BurstSpec(rng_seed=seed if seed_override is None else seed_override, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_cluster_spec(path, seed_override: int | None = None) -> ClusterSpec:
+    """Cluster spec: repeatable "cluster = keyword:count" lines plus
+    sizing knobs; vocabularies are generated from the keywords."""
+    pairs = read_kv_file(path)
+    values = typed_values(pairs, _CLUSTER_SPEC_TYPES, path)
+    cluster_lines = [value for key, value in pairs if key == "cluster"]
+    if not cluster_lines:
+        raise ConfigError(f"{path}: at least one 'cluster = keyword:count' line is required")
+    vocab_size = values.get("vocab_size", 20)
+    defs = []
+    for line in cluster_lines:
+        keyword_text, sep, count_text = line.rpartition(":")
+        if not sep:
+            raise ConfigError(f"{path}: cluster line {line!r} is not 'keyword:count'")
+        keyword = normalize_term(keyword_text)
+        if not keyword:
+            raise ConfigError(f"{path}: cluster keyword {keyword_text!r} has no tokens")
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise ConfigError(f"{path}: cluster count {count_text!r} is not an integer") from None
+        compact = keyword.replace(" ", "")
+        vocab = tuple(f"{compact}topic{i:02d}" for i in range(vocab_size))
+        try:
+            defs.append(ClusterDef(keyword=keyword, topical_vocab=vocab, doc_count=count))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    sources_text = values.get("sources")
+    sources = (
+        tuple(s.strip() for s in sources_text.split(",") if s.strip())
+        if sources_text
+        else DEFAULT_SOURCES
+    )
+    seed = values.get("seed", 0)
+    try:
+        return ClusterSpec(
+            clusters=tuple(defs),
+            shared_vocab=tuple(f"common{i:02d}" for i in range(values.get("shared_size", 50))),
+            rng_seed=seed if seed_override is None else seed_override,
+            topical_terms_per_doc=values.get("topical_terms_per_doc", 12),
+            shared_terms_per_doc=values.get("shared_terms_per_doc", 5),
+            sources=sources,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -32,32 +32,17 @@ class TermWeight:
     weight: float
 
 
-@dataclass
-class EventLexicon:
-    """Normalized event words and phrases."""
-
-    entries: frozenset[str]
-
-    def __post_init__(self) -> None:
-        self.entries = frozenset(self.entries)
-
-    def phrases(self) -> list[str]:
-        return sorted(e for e in self.entries if " " in e)
-
-
-# The six-entry default event dictionary; callers supply their own file
-# for richer domains.
-DEFAULT_EVENT_LEXICON = EventLexicon(
-    frozenset(
-        {
-            "protest",
-            "referendum",
-            "petition",
-            "signatures",
-            "demonstration",
-            "terrorist act",
-        }
-    )
+# The six-entry default event dictionary of normalized words and phrases;
+# callers supply their own file for richer domains.
+DEFAULT_EVENT_LEXICON = frozenset(
+    {
+        "protest",
+        "referendum",
+        "petition",
+        "signatures",
+        "demonstration",
+        "terrorist act",
+    }
 )
 
 
@@ -95,7 +80,7 @@ def compute_tfidf(tokenized: list[TokenizedDoc]) -> list[TermWeight]:
     return ranked
 
 
-def load_lexicon(path: str | Path) -> EventLexicon:
+def load_lexicon(path: str | Path) -> frozenset[str]:
     """Lexicon file: one entry per line, '#' comments; entries are
     normalized with the corpus tokenizer and deduplicated."""
     entries = set()
@@ -109,7 +94,7 @@ def load_lexicon(path: str | Path) -> EventLexicon:
                 entries.add(term)
     if not entries:
         raise LexiconError(f"lexicon file {path} has no usable entries")
-    return EventLexicon(frozenset(entries))
+    return frozenset(entries)
 
 
 def _phrase_occurs(phrase: str, tokenized: list[TokenizedDoc]) -> bool:
@@ -118,7 +103,7 @@ def _phrase_occurs(phrase: str, tokenized: list[TokenizedDoc]) -> bool:
 
 def match_event_terms(
     ranked: list[TermWeight],
-    lexicon: EventLexicon,
+    lexicon: frozenset[str],
     top_m: int = DEFAULT_TOP_M,
     tokenized: list[TokenizedDoc] | None = None,
 ) -> list[str]:
@@ -135,7 +120,7 @@ def match_event_terms(
     top = ranked[:top_m]
     weight_of = {tw.term: tw.weight for tw in top}
     matched: list[tuple[float, str]] = []
-    for entry in lexicon.entries:
+    for entry in lexicon:
         if " " not in entry:
             if entry in weight_of:
                 matched.append((weight_of[entry], entry))

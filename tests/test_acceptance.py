@@ -322,7 +322,7 @@ def test_default_parameters_and_large_corpus_pipeline(tmp_path):
         {"protest", "referendum", "petition", "signatures", "demonstration", "terrorist act"}
     )
     defaults_ok = (
-        DEFAULT_SMOOTHING_WINDOW == 7 and DEFAULT_EVENT_LEXICON.entries == six_terms
+        DEFAULT_SMOOTHING_WINDOW == 7 and DEFAULT_EVENT_LEXICON == six_terms
     )
     keywords = [
         "protest", "referendum", "petition", "signatures", "demonstration", "terrorist act",
@@ -367,7 +367,7 @@ def test_default_parameters_and_large_corpus_pipeline(tmp_path):
     _report(
         "paper-parameters",
         ok,
-        f"window={DEFAULT_SMOOTHING_WINDOW}, lexicon={len(DEFAULT_EVENT_LEXICON.entries)}"
+        f"window={DEFAULT_SMOOTHING_WINDOW}, lexicon={len(DEFAULT_EVENT_LEXICON)}"
         f" terms, {len(corpus)} docs {first_day}..{last_day}, series sum {total:.0f},"
         f" pipeline rc={rc} in {elapsed:.1f} s",
     )

@@ -18,17 +18,15 @@ from opflow.cli import (
     PIPELINE_ARTIFACTS,
     PipelineConfig,
     build_config,
-    load_burst_spec,
-    load_cluster_spec,
     main,
     parse_grid,
     parse_query,
-    read_kv_file,
     resolve_grids,
 )
 from opflow.corpus import Corpus, Document, load_corpus, save_corpus
 from opflow.errors import ConfigError, DataError
 from opflow.flowseries import smooth
+from opflow.synthflow import load_burst_spec, load_cluster_spec, read_kv_file
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -132,6 +130,9 @@ def test_read_kv_file_rejects_bad_lines(tmp_path):
         read_kv_file(path)
     with pytest.raises(ConfigError, match="cannot read"):
         read_kv_file(tmp_path / "missing")
+    path.write_bytes(b"query = caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        read_kv_file(path)
 
 
 def _ns(**kw):
@@ -485,6 +486,19 @@ def test_synth_requires_an_existing_burst_spec(tmp_path):
     assert rc == 1
 
 
+def test_synth_checks_both_specs_before_writing(fx, tmp_path):
+    bad = tmp_path / "clusters.spec"
+    bad.write_text(Path(fx["clusters"]).read_text() + "seed = -3\n")
+    out = tmp_path / "out"
+    rc = main(["synth", "--burst-spec", fx["burst"], "--cluster-spec", str(bad),
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert not any(out.glob("*"))
+    rc = main(["synth", "--burst-spec", fx["burst"], "--out-dir", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert not any(out.glob("*"))
+
+
 def test_synth_series_only_when_no_cluster_spec(fx, tmp_path):
     rc = main(["synth", "--burst-spec", fx["burst"], "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -512,6 +526,13 @@ def test_load_burst_spec_validates(tmp_path):
                     "amplitude = 5\nbogus = 1\n")
     with pytest.raises(ConfigError, match="unknown"):
         load_burst_spec(path)
+    path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
+                    "amplitude = 5\nseed = -3\n")
+    with pytest.raises(ConfigError, match="seed"):
+        load_burst_spec(path)
+    path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\namplitude = 5\n")
+    with pytest.raises(ConfigError, match="seed"):
+        load_burst_spec(path, seed_override=-1)
 
 
 def test_load_cluster_spec_reads_the_fixture(fx):
@@ -534,4 +555,7 @@ def test_load_cluster_spec_validates(tmp_path):
         load_cluster_spec(path)
     path.write_text("cluster = protest:sixty\n")
     with pytest.raises(ConfigError, match="integer"):
+        load_cluster_spec(path)
+    path.write_text("cluster = protest:6\nseed = -3\n")
+    with pytest.raises(ConfigError, match="seed"):
         load_cluster_spec(path)

@@ -193,6 +193,10 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     p = _write(tmp_path, "c.jsonl", GOOD_LINE + "\n{broken\n")
     with pytest.raises(CorpusFormatError, match="line 2"):
         load_corpus(p)
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes((GOOD_LINE + "\n\n" + GOOD_LINE.replace("Referendum", "Caf\xe9")).encode("latin-1"))
+    with pytest.raises(CorpusFormatError, match=r"line 3: invalid UTF-8.*0xe9"):
+        load_corpus(bad)
 
 
 def test_load_corpus_missing_key(tmp_path):

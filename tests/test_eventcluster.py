@@ -17,7 +17,6 @@ from opflow.eventcluster import (
     DocVector,
     assign,
     kmeans_seeded,
-    quality_q,
     recompute_centroids,
     seed_centroids,
     sim,
@@ -70,7 +69,7 @@ def test_vectorize_weights_and_normalization():
     # "shared" has df == N, zero weight, dropped; "xx" alone remains
     assert set(va.weights) == {"xx"}
     assert va.weights["xx"] == pytest.approx(1.0)
-    assert va.norm() == pytest.approx(1.0)
+    assert math.hypot(*va.weights.values()) == pytest.approx(1.0)
 
 
 def test_vectorize_omits_zero_weight_docs(caplog):
@@ -101,22 +100,11 @@ def test_seed_centroids_phrase_spreads_over_tokens():
     }
 
 
-def test_seed_centroids_groups():
-    seeds = seed_centroids(["aa", "bb", "cc"], groups=[["aa", "bb"], ["cc"]])
-    assert len(seeds) == 2
-    assert seeds[0].weights == {
-        "aa": pytest.approx(1 / math.sqrt(2)),
-        "bb": pytest.approx(1 / math.sqrt(2)),
-    }
-
-
 def test_seed_centroids_validation():
     with pytest.raises(ValueError):
         seed_centroids([])
-    with pytest.raises(ValueError, match="more than one"):
-        seed_centroids(["aa", "bb"], groups=[["aa"], ["aa", "bb"]])
-    with pytest.raises(ValueError, match="cover"):
-        seed_centroids(["aa", "bb"], groups=[["aa"]])
+    with pytest.raises(ValueError, match="'aa' appears in more than one"):
+        seed_centroids(["aa", "bb", "aa"])
 
 
 # --- assignment ------------------------------------------------------------
@@ -125,19 +113,21 @@ def test_seed_centroids_validation():
 def test_assign_picks_largest_sim():
     vectors = [unit("d1", "aa"), unit("d2", "bb")]
     seeds = seed_centroids(["aa", "bb"])
-    assert assign(vectors, seeds) == {"d1": 1, "d2": 2}
+    assignments, best_sims = assign(vectors, seeds)
+    assert assignments == {"d1": 1, "d2": 2}
+    assert best_sims == {"d1": pytest.approx(1.0), "d2": pytest.approx(1.0)}
 
 
 def test_assign_tie_goes_to_smallest_index():
     vectors = [unit("d", "aa", "bb")]
     seeds = seed_centroids(["aa", "bb"])
-    assert assign(vectors, seeds)["d"] == 1
+    assert assign(vectors, seeds)[0]["d"] == 1
 
 
 def test_assign_orthogonal_docs_are_unassigned():
     vectors = [unit("d", "zz")]
     seeds = seed_centroids(["aa"])
-    assert assign(vectors, seeds)["d"] == UNASSIGNED
+    assert assign(vectors, seeds) == ({"d": UNASSIGNED}, {"d": 0.0})
 
 
 def test_assign_needs_centroids():
@@ -182,17 +172,6 @@ def test_recompute_rejects_bad_top_t():
         recompute_centroids({}, [], top_t=0, previous=seed_centroids(["aa"]))
 
 
-# --- quality ---------------------------------------------------------------
-
-
-def test_quality_q_sums_member_sims():
-    vectors = [unit("d1", "aa"), unit("d2", "bb"), unit("d3", "zz")]
-    seeds = seed_centroids(["aa", "bb"])
-    assignments = assign(vectors, seeds)
-    q = quality_q(assignments, vectors, seeds)
-    assert q == pytest.approx(2.0)  # d3 unassigned contributes nothing
-
-
 # --- k-means loop ----------------------------------------------------------
 
 
@@ -218,6 +197,10 @@ def test_kmeans_max_iter_one_is_a_single_pass():
     result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]), max_iter=1)
     assert result.iterations == 1
     assert len(result.q_history) == 1
+    # Q sums the members' sims; d3 is orthogonal to both seeds and adds nothing
+    vectors = [unit("d1", "aa"), unit("d2", "bb"), unit("d3", "zz")]
+    result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]), max_iter=1)
+    assert result.q_history == [pytest.approx(2.0)]
 
 
 @pytest.mark.parametrize("vectors", [[], [unit("d0", "zz")]], ids=["no-vectors", "orthogonal"])

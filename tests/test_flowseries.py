@@ -49,7 +49,6 @@ def test_series_rejects_empty_and_negative():
 def test_series_dates_are_contiguous():
     s = series([1, 2, 3])
     assert s.dates() == [date(2016, 6, 1), date(2016, 6, 2), date(2016, 6, 3)]
-    assert s.end_date() == date(2016, 6, 3)
 
 
 def test_build_daily_series_counts_per_day():

@@ -14,7 +14,6 @@ from opflow.corpus import FlowQuery, TokenizedDoc
 from opflow.termbase import (
     DEFAULT_EVENT_LEXICON,
     DEFAULT_TOP_M,
-    EventLexicon,
     LexiconError,
     augment_query,
     compute_tfidf,
@@ -88,18 +87,17 @@ def test_tfidf_matches_oracle_exactly(term_lists):
 
 
 def test_default_lexicon_is_the_six_event_terms():
-    assert DEFAULT_EVENT_LEXICON.entries == frozenset(
+    assert DEFAULT_EVENT_LEXICON == frozenset(
         {"protest", "referendum", "petition", "signatures", "demonstration",
          "terrorist act"}
     )
-    assert DEFAULT_EVENT_LEXICON.phrases() == ["terrorist act"]
 
 
 def test_load_lexicon_normalizes_and_dedupes(tmp_path):
     p = tmp_path / "lex.txt"
     p.write_text("Protest\nPROTEST  # dup\nTerrorist Act\n# note\n", encoding="utf-8")
     lex = load_lexicon(p)
-    assert lex.entries == frozenset({"protest", "terrorist act"})
+    assert lex == frozenset({"protest", "terrorist act"})
 
 
 def test_load_lexicon_rejects_empty(tmp_path):
@@ -138,7 +136,7 @@ def test_match_respects_top_m_cut():
 def test_match_phrase_needs_adjacency_evidence():
     adjacent = toks(["terrorist", "act", "news"], ["filler"])
     apart = toks(["terrorist", "news", "act"], ["filler"])
-    lex = EventLexicon(frozenset({"terrorist act"}))
+    lex = frozenset({"terrorist act"})
     assert match_event_terms(compute_tfidf(adjacent), lex, tokenized=adjacent) == [
         "terrorist act"
     ]
@@ -147,7 +145,7 @@ def test_match_phrase_needs_adjacency_evidence():
 
 def test_match_phrase_without_tokenized_docs_is_an_error():
     docs = toks(["terrorist", "act"], ["x1"])
-    lex = EventLexicon(frozenset({"terrorist act"}))
+    lex = frozenset({"terrorist act"})
     with pytest.raises(ValueError, match="tokenized"):
         match_event_terms(compute_tfidf(docs), lex)
 
