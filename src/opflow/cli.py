@@ -33,12 +33,13 @@ from .corpus import (
     load_corpus,
     load_stopwords,
     normalize_term,
+    read_line_file,
     save_corpus,
     tokenize_corpus,
 )
 from .errors import ConfigError, DataError
 from .eventcluster import (
-    Clustering, DocVector, kmeans_seeded, seed_centroids, vectorize, write_cluster_report,
+    Clustering, kmeans_seeded, seed_centroids, vectorize, write_cluster_report,
 )
 from .flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
@@ -347,7 +348,7 @@ def find_events(
     lexicon = load_lexicon(config.lexicon) if config.lexicon else DEFAULT_EVENT_LEXICON
     tok_list = [tokenized[doc.id] for doc in corpus]
     ranked = compute_tfidf(tok_list)
-    matched = match_event_terms(ranked, lexicon, top_m=config.top_m, tokenized=tok_list)
+    matched = match_event_terms(ranked, lexicon, tok_list, top_m=config.top_m)
     if matched:
         event_query = FlowQuery(required_groups=[frozenset(matched)])
         event_corpus = filter_by_query(corpus, event_query, tokenized)
@@ -395,38 +396,31 @@ def cmd_events(config: PipelineConfig) -> int:
 
 def cluster_events(
     corpus: Corpus, tokenized: dict[str, TokenizedDoc], terms: list[str], config: PipelineConfig
-) -> tuple[list[DocVector], list[str], Clustering]:
+) -> tuple[list[str], Clustering]:
     """Seeded k-means over the corpus, one cluster per seed term; idf
-    comes from this corpus alone.  Returns the vectors, the ids of the
-    documents left without a vector, and the clustering."""
+    comes from this corpus alone.  Returns the ids of the documents left
+    without a vector (every term in every document) and the clustering."""
     tok_list = [tokenized[doc.id] for doc in corpus]
     df = document_frequencies(tok_list)
     vectors = vectorize(tok_list, df, len(tok_list))
     vectorized_ids = {v.doc_id for v in vectors}
-    omitted = [doc.id for doc in corpus if doc.id not in vectorized_ids]
+    omitted = [tok.doc_id for tok in tok_list if tok.doc_id not in vectorized_ids]
+    if omitted:
+        log.warning("cluster: omitted %d zero-weight docs: %s", len(omitted), omitted[:5])
     seeds = seed_centroids(terms)
     clustering = kmeans_seeded(vectors, seeds, max_iter=config.max_iter, top_t=config.top_t)
     log.info(
         "cluster: k=%d, %d docs, %d iterations, Q=%.4f",
-        len(seeds), len(vectors), clustering.iterations,
-        clustering.q_history[-1] if clustering.q_history else 0.0,
+        len(seeds), len(vectors), clustering.iterations, clustering.q_history[-1],
     )
-    return vectors, omitted, clustering
-
-
-def _write_clusters(
-    vectors: list[DocVector], omitted: list[str], clustering: Clustering, out: Path
-) -> None:
-    """Write the cluster report.  Taking the stage result here keeps the
-    vectors out of the pipeline's frame, so they are freed before the
-    manifest reads every artifact back (about 12 MB of peak RSS on the
-    43,697-doc paper corpus)."""
-    write_cluster_report(clustering, vectors, out / CLUSTERS_JSON, omitted_doc_ids=omitted)
+    return omitted, clustering
 
 
 def _read_event_terms(path: Path) -> list[str]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [term for term in map(normalize_term, lines) if term]
+    """Normalized terms of a term file, '#' starting a comment; a
+    repeated term keeps its first place."""
+    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
+    return list(dict.fromkeys(t for t in terms if t))
 
 
 def cmd_cluster(config: PipelineConfig) -> int:
@@ -445,7 +439,8 @@ def cmd_cluster(config: PipelineConfig) -> int:
             " on a corpus that matches the lexicon, or pass --terms"
         )
     corpus, tokenized = _load_inputs(config)
-    _write_clusters(*cluster_events(corpus, tokenized, seed_terms, config), Path(config.out_dir))
+    omitted, clustering = cluster_events(corpus, tokenized, seed_terms, config)
+    write_cluster_report(clustering, Path(config.out_dir) / CLUSTERS_JSON, omitted)
     return 0
 
 
@@ -513,7 +508,8 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 
     with _stage("clustering"):
         if events.matched:
-            _write_clusters(*cluster_events(events.corpus, tokenized, events.matched, config), out)
+            omitted, clustering = cluster_events(events.corpus, tokenized, events.matched, config)
+            write_cluster_report(clustering, out / CLUSTERS_JSON, omitted)
         else:
             notes.append("clustering: skipped (no event terms matched)")
     _write_manifest(out, notes)

@@ -228,7 +228,23 @@ def _decode_error_message(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         return f"line {line_no}: invalid UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
-    return f"corpus file {path} is not valid UTF-8"
+    return f"file {path} is not valid UTF-8"
+
+
+def read_line_file(path: str | Path) -> list[tuple[int, str, str]]:
+    """(line number, data, comment) of each line holding data, both
+    parts stripped; '#' starts the comment.  A file that is not UTF-8
+    is a DataError naming the file and the line."""
+    entries = []
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                data, _, comment = line.partition("#")
+                if data.strip():
+                    entries.append((line_no, data.strip(), comment.strip()))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: {_decode_error_message(path)}") from None
+    return entries
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -282,16 +298,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stopword file: one term per line, '#' starts a comment."""
-    words = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            entry = line.split("#", 1)[0].strip()
-            if not entry:
-                continue
-            term = normalize_term(entry)
-            if term:
-                words.add(term)
-    return frozenset(words)
+    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
+    return frozenset(t for t in terms if t)
 
 
 def filter_by_query(

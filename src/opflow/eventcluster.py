@@ -1,8 +1,8 @@
 """Keyword-seeded k-means over sparse tf-idf document vectors.
 
 Documents are L2-normalized sparse term vectors; each cluster centroid
-starts as a unit vector spread uniformly over one seed keyword group
-and is re-estimated as the truncated, renormalized mean of its members.
+starts as a unit vector spread uniformly over the tokens of one seed
+term and is re-estimated as the truncated, renormalized mean of its members.
 Similarity is the plain dot product (cosine, since all vectors are unit
 length with non-negative weights), so one assignment pass costs exactly
 k*N similarity evaluations; these are counted so the linear per-pass
@@ -15,12 +15,9 @@ bucket (index 0) and never contribute to the clustering quality Q.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-log = logging.getLogger(__name__)
 
 UNASSIGNED = 0
 
@@ -63,9 +60,7 @@ class Clustering:
     centroids: list[Centroid]
     q_history: list[float]
     iterations: int
-
-    def members(self, cluster_index: int) -> list[str]:
-        return sorted(d for d, j in self.assignments.items() if j == cluster_index)
+    sims: dict[str, float]  # each doc's best sim in the final pass
 
 
 def vectorize(
@@ -76,13 +71,12 @@ def vectorize(
     """tf * ln(N/df) weights per document, L2-normalized.
 
     Documents whose every term has zero idf (df == N) reduce to the zero
-    vector; they are left out of the result and logged.
+    vector and are left out of the result.
     """
     if n_docs < 1:
         raise ValueError("corpus size must be >= 1")
     idf = {}
     vectors = []
-    omitted = []
     for tok in tokenized:
         weights: dict[str, float] = {}
         for term, tf in tok.term_counts.items():
@@ -92,15 +86,11 @@ def vectorize(
             if w > 0.0:
                 weights[term] = w
         if not weights:
-            omitted.append(tok.doc_id)
             continue
         norm = math.sqrt(sum(w * w for w in weights.values()))
         vectors.append(
             DocVector(doc_id=tok.doc_id, weights={t: w / norm for t, w in weights.items()})
         )
-    if omitted:
-        log.warning("vectorize: omitted %d zero-weight docs: %s",
-                    len(omitted), omitted[:5])
     return vectors
 
 
@@ -114,7 +104,7 @@ def seed_centroids(event_terms: list[str]) -> list[Centroid]:
     seen: set[str] = set()
     for j, term in enumerate(event_terms, start=1):
         if term in seen:
-            raise ValueError(f"term {term!r} appears in more than one seed group")
+            raise ValueError(f"repeated seed term {term!r}")
         seen.add(term)
         tokens = sorted(set(term.split(" ")))
         w = 1.0 / math.sqrt(len(tokens))
@@ -213,7 +203,10 @@ def kmeans_seeded(
     centroid) leaves every centroid in place, so it is a fixed point.
 
     q_history records Q of each pass, i.e. the sum of winning
-    similarities against the centroids that produced the assignment.
+    similarities against the centroids that produced the assignment; an
+    unassigned doc's best sim is 0.0, so Q is 0.0 exactly when the pass
+    assigns nothing.  The result keeps the final pass's best sims and
+    the centroids that pass used.
     """
     if not seeds:
         raise ValueError("at least one seed centroid is required")
@@ -222,19 +215,13 @@ def kmeans_seeded(
     centroids = list(seeds)
     q_history: list[float] = []
     prev: dict[str, int] | None = None
-    iterations = 0
-    assignments: dict[str, int] = {}
     for it in range(1, max_iter + 1):
         assignments, best_sims = assign(vectors, centroids)
         q = 0.0
-        for vec in vectors:
-            if assignments[vec.doc_id] != UNASSIGNED:
-                q += best_sims[vec.doc_id]
+        for s in best_sims.values():  # doc order; sum() compensates on Python >= 3.12
+            q += s
         q_history.append(q)
-        iterations = it
-        nothing_assigned = all(j == UNASSIGNED for j in assignments.values())
-        if assignments == prev or it == max_iter or nothing_assigned:
-            # centroids now in hand are the ones the final pass used
+        if assignments == prev or it == max_iter or q == 0.0:
             break
         centroids = recompute_centroids(assignments, vectors, top_t, centroids)
         prev = assignments
@@ -242,24 +229,22 @@ def kmeans_seeded(
         assignments=assignments,
         centroids=centroids,
         q_history=q_history,
-        iterations=iterations,
+        iterations=len(q_history),
+        sims=best_sims,
     )
 
 
 def write_cluster_report(
-    clustering: Clustering,
-    vectors: list[DocVector],
-    path: str | Path,
-    omitted_doc_ids: list[str] | None = None,
+    clustering: Clustering, path: str | Path, omitted_doc_ids: list[str]
 ) -> None:
     """One JSON document describing clusters, members, and the Q trace."""
-    by_id = {v.doc_id: v for v in vectors}
+    members: dict[int, list[str]] = {c.cluster_index: [] for c in clustering.centroids}
+    members[UNASSIGNED] = []
+    for doc_id, j in sorted(clustering.assignments.items()):
+        members[j].append(doc_id)
     clusters = []
     for c in clustering.centroids:
-        member_ids = clustering.members(c.cluster_index)
-        members = [
-            {"doc_id": doc_id, "sim": sim(by_id[doc_id], c)} for doc_id in member_ids
-        ]
+        member_ids = members[c.cluster_index]
         centroid_terms = [
             {"term": t, "weight": w}
             for t, w in sorted(c.weights.items(), key=lambda item: (-item[1], item[0]))
@@ -270,15 +255,17 @@ def write_cluster_report(
                 "seed_terms": list(c.seed_terms),
                 "centroid_terms": centroid_terms,
                 "member_count": len(member_ids),
-                "members": members,
+                "members": [
+                    {"doc_id": doc_id, "sim": clustering.sims[doc_id]} for doc_id in member_ids
+                ],
             }
         )
     report = {
         "iterations": clustering.iterations,
         "q_history": clustering.q_history,
         "clusters": clusters,
-        "unassigned_doc_ids": clustering.members(UNASSIGNED),
-        "omitted_doc_ids": sorted(omitted_doc_ids or []),
+        "unassigned_doc_ids": members[UNASSIGNED],
+        "omitted_doc_ids": sorted(omitted_doc_ids),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Corpus
+from .corpus import Corpus, read_line_file
 from .errors import DataError
 
 DEFAULT_SMOOTHING_WINDOW = 7
@@ -132,7 +132,6 @@ class Correlogram:
     scales: list[int]
     cells: dict[tuple[int, int], float | None]
     start_date: date
-    series_length: int = 0
 
     def defined_cells(self) -> list[tuple[int, int, float]]:
         return [(l, k, v) for (l, k), v in sorted(self.cells.items()) if v is not None]
@@ -260,7 +259,6 @@ def correlogram(
         scales=scales,
         cells=cells,
         start_date=series.start_date,
-        series_length=n,
     )
 
 
@@ -296,24 +294,19 @@ def load_template(path: str | Path) -> LifecycleTemplate:
     """
     points: list[tuple[float, float]] = []
     labels: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            data, _, comment = line.partition("#")
-            data = data.strip()
-            if not data:
-                continue
-            parts = data.split()
-            if len(parts) != 2:
-                raise TemplateFormatError(
-                    f"line {line_no}: expected 'position amplitude', got {data!r}"
-                )
-            try:
-                points.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise TemplateFormatError(
-                    f"line {line_no}: non-numeric control point {data!r}"
-                ) from None
-            labels.append(comment.strip())
+    for line_no, data, comment in read_line_file(path):
+        parts = data.split()
+        if len(parts) != 2:
+            raise TemplateFormatError(
+                f"line {line_no}: expected 'position amplitude', got {data!r}"
+            )
+        try:
+            points.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise TemplateFormatError(
+                f"line {line_no}: non-numeric control point {data!r}"
+            ) from None
+        labels.append(comment)
     if not points:
         raise TemplateFormatError(f"template file {path} has no control points")
     named = [lbl for lbl in labels if lbl]

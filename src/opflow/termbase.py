@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import FlowQuery, TokenizedDoc, normalize_term
+from .corpus import FlowQuery, TokenizedDoc, normalize_term, read_line_file
 from .errors import DataError
 
 DEFAULT_TOP_M = 200
@@ -83,18 +83,11 @@ def compute_tfidf(tokenized: list[TokenizedDoc]) -> list[TermWeight]:
 def load_lexicon(path: str | Path) -> frozenset[str]:
     """Lexicon file: one entry per line, '#' comments; entries are
     normalized with the corpus tokenizer and deduplicated."""
-    entries = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            raw = line.split("#", 1)[0].strip()
-            if not raw:
-                continue
-            term = normalize_term(raw)
-            if term:
-                entries.add(term)
+    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
+    entries = frozenset(t for t in terms if t)
     if not entries:
         raise LexiconError(f"lexicon file {path} has no usable entries")
-    return frozenset(entries)
+    return entries
 
 
 def _phrase_occurs(phrase: str, tokenized: list[TokenizedDoc]) -> bool:
@@ -104,8 +97,8 @@ def _phrase_occurs(phrase: str, tokenized: list[TokenizedDoc]) -> bool:
 def match_event_terms(
     ranked: list[TermWeight],
     lexicon: frozenset[str],
+    tokenized: list[TokenizedDoc],
     top_m: int = DEFAULT_TOP_M,
-    tokenized: list[TokenizedDoc] | None = None,
 ) -> list[str]:
     """Lexicon entries present among the top_m ranked terms, best first.
 
@@ -113,7 +106,7 @@ def match_event_terms(
     top_m single-term ranking and the phrase occurs as an adjacent token
     run in at least one document; it is scored with the minimum of its
     constituents' weights.  ``tokenized`` supplies the adjacency
-    evidence and is required whenever the lexicon contains phrases.
+    evidence.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
@@ -128,10 +121,6 @@ def match_event_terms(
         tokens = entry.split(" ")
         if not all(t in weight_of for t in tokens):
             continue
-        if tokenized is None:
-            raise ValueError(
-                f"lexicon phrase {entry!r} needs tokenized docs for adjacency matching"
-            )
         if _phrase_occurs(entry, tokenized):
             matched.append((min(weight_of[t] for t in tokens), entry))
     matched.sort(key=lambda pair: (-pair[0], pair[1]))

@@ -196,6 +196,22 @@ def test_exit_2_when_query_matches_nothing(fx, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("series", "--stopwords"),
+    ("events", "--lexicon"),
+    ("correlogram", "--template"),
+    ("cluster", "--terms"),
+])
+def test_exit_2_on_a_line_file_that_is_not_utf8(fx, tmp_path, caplog, command, flag):
+    bad = tmp_path / "entries.txt"
+    bad.write_bytes(b"protest\ncaf\xe9\n")
+    with caplog.at_level("ERROR"):
+        rc = main([command, "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                   flag, str(bad)])
+    assert rc == 2
+    assert f"{bad}: line 2: invalid UTF-8" in caplog.text
+
+
 # --- series ----------------------------------------------------------------
 
 
@@ -362,6 +378,39 @@ def test_cluster_report_is_byte_stable(fx, tmp_path):
                    "--terms", str(terms)])
         assert rc == 0
     assert (out_a / CLUSTERS_JSON).read_bytes() == (out_b / CLUSTERS_JSON).read_bytes()
+
+
+def test_cluster_term_file_skips_comments_and_repeats(fx, tmp_path):
+    terms = tmp_path / "terms.txt"
+    terms.write_text("# note\nprotest\nProtest\nreferendum\n")
+    rc = main(["cluster", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
+               "--terms", str(terms)])
+    assert rc == 0
+    report = json.loads((tmp_path / CLUSTERS_JSON).read_text())
+    assert [c["seed_terms"] for c in report["clusters"]] == [["protest"], ["referendum"]]
+
+
+def test_cluster_reports_docs_without_a_vector(tmp_path, caplog):
+    # every term of z1 and z2 occurs in every document, so idf leaves them nothing
+    docs = [
+        Document(id=doc_id, published_at=datetime(2016, 6, 1, 9, i, tzinfo=timezone.utc),
+                 source="wire", title=title, body="shared words")
+        for i, (doc_id, title) in enumerate(
+            [("p1", "protest"), ("p2", "protest"), ("z1", ""), ("z2", "")]
+        )
+    ]
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus.from_documents(docs), corpus_path)
+    terms = tmp_path / "terms.txt"
+    terms.write_text("protest\n")
+    with caplog.at_level("WARNING"):
+        rc = main(["cluster", "--corpus", str(corpus_path), "--out-dir", str(tmp_path),
+                   "--terms", str(terms)])
+    assert rc == 0
+    assert "omitted 2 zero-weight docs" in caplog.text
+    report = json.loads((tmp_path / CLUSTERS_JSON).read_text())
+    assert report["omitted_doc_ids"] == ["z1", "z2"]
+    assert [m["doc_id"] for m in report["clusters"][0]["members"]] == ["p1", "p2"]
 
 
 # --- pipeline --------------------------------------------------------------

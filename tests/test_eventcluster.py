@@ -72,14 +72,12 @@ def test_vectorize_weights_and_normalization():
     assert math.hypot(*va.weights.values()) == pytest.approx(1.0)
 
 
-def test_vectorize_omits_zero_weight_docs(caplog):
+def test_vectorize_omits_zero_weight_docs():
     tok = [_tok("a", ["everywhere"]), _tok("b", ["everywhere"]),
            _tok("c", ["everywhere", "rare"])]
     df = document_frequencies(tok)
-    with caplog.at_level("WARNING"):
-        vectors = vectorize(tok, df, len(tok))
+    vectors = vectorize(tok, df, len(tok))
     assert [v.doc_id for v in vectors] == ["c"]
-    assert "omitted" in caplog.text
 
 
 # --- seeds -----------------------------------------------------------------
@@ -103,7 +101,7 @@ def test_seed_centroids_phrase_spreads_over_tokens():
 def test_seed_centroids_validation():
     with pytest.raises(ValueError):
         seed_centroids([])
-    with pytest.raises(ValueError, match="'aa' appears in more than one"):
+    with pytest.raises(ValueError, match="repeated seed term 'aa'"):
         seed_centroids(["aa", "bb", "aa"])
 
 
@@ -264,8 +262,10 @@ def test_cluster_report_layout_and_determinism(tmp_path):
     vectors = _planted_vectors() + [unit("stray", "zz")]
     result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]))
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    write_cluster_report(result, vectors, p1, omitted_doc_ids=["skipped"])
-    write_cluster_report(result, vectors, p2, omitted_doc_ids=["skipped"])
+    SIM_EVALUATIONS.reset()
+    write_cluster_report(result, p1, ["skipped"])
+    write_cluster_report(result, p2, ["skipped"])
+    assert SIM_EVALUATIONS.count == 0  # the member sims come from the clustering
     assert p1.read_bytes() == p2.read_bytes()
     report = json.loads(p1.read_text())
     assert report["iterations"] == result.iterations
@@ -278,3 +278,19 @@ def test_cluster_report_layout_and_determinism(tmp_path):
     assert member_ids == sorted(member_ids)
     top_term = clusters[0]["centroid_terms"][0]
     assert top_term["term"] == "aa"
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 50])
+def test_cluster_report_sims_are_those_of_the_final_centroids(tmp_path, max_iter):
+    vectors = _planted_vectors() + [unit("mixed", "aa", "bb", "zz"), unit("stray", "zz")]
+    result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]), max_iter=max_iter, top_t=3)
+    write_cluster_report(result, tmp_path / "r.json", [])
+    report = json.loads((tmp_path / "r.json").read_text())
+    by_id = {v.doc_id: v for v in vectors}
+    checked = 0
+    for c, cluster in zip(result.centroids, report["clusters"]):
+        for member in cluster["members"]:
+            assert member["sim"] == sim(by_id[member["doc_id"]], c)
+            checked += 1
+    assert checked + len(report["unassigned_doc_ids"]) == len(vectors)
+    assert all(result.sims[d] == 0.0 for d in report["unassigned_doc_ids"])

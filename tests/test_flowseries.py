@@ -216,7 +216,6 @@ def test_correlogram_grid_and_admissibility():
     s = series(range(10))
     corr = correlogram(s, DEFAULT_TEMPLATE, scales=[3, 8], shifts=[0, 4, 7])
     assert set(corr.cells) == {(0, 3), (4, 3), (7, 3), (0, 8)}
-    assert corr.series_length == 10
     assert corr.start_date == START
 
 

@@ -143,13 +143,6 @@ def test_match_phrase_needs_adjacency_evidence():
     assert match_event_terms(compute_tfidf(apart), lex, tokenized=apart) == []
 
 
-def test_match_phrase_without_tokenized_docs_is_an_error():
-    docs = toks(["terrorist", "act"], ["x1"])
-    lex = frozenset({"terrorist act"})
-    with pytest.raises(ValueError, match="tokenized"):
-        match_event_terms(compute_tfidf(docs), lex)
-
-
 def test_match_empty_when_lexicon_disjoint():
     docs = toks(["economy", "market"], ["trade"])
     assert match_event_terms(compute_tfidf(docs), DEFAULT_EVENT_LEXICON,
