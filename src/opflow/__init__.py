@@ -10,7 +10,7 @@ from .corpus import (
     Corpus,
     Document,
     FlowQuery,
-    TokenizedDoc,
+    TermTable,
     filter_by_dates,
     filter_by_query,
     load_corpus,
@@ -25,12 +25,11 @@ from .eventcluster import (
     UNASSIGNED,
     Centroid,
     Clustering,
-    DocVector,
+    DocVectors,
     assign,
     kmeans_seeded,
     recompute_centroids,
     seed_centroids,
-    sim,
     vectorize,
 )
 from .flowseries import (

@@ -27,7 +27,7 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     FlowQuery,
-    TokenizedDoc,
+    TermTable,
     filter_by_dates,
     filter_by_query,
     load_corpus,
@@ -260,13 +260,13 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
     return scales, shifts
 
 
-def _load_inputs(config: PipelineConfig) -> tuple[Corpus, dict[str, TokenizedDoc]]:
+def _load_inputs(config: PipelineConfig) -> tuple[Corpus, TermTable]:
     corpus = load_corpus(config.corpus)
     stopwords = load_stopwords(config.stopwords) if config.stopwords else frozenset()
     return corpus, tokenize_corpus(corpus, stopwords)
 
 
-def _flow(config: PipelineConfig) -> tuple[Corpus, dict[str, TokenizedDoc], FlowQuery | None]:
+def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     corpus, tokenized = _load_inputs(config)
     query = parse_query(config.query, config.exclude)
     flow = filter_by_query(corpus, query, tokenized) if query is not None else corpus
@@ -341,14 +341,14 @@ class Events:
 
 
 def find_events(
-    corpus: Corpus, tokenized: dict[str, TokenizedDoc], config: PipelineConfig
+    corpus: Corpus, tokenized: TermTable, config: PipelineConfig
 ) -> Events:
     """Rank terms, match the event lexicon, keep the documents carrying
     an event term, and project them onto sources."""
     lexicon = load_lexicon(config.lexicon) if config.lexicon else DEFAULT_EVENT_LEXICON
-    tok_list = [tokenized[doc.id] for doc in corpus]
-    ranked = compute_tfidf(tok_list)
-    matched = match_event_terms(ranked, lexicon, tok_list, top_m=config.top_m)
+    table = tokenized.take(corpus)
+    ranked = compute_tfidf(table)
+    matched = match_event_terms(ranked, lexicon, table, top_m=config.top_m)
     if matched:
         event_query = FlowQuery(required_groups=[frozenset(matched)])
         event_corpus = filter_by_query(corpus, event_query, tokenized)
@@ -395,16 +395,16 @@ def cmd_events(config: PipelineConfig) -> int:
 
 
 def cluster_events(
-    corpus: Corpus, tokenized: dict[str, TokenizedDoc], terms: list[str], config: PipelineConfig
+    corpus: Corpus, tokenized: TermTable, terms: list[str], config: PipelineConfig
 ) -> tuple[list[str], Clustering]:
     """Seeded k-means over the corpus, one cluster per seed term; idf
     comes from this corpus alone.  Returns the ids of the documents left
     without a vector (every term in every document) and the clustering."""
-    tok_list = [tokenized[doc.id] for doc in corpus]
-    df = document_frequencies(tok_list)
-    vectors = vectorize(tok_list, df, len(tok_list))
-    vectorized_ids = {v.doc_id for v in vectors}
-    omitted = [tok.doc_id for tok in tok_list if tok.doc_id not in vectorized_ids]
+    table = tokenized.take(corpus)
+    df = document_frequencies(table)
+    vectors = vectorize(table, df, len(table))
+    vectorized = set(vectors.doc_ids)
+    omitted = [doc_id for doc_id in table if doc_id not in vectorized]
     if omitted:
         log.warning("cluster: omitted %d zero-weight docs: %s", len(omitted), omitted[:5])
     seeds = seed_centroids(terms)

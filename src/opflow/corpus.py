@@ -4,25 +4,36 @@ Loads timestamped, source-attributed documents from JSON Lines files,
 normalizes their text into token streams, and filters them with boolean
 queries (AND of OR-groups, plus exclusions) and date ranges.  All
 operations are pure: they return new objects and never mutate inputs.
+
+A tokenized corpus is one :class:`TermTable`: every term is interned
+once into a vocabulary, and each document is a row of CSR arrays (its
+token stream of term ids, and its distinct terms with their counts in
+order of first appearance).  Queries, tf-idf and document vectors all
+work on these arrays.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from functools import cached_property
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .errors import DataError
 
-# Unicode letter/digit runs; underscore is a separator, not a word character.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_MIN_TOKEN_LEN = 2
-# A maximal run reaches _MIN_TOKEN_LEN exactly when that many word
-# characters stand next to each other, so this finds whether a token exists.
-_ANY_TOKEN_RE = re.compile(r"[^\W_]{%d,}" % _MIN_TOKEN_LEN, re.UNICODE)
+# Unicode letter/digit runs of at least two characters, matched on
+# case-folded text; underscore is a separator, not a word character.
+# The engine tries each position left to right, so a match starts where
+# a maximal run starts and takes all of it: the tokens are the maximal
+# runs of length >= 2, and one search tells whether a text has a token.
+_ANY_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
+# one encoder for every line: json.dumps would build one per record
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 class CorpusFormatError(DataError):
@@ -31,7 +42,7 @@ class CorpusFormatError(DataError):
 
 def _extract_tokens(text: str) -> list[str]:
     """Case-folded letter/digit runs of length >= 2, in order of appearance."""
-    return [t for t in _TOKEN_RE.findall(text.casefold()) if len(t) >= _MIN_TOKEN_LEN]
+    return _ANY_TOKEN_RE.findall(text.casefold())
 
 
 def normalize_term(text: str) -> str:
@@ -78,6 +89,21 @@ class Document:
         """Calendar date of publication (UTC)."""
         return self.published_at.date()
 
+    @cached_property
+    def json_line(self) -> str:
+        """The document as one JSONL line, newline included; formatted on
+        first use, so a document saved to several files is encoded once."""
+        record = {
+            "id": self.id,
+            "published_at": format_timestamp(self.published_at),
+            "source": self.source,
+            "title": self.title,
+            "body": self.body,
+        }
+        if self.language is not None:
+            record["language"] = self.language
+        return _JSON_ENCODER.encode(record) + "\n"
+
 
 @dataclass
 class Corpus:
@@ -122,28 +148,6 @@ class Corpus:
 
 
 @dataclass
-class TokenizedDoc:
-    """Normalized token stream of one document."""
-
-    doc_id: str
-    terms: list[str]
-    term_counts: dict[str, int]
-
-    @classmethod
-    def from_terms(cls, doc_id: str, terms: list[str]) -> TokenizedDoc:
-        return cls(doc_id=doc_id, terms=list(terms), term_counts=dict(Counter(terms)))
-
-    def contains(self, term: str) -> bool:
-        """True if the doc contains ``term``; phrases match adjacent runs."""
-        words = term.split(" ")
-        if len(words) == 1:
-            return term in self.term_counts
-        n = len(words)
-        terms = self.terms
-        return any(terms[i:i + n] == words for i in range(len(terms) - n + 1))
-
-
-@dataclass
 class FlowQuery:
     """Boolean topic query: a doc matches if it hits ANY term of EVERY
     required group and contains no excluded term.  Terms are normalized
@@ -166,25 +170,164 @@ class FlowQuery:
                     f"excluded terms overlap a required group: {sorted(overlap)}"
                 )
 
-    def matches(self, tok: TokenizedDoc) -> bool:
-        if any(tok.contains(t) for t in self.excluded_terms):
-            return False
-        return all(any(tok.contains(t) for t in group) for group in self.required_groups)
+    def matches(self, table: TermTable) -> np.ndarray:
+        """Per row of the table, whether its document matches."""
+        keep = ~table.contains_any(self.excluded_terms)
+        for group in self.required_groups:
+            keep &= table.contains_any(group)
+        return keep
 
 
-def tokenize(doc: Document, stopwords: frozenset[str] | set[str] = frozenset()) -> TokenizedDoc:
-    """Tokenize title+body: case-fold, keep letter/digit runs of length >= 2,
-    drop stopwords.  A doc may legitimately come out empty once stopwords
-    are applied; downstream stages skip such docs."""
-    terms = [t for t in _extract_tokens(doc.title + " " + doc.body) if t not in stopwords]
-    return TokenizedDoc.from_terms(doc.id, terms)
+def csr_offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR row pointer (``indptr``) of rows with the given lengths."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def csr_entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every entry of a CSR layout."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def csr_take(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry indices of ``rows``, row after row, and the row pointer of
+    the rows so taken."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    taken = csr_offsets(lengths)
+    entries = np.repeat(indptr[rows] - taken[:-1], lengths) + np.arange(taken[-1])
+    return entries, taken
+
+
+@dataclass
+class TermTable:
+    """Tokenized documents over one interned vocabulary, as CSR arrays.
+
+    Row ``i`` is document ``doc_ids[i]``; ``vocab[t]`` is the term of id
+    ``t``.  The row's token stream, in text order, is
+    ``term_ids[indptr[i]:indptr[i + 1]]``; phrases are matched on it.
+    Its distinct terms, in order of first appearance, and their counts
+    are ``row_terms`` and ``row_counts`` over ``row_ptr[i]:row_ptr[i + 1]``.
+    ``len()`` is the number of documents and iteration yields their ids.
+    """
+
+    doc_ids: list[str]
+    vocab: list[str]
+    indptr: np.ndarray
+    term_ids: np.ndarray
+    row_ptr: np.ndarray
+    row_terms: np.ndarray
+    row_counts: np.ndarray
+
+    @classmethod
+    def from_terms(cls, rows: Iterable[tuple[str, list[str]]]) -> TermTable:
+        """Intern the terms of (doc id, token list) rows, in order."""
+        doc_ids: list[str] = []
+        lengths: list[int] = []
+        tokens: list[str] = []
+        for doc_id, terms in rows:
+            doc_ids.append(doc_id)
+            lengths.append(len(terms))
+            tokens.extend(terms)
+        vocab = list(dict.fromkeys(tokens))
+        index = {term: i for i, term in enumerate(vocab)}
+        term_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        indptr = csr_offsets(np.array(lengths, dtype=np.int64))
+        # one key per (row, term); np.unique finds each key's first
+        # position, and ordering those positions restores text order
+        token_rows = csr_entry_rows(indptr)
+        keys = token_rows * len(vocab) + term_ids
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        by_position = np.argsort(first)
+        first = first[by_position]
+        return cls(
+            doc_ids=doc_ids,
+            vocab=vocab,
+            indptr=indptr,
+            term_ids=term_ids,
+            row_ptr=csr_offsets(np.bincount(token_rows[first], minlength=len(doc_ids))),
+            row_terms=term_ids[first],
+            row_counts=counts[by_position],
+        )
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __iter__(self):
+        return iter(self.doc_ids)
+
+    @cached_property
+    def _term_index(self) -> dict[str, int]:
+        """Term -> term id."""
+        return {term: i for i, term in enumerate(self.vocab)}
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+
+    def take(self, corpus: Corpus) -> TermTable:
+        """The rows of the corpus's documents, in corpus order, over the
+        same vocabulary."""
+        row_of = self._row_of
+        missing = [d.id for d in corpus if d.id not in row_of]
+        if missing:
+            raise ValueError(f"no tokenized form for doc ids: {missing[:5]}")
+        rows = np.array([row_of[d.id] for d in corpus], dtype=np.int64)
+        tokens, indptr = csr_take(self.indptr, rows)
+        distinct, row_ptr = csr_take(self.row_ptr, rows)
+        return TermTable(
+            doc_ids=[d.id for d in corpus],
+            vocab=self.vocab,
+            indptr=indptr,
+            term_ids=self.term_ids[tokens],
+            row_ptr=row_ptr,
+            row_terms=self.row_terms[distinct],
+            row_counts=self.row_counts[distinct],
+        )
+
+    def contains_any(self, terms: Iterable[str]) -> np.ndarray:
+        """Per row, whether the document contains any of the terms.  A
+        single term is looked up among the row's distinct terms; a phrase
+        (space-joined terms) must occur as an adjacent run of tokens."""
+        hit = np.zeros(len(self), dtype=bool)
+        words = []
+        for term in terms:
+            ids = [self._term_index.get(w) for w in term.split(" ")]
+            if None in ids:
+                continue
+            if len(ids) == 1:
+                words.append(ids[0])
+            else:
+                hit[self._phrase_rows(ids)] = True
+        if words:
+            rows = csr_entry_rows(self.row_ptr)
+            hit[rows[np.isin(self.row_terms, words)]] = True
+        return hit
+
+    def _phrase_rows(self, ids: list[int]) -> np.ndarray:
+        """Rows whose token stream holds the run of term ids."""
+        n = len(ids)
+        stream = self.term_ids
+        starts = np.flatnonzero(stream[: max(len(stream) - n + 1, 0)] == ids[0])
+        for k, term_id in enumerate(ids[1:], start=1):
+            starts = starts[stream[starts + k] == term_id]
+        rows = np.searchsorted(self.indptr, starts, side="right") - 1
+        return rows[starts + n <= self.indptr[rows + 1]]
+
+
+def tokenize(doc: Document, stopwords: frozenset[str] | set[str] = frozenset()) -> list[str]:
+    """Tokens of title+body: case-folded letter/digit runs of length >= 2,
+    stopwords dropped.  A doc may legitimately come out empty once
+    stopwords are applied; downstream stages skip such docs."""
+    tokens = _extract_tokens(doc.title + " " + doc.body)
+    return [t for t in tokens if t not in stopwords] if stopwords else tokens
 
 
 def tokenize_corpus(
     corpus: Corpus, stopwords: frozenset[str] | set[str] = frozenset()
-) -> dict[str, TokenizedDoc]:
-    """Tokenized form of every document, keyed by doc id."""
-    return {doc.id: tokenize(doc, stopwords) for doc in corpus}
+) -> TermTable:
+    """Tokenized form of every document, one row each, in corpus order."""
+    return TermTable.from_terms((doc.id, tokenize(doc, stopwords)) for doc in corpus)
 
 
 _REQUIRED_KEYS = ("id", "published_at", "source", "title", "body")
@@ -283,17 +426,7 @@ def load_corpus(path: str | Path) -> Corpus:
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus back out as JSONL; load_corpus(save_corpus(c)) == c."""
     with open(path, "w", encoding="utf-8") as handle:
-        for doc in corpus:
-            record = {
-                "id": doc.id,
-                "published_at": format_timestamp(doc.published_at),
-                "source": doc.source,
-                "title": doc.title,
-                "body": doc.body,
-            }
-            if doc.language is not None:
-                record["language"] = doc.language
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        handle.writelines(doc.json_line for doc in corpus)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -302,15 +435,10 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(t for t in terms if t)
 
 
-def filter_by_query(
-    corpus: Corpus, query: FlowQuery, tokenized: dict[str, TokenizedDoc]
-) -> Corpus:
+def filter_by_query(corpus: Corpus, query: FlowQuery, tokenized: TermTable) -> Corpus:
     """Order-preserving subset of docs matching the query."""
-    missing = [d.id for d in corpus if d.id not in tokenized]
-    if missing:
-        raise ValueError(f"no tokenized form for doc ids: {missing[:5]}")
-    kept = [d for d in corpus if query.matches(tokenized[d.id])]
-    return Corpus(kept)
+    keep = query.matches(tokenized.take(corpus))
+    return Corpus([d for d, k in zip(corpus, keep.tolist()) if k])
 
 
 def filter_by_dates(corpus: Corpus, date_from: date, date_to: date) -> Corpus:

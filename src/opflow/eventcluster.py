@@ -1,8 +1,9 @@
 """Keyword-seeded k-means over sparse tf-idf document vectors.
 
-Documents are L2-normalized sparse term vectors; each cluster centroid
-starts as a unit vector spread uniformly over the tokens of one seed
-term and is re-estimated as the truncated, renormalized mean of its members.
+Documents are L2-normalized sparse term vectors, held together as CSR
+rows (:class:`DocVectors`); each cluster centroid starts as a unit
+vector spread uniformly over the tokens of one seed term and is
+re-estimated as the truncated, renormalized mean of its members.
 Similarity is the plain dot product (cosine, since all vectors are unit
 length with non-negative weights), so one assignment pass costs exactly
 k*N similarity evaluations; these are counted so the linear per-pass
@@ -10,6 +11,15 @@ cost is checkable, not just claimed.
 
 Documents orthogonal to every centroid go to a reserved "unassigned"
 bucket (index 0) and never contribute to the clustering quality Q.
+
+Every float sum runs left to right in a fixed order, as a plain Python
+loop over term maps would, never pairwise (``np.sum``) or compensated
+(builtin ``sum`` on Python >= 3.12): a row's terms in first-appearance
+order, added column by column over the rows (:func:`_row_sums`); a
+centroid's terms in its own order when it is the smaller map; a term's
+weights over cluster members in doc-id order (``np.bincount``); and Q
+over documents in order.  So vectors, similarities, Q and centroids are
+the same bits on every supported Python version.
 """
 
 from __future__ import annotations
@@ -17,7 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
+
+from .corpus import TermTable, csr_entry_rows, csr_offsets, csr_take
+from .termbase import inverse_document_frequencies
 
 UNASSIGNED = 0
 
@@ -36,11 +52,51 @@ SIM_EVALUATIONS = SimCounter()
 
 
 @dataclass
-class DocVector:
-    """Sparse, L2-normalized term-weight vector of one document."""
+class DocVectors:
+    """Sparse, L2-normalized term-weight vectors of documents, as CSR rows.
 
-    doc_id: str
-    weights: dict[str, float]
+    Row ``i`` is document ``doc_ids[i]``; its term ids (into ``vocab``)
+    and weights are ``terms`` and ``weights`` over
+    ``indptr[i]:indptr[i + 1]``, in order of first appearance in the
+    document.  ``len()`` is the number of documents.
+    """
+
+    doc_ids: list[str]
+    vocab: list[str]
+    indptr: np.ndarray
+    terms: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    @cached_property
+    def _columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return _columns_of(self.indptr)
+
+    @cached_property
+    def _term_index(self) -> dict[str, int]:
+        return {term: i for i, term in enumerate(self.vocab)}
+
+    @cached_property
+    def _by_term(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The same entries grouped by term (CSC): pointer, rows, weights."""
+        order = np.argsort(self.terms, kind="stable")
+        pointer = csr_offsets(np.bincount(self.terms, minlength=len(self.vocab)))
+        return pointer, csr_entry_rows(self.indptr)[order], self.weights[order]
+
+    @cached_property
+    def _id_order(self) -> np.ndarray:
+        """Rows in ascending doc-id order."""
+        return np.array(sorted(range(len(self)), key=self.doc_ids.__getitem__), dtype=np.int64)
+
+    @cached_property
+    def _term_rank(self) -> np.ndarray:
+        """Each term id's place in ascending term order."""
+        order = sorted(range(len(self.vocab)), key=self.vocab.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank
 
 
 @dataclass
@@ -63,35 +119,49 @@ class Clustering:
     sims: dict[str, float]  # each doc's best sim in the final pass
 
 
-def vectorize(
-    tokenized: list,  # list[TokenizedDoc]
-    df: dict[str, int],
-    n_docs: int,
-) -> list[DocVector]:
+def _columns_of(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Column ``j`` of the rows padded to equal length: the rows that
+    have a ``j``-th entry, and those entries' indices."""
+    lengths = np.diff(indptr)
+    columns = []
+    for j in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > j)
+        columns.append((rows, indptr[rows] + j))
+    return columns
+
+
+def _row_sums(values: np.ndarray, columns: list, n_rows: int) -> np.ndarray:
+    """Sum of each row's values, added left to right from 0.0."""
+    total = np.zeros(n_rows)
+    for rows, entries in columns:
+        total[rows] += values[entries]
+    return total
+
+
+def vectorize(tokenized: TermTable, df: np.ndarray, n_docs: int) -> DocVectors:
     """tf * ln(N/df) weights per document, L2-normalized.
 
-    Documents whose every term has zero idf (df == N) reduce to the zero
-    vector and are left out of the result.
+    ``df`` is indexed by term id.  Documents whose every term has zero
+    idf (df == N) reduce to the zero vector and are left out of the
+    result.
     """
     if n_docs < 1:
         raise ValueError("corpus size must be >= 1")
-    idf = {}
-    vectors = []
-    for tok in tokenized:
-        weights: dict[str, float] = {}
-        for term, tf in tok.term_counts.items():
-            if term not in idf:
-                idf[term] = math.log(n_docs / df[term])
-            w = tf * idf[term]
-            if w > 0.0:
-                weights[term] = w
-        if not weights:
-            continue
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        vectors.append(
-            DocVector(doc_id=tok.doc_id, weights={t: w / norm for t, w in weights.items()})
-        )
-    return vectors
+    idf = inverse_document_frequencies(df, n_docs)
+    raw = tokenized.row_counts * idf[tokenized.row_terms]
+    kept = raw > 0.0
+    raw = raw[kept]
+    rows = csr_entry_rows(tokenized.row_ptr)[kept]
+    indptr = csr_offsets(np.bincount(rows, minlength=len(tokenized)))
+    norms = np.sqrt(_row_sums(raw * raw, _columns_of(indptr), len(tokenized)))
+    nonempty = np.flatnonzero(np.diff(indptr))
+    return DocVectors(
+        doc_ids=[tokenized.doc_ids[i] for i in nonempty.tolist()],
+        vocab=tokenized.vocab,
+        indptr=csr_offsets(np.diff(indptr)[nonempty]),
+        terms=tokenized.row_terms[kept],
+        weights=raw / norms[rows],
+    )
 
 
 def seed_centroids(event_terms: list[str]) -> list[Centroid]:
@@ -114,21 +184,31 @@ def seed_centroids(event_terms: list[str]) -> list[Centroid]:
     return centroids
 
 
-def sim(d: DocVector, c: Centroid) -> float:
-    """Dot product of the sparse weight maps; in [0, 1] for unit vectors
+def _sims(vectors: DocVectors, centroid: Centroid) -> np.ndarray:
+    """Dot product of every vector with the centroid, summed left to
+    right over the smaller of the two term maps (the vector's when they
+    are the same size), in that map's order; in [0, 1] for unit vectors
     with non-negative weights."""
-    SIM_EVALUATIONS.count += 1
-    a, b = d.weights, c.weights
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(w * b[t] for t, w in a.items() if t in b)
+    index = vectors._term_index
+    known = [(index[t], w) for t, w in centroid.weights.items() if t in index]
+    dense = np.zeros(len(vectors.vocab))
+    for term_id, w in known:
+        dense[term_id] = w
+    sims = _row_sums(vectors.weights * dense[vectors.terms], vectors._columns, len(vectors))
+    longer = np.diff(vectors.indptr) > len(centroid.weights)
+    if longer.any():
+        pointer, rows, doc_weights = vectors._by_term
+        in_centroid_order = np.zeros(len(vectors))
+        for term_id, w in known:
+            span = slice(pointer[term_id], pointer[term_id + 1])
+            in_centroid_order[rows[span]] += w * doc_weights[span]
+        sims = np.where(longer, in_centroid_order, sims)
+    return sims
 
 
-def assign(
-    vectors: list[DocVector], centroids: list[Centroid]
-) -> tuple[dict[str, int], dict[str, float]]:
-    """One assignment pass: map each doc to the centroid with the largest
-    similarity, and report that similarity per doc.
+def assign(vectors: DocVectors, centroids: list[Centroid]) -> tuple[np.ndarray, np.ndarray]:
+    """One assignment pass: the cluster index of the centroid with the
+    largest similarity to each vector, and that similarity, per row.
 
     Ties go to the smallest cluster index; docs with zero similarity to
     every centroid go to the UNASSIGNED bucket.  Exactly
@@ -136,51 +216,51 @@ def assign(
     """
     if not centroids:
         raise ValueError("at least one centroid is required")
-    assignments: dict[str, int] = {}
-    best_sims: dict[str, float] = {}
-    for vec in vectors:
-        best_j = UNASSIGNED
-        best_s = 0.0
-        for c in centroids:
-            s = sim(vec, c)
-            if s > best_s:
-                best_s = s
-                best_j = c.cluster_index
-        assignments[vec.doc_id] = best_j
-        best_sims[vec.doc_id] = best_s
-    return assignments, best_sims
+    best_j = np.full(len(vectors), UNASSIGNED, dtype=np.int64)
+    best_s = np.zeros(len(vectors))
+    for c in centroids:
+        s = _sims(vectors, c)
+        SIM_EVALUATIONS.count += len(vectors)
+        better = s > best_s
+        best_s[better] = s[better]
+        best_j[better] = c.cluster_index
+    return best_j, best_s
 
 
 def recompute_centroids(
-    assignments: dict[str, int],
-    vectors: list[DocVector],
+    assignments: np.ndarray,
+    vectors: DocVectors,
     top_t: int,
     previous: list[Centroid],
 ) -> list[Centroid]:
     """Per cluster: mean of member vectors, truncated to the top_t
     heaviest terms (ties broken by term), renormalized.  Empty clusters
-    keep their previous centroid."""
+    keep their previous centroid.  ``assignments`` holds each row's
+    cluster index.  Members are summed in ascending doc-id order."""
     if top_t < 1:
         raise ValueError(f"top_t must be >= 1, got {top_t}")
-    by_id = {v.doc_id: v for v in vectors}
-    members: dict[int, list[str]] = {c.cluster_index: [] for c in previous}
-    for doc_id, j in assignments.items():
-        if j != UNASSIGNED:
-            members[j].append(doc_id)
+    order = vectors._id_order
+    labels = assignments[order]
+    n_terms = len(vectors.vocab)
     out = []
     for c in previous:
-        ids = sorted(members[c.cluster_index])
-        if not ids:
+        members = order[labels == c.cluster_index]
+        if not members.size:
             out.append(c)
             continue
-        sums: dict[str, float] = {}
-        for doc_id in ids:
-            for term, w in by_id[doc_id].weights.items():
-                sums[term] = sums.get(term, 0.0) + w
-        count = len(ids)
-        mean = {t: s / count for t, s in sums.items()}
-        kept = sorted(mean.items(), key=lambda item: (-item[1], item[0]))[:top_t]
-        norm = math.sqrt(sum(w * w for _, w in kept))
+        entries, _ = csr_take(vectors.indptr, members)
+        terms = vectors.terms[entries]
+        sums = np.bincount(terms, weights=vectors.weights[entries], minlength=n_terms)
+        present = np.flatnonzero(np.bincount(terms, minlength=n_terms))
+        mean = sums[present] / len(members)
+        top = np.lexsort((vectors._term_rank[present], -mean))[:top_t]
+        kept = [
+            (vectors.vocab[t], w) for t, w in zip(present[top].tolist(), mean[top].tolist())
+        ]
+        norm_sq = 0.0
+        for _, w in kept:
+            norm_sq += w * w
+        norm = math.sqrt(norm_sq)
         out.append(
             Centroid(
                 cluster_index=c.cluster_index,
@@ -192,7 +272,7 @@ def recompute_centroids(
 
 
 def kmeans_seeded(
-    vectors: list[DocVector],
+    vectors: DocVectors,
     seeds: list[Centroid],
     max_iter: int = 50,
     top_t: int = 25,
@@ -214,23 +294,23 @@ def kmeans_seeded(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     centroids = list(seeds)
     q_history: list[float] = []
-    prev: dict[str, int] | None = None
+    prev: np.ndarray | None = None
     for it in range(1, max_iter + 1):
-        assignments, best_sims = assign(vectors, centroids)
+        labels, best_sims = assign(vectors, centroids)
         q = 0.0
-        for s in best_sims.values():  # doc order; sum() compensates on Python >= 3.12
+        for s in best_sims.tolist():  # left to right, in doc order
             q += s
         q_history.append(q)
-        if assignments == prev or it == max_iter or q == 0.0:
+        if (prev is not None and np.array_equal(labels, prev)) or it == max_iter or q == 0.0:
             break
-        centroids = recompute_centroids(assignments, vectors, top_t, centroids)
-        prev = assignments
+        centroids = recompute_centroids(labels, vectors, top_t, centroids)
+        prev = labels
     return Clustering(
-        assignments=assignments,
+        assignments=dict(zip(vectors.doc_ids, labels.tolist())),
         centroids=centroids,
         q_history=q_history,
         iterations=len(q_history),
-        sims=best_sims,
+        sims=dict(zip(vectors.doc_ids, best_sims.tolist())),
     )
 
 

@@ -4,6 +4,11 @@ Ranks corpus terms by an aggregated tf-idf score (per-document
 tf * ln(N/df), summed over documents), intersects the top of the ranking
 with a curated lexicon of event words, and uses the surviving event
 terms to tighten the flow query so only event-bearing documents remain.
+
+Scores come from the term table's arrays: df and the summed weights are
+``np.bincount`` over the rows' distinct terms, which adds each term's
+contributions one by one in document order, so the floats equal a plain
+loop over the documents.  idf is ``math.log`` per vocabulary term.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import FlowQuery, TokenizedDoc, normalize_term, read_line_file
+import numpy as np
+
+from .corpus import FlowQuery, TermTable, normalize_term, read_line_file
 from .errors import DataError
 
 DEFAULT_TOP_M = 200
@@ -46,35 +53,43 @@ DEFAULT_EVENT_LEXICON = frozenset(
 )
 
 
-def document_frequencies(tokenized: list[TokenizedDoc]) -> dict[str, int]:
-    """Number of documents containing each term."""
-    df: dict[str, int] = {}
-    for tok in tokenized:
-        for term in tok.term_counts:
-            df[term] = df.get(term, 0) + 1
-    return df
+def document_frequencies(tokenized: TermTable) -> np.ndarray:
+    """Number of documents containing each term, indexed by term id."""
+    return np.bincount(tokenized.row_terms, minlength=len(tokenized.vocab))
 
 
-def compute_tfidf(tokenized: list[TokenizedDoc]) -> list[TermWeight]:
-    """Rank all corpus terms by summed tf * ln(N/df).
+def inverse_document_frequencies(df: np.ndarray, n_docs: int) -> np.ndarray:
+    """ln(N/df) per term id, by ``math.log`` one term at a time; 0.0
+    where df is 0."""
+    present = np.flatnonzero(df)
+    idf = np.zeros(len(df))
+    idf[present] = [math.log(n_docs / count) for count in df[present].tolist()]
+    return idf
+
+
+def compute_tfidf(tokenized: TermTable) -> list[TermWeight]:
+    """Rank the terms of the table's documents by summed tf * ln(N/df).
 
     N counts every document passed in, empty ones included.  Ties are
     broken by term, ascending, so the ranking is total and reproducible.
     """
     n_docs = len(tokenized)
-    if n_docs == 0 or all(not tok.terms for tok in tokenized):
+    if n_docs == 0 or len(tokenized.term_ids) == 0:
         raise ValueError("tf-idf needs at least one non-empty document")
     df = document_frequencies(tokenized)
-    idf = {term: math.log(n_docs / count) for term, count in df.items()}
-    weights: dict[str, float] = {term: 0.0 for term in df}
-    tf_totals: dict[str, int] = {term: 0 for term in df}
-    for tok in tokenized:
-        for term, tf in tok.term_counts.items():
-            weights[term] += tf * idf[term]
-            tf_totals[term] += tf
+    idf = inverse_document_frequencies(df, n_docs)
+    present = np.flatnonzero(df)
+    terms = tokenized.row_terms
+    weights = np.bincount(terms, weights=tokenized.row_counts * idf[terms], minlength=len(df))
+    tf_totals = np.bincount(tokenized.term_ids, minlength=len(df))
     ranked = [
-        TermWeight(term=t, tf_total=tf_totals[t], df=df[t], weight=weights[t])
-        for t in df
+        TermWeight(term=tokenized.vocab[t], tf_total=tf, df=d, weight=w)
+        for t, tf, d, w in zip(
+            present.tolist(),
+            tf_totals[present].tolist(),
+            df[present].tolist(),
+            weights[present].tolist(),
+        )
     ]
     ranked.sort(key=lambda tw: (-tw.weight, tw.term))
     return ranked
@@ -90,14 +105,10 @@ def load_lexicon(path: str | Path) -> frozenset[str]:
     return entries
 
 
-def _phrase_occurs(phrase: str, tokenized: list[TokenizedDoc]) -> bool:
-    return any(tok.contains(phrase) for tok in tokenized)
-
-
 def match_event_terms(
     ranked: list[TermWeight],
     lexicon: frozenset[str],
-    tokenized: list[TokenizedDoc],
+    tokenized: TermTable,
     top_m: int = DEFAULT_TOP_M,
 ) -> list[str]:
     """Lexicon entries present among the top_m ranked terms, best first.
@@ -121,7 +132,7 @@ def match_event_terms(
         tokens = entry.split(" ")
         if not all(t in weight_of for t in tokens):
             continue
-        if _phrase_occurs(entry, tokenized):
+        if tokenized.contains_any([entry]).any():
             matched.append((min(weight_of[t] for t in tokens), entry))
     matched.sort(key=lambda pair: (-pair[0], pair[1]))
     return [term for _, term in matched]

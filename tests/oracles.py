@@ -70,3 +70,93 @@ def tfidf_weights(token_lists):
         for term, count in Counter(terms).items():
             weights[term] = weights.get(term, 0.0) + count * math.log(n / df[term])
     return sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def seeded_kmeans(docs, seed_terms, max_iter, top_t):
+    """Keyword-seeded k-means on plain dicts, step by step.
+
+    ``docs`` is a list of (doc id, token list).  A document's vector is
+    tf * ln(N/df) per term (terms in first-appearance order), zero
+    weights dropped, L2-normalized; a document left with no weight gets
+    no vector.  A seed centroid is uniform over the seed term's sorted
+    distinct tokens.  A similarity is the dot product over the smaller
+    of the two maps (the document's when they are the same size), in
+    that map's order.  A document goes to the centroid of largest
+    similarity, ties to the smallest index, and to 0 when every
+    similarity is 0.  A centroid becomes the mean of its members summed
+    in doc-id order, cut to its top_t terms (weight descending, then
+    term), renormalized; an empty cluster keeps its centroid.  Passes
+    stop at a repeated assignment, at max_iter, or when Q is 0.  Every
+    sum runs left to right.
+
+    Returns a dict of the vectors, the final assignments and best sims,
+    the Q of each pass, the final centroids and the number of
+    similarities computed.
+    """
+    n = len(docs)
+    df = Counter()
+    for _, terms in docs:
+        df.update(set(terms))
+    vectors = {}
+    for doc_id, terms in docs:
+        raw = {t: count * math.log(n / df[t]) for t, count in Counter(terms).items()}
+        raw = {t: w for t, w in raw.items() if w > 0.0}
+        if raw:
+            norm = math.sqrt(_left_to_right(w * w for w in raw.values()))
+            vectors[doc_id] = {t: w / norm for t, w in raw.items()}
+    centroids = []
+    for term in seed_terms:
+        tokens = sorted(set(term.split(" ")))
+        centroids.append({t: 1.0 / math.sqrt(len(tokens)) for t in tokens})
+
+    def dot(vector, centroid):
+        small, large = (centroid, vector) if len(centroid) < len(vector) else (vector, centroid)
+        return _left_to_right(w * large[t] for t, w in small.items() if t in large)
+
+    evaluations = 0
+    q_history = []
+    previous = None
+    for it in range(1, max_iter + 1):
+        assignments, sims = {}, {}
+        for doc_id, vector in vectors.items():
+            best_j, best_s = 0, 0.0
+            for j, centroid in enumerate(centroids, start=1):
+                s = dot(vector, centroid)
+                evaluations += 1
+                if s > best_s:
+                    best_j, best_s = j, s
+            assignments[doc_id], sims[doc_id] = best_j, best_s
+        q = _left_to_right(sims.values())
+        q_history.append(q)
+        if assignments == previous or it == max_iter or q == 0.0:
+            break
+        previous = assignments
+        for j in range(1, len(centroids) + 1):
+            members = sorted(d for d, a in assignments.items() if a == j)
+            if not members:
+                continue
+            sums = {}
+            for doc_id in members:
+                for t, w in vectors[doc_id].items():
+                    sums[t] = sums.get(t, 0.0) + w
+            mean = sorted(
+                ((t, s / len(members)) for t, s in sums.items()),
+                key=lambda tw: (-tw[1], tw[0]),
+            )[:top_t]
+            norm = math.sqrt(_left_to_right(w * w for _, w in mean))
+            centroids[j - 1] = {t: w / norm for t, w in mean}
+    return {
+        "vectors": vectors,
+        "assignments": assignments,
+        "sims": sims,
+        "q_history": q_history,
+        "centroids": centroids,
+        "sim_evaluations": evaluations,
+    }

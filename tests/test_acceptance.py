@@ -24,7 +24,7 @@ from itertools import product
 from pathlib import Path
 
 from opflow.cli import MANIFEST_TXT, main
-from opflow.corpus import TokenizedDoc, load_corpus, save_corpus, tokenize_corpus
+from opflow.corpus import TermTable, load_corpus, save_corpus, tokenize_corpus
 from opflow.eventcluster import (
     SIM_EVALUATIONS,
     kmeans_seeded,
@@ -150,9 +150,8 @@ def test_planted_burst_recovered_across_seeds():
 def _kmeans_inputs(spec: ClusterSpec, burst: BurstSpec):
     corpus, truth = generate_cluster_corpus(spec, DEFAULT_TEMPLATE, burst)
     tokenized = tokenize_corpus(corpus)
-    tok_list = [tokenized[doc.id] for doc in corpus]
-    df = document_frequencies(tok_list)
-    vectors = vectorize(tok_list, df, len(tok_list))
+    df = document_frequencies(tokenized)
+    vectors = vectorize(tokenized, df, len(tokenized))
     seeds = seed_centroids([c.keyword for c in spec.clusters])
     return vectors, seeds, truth, len(df)
 
@@ -295,16 +294,13 @@ def test_tfidf_matches_independent_recomputation():
             for _ in range(rng.randint(2, 50))
         ]
         ranked = compute_tfidf(
-            [TokenizedDoc.from_terms(f"d{i}", terms) for i, terms in enumerate(token_lists)]
+            TermTable.from_terms((f"d{i}", terms) for i, terms in enumerate(token_lists))
         )
         if [(tw.term, tw.weight) for tw in ranked] != tfidf_weights(token_lists):
             exact = False
             break
     ranked = compute_tfidf(
-        [
-            TokenizedDoc.from_terms("d0", ["burst", "burst", "burst", "filler"]),
-            TokenizedDoc.from_terms("d1", ["filler"]),
-        ]
+        TermTable.from_terms([("d0", ["burst", "burst", "burst", "filler"]), ("d1", ["filler"])])
     )
     frozen = {tw.term: tw.weight for tw in ranked}["burst"]
     frozen_err = abs(frozen - 3 * math.log(2))

@@ -9,6 +9,8 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opflow.cli import (
     CLUSTERS_JSON,
@@ -458,6 +460,14 @@ def test_pipeline_is_reproducible(fx, tmp_path):
     assert (out_a / MANIFEST_TXT).read_bytes() == (out_b / MANIFEST_TXT).read_bytes()
 
 
+def test_pipeline_reproduces_the_golden_manifest(fx, fixtures_dir, tmp_path):
+    # the digests of every artifact for these arguments: any change to
+    # an artifact's bytes shows here
+    assert run_pipeline(fx, tmp_path) == 0
+    golden = (fixtures_dir / "pipeline_manifest.txt").read_bytes()
+    assert (tmp_path / MANIFEST_TXT).read_bytes() == golden
+
+
 def test_pipeline_clears_stale_artifacts(fx, tmp_path):
     stale = tmp_path / CLUSTERS_JSON
     unrelated = tmp_path / "keep.txt"
@@ -608,3 +618,69 @@ def test_load_cluster_spec_validates(tmp_path):
     path.write_text("cluster = protest:6\nseed = -3\n")
     with pytest.raises(ConfigError, match="seed"):
         load_cluster_spec(path)
+
+
+# --- robustness ------------------------------------------------------------
+
+STOPWORDS = ("the", "and")
+WORDS = ("protest", "referendum", "terrorist", "act", "petition", "common") + STOPWORDS
+
+
+@st.composite
+def small_corpora(draw):
+    """JSONL lines of a few documents within one to a dozen days, with
+    UTC offsets that move them across midnight, some made only of
+    stopwords and some only of a word every document holds."""
+    span_days = draw(st.sampled_from([1, 2, 12]))
+    lines = []
+    for i in range(draw(st.integers(1, 25))):
+        minutes = draw(st.integers(0, span_days * 1440 - 1))
+        zone = timezone(timedelta(hours=draw(st.integers(-12, 14))))
+        published = datetime(2016, 6, 1, tzinfo=timezone.utc) + timedelta(minutes=minutes)
+        kind = draw(st.sampled_from(["words", "stopwords", "everywhere"]))
+        if kind == "words":
+            body = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6))
+        else:
+            body = list(STOPWORDS) if kind == "stopwords" else []
+        lines.append(json.dumps({
+            "id": f"d{i}", "published_at": published.astimezone(zone).isoformat(),
+            "source": draw(st.sampled_from(["s1", "s2"])), "title": "common",
+            "body": " ".join(body),
+        }))
+    return lines
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    small_corpora(),
+    st.sampled_from(["-1", "0.5", "0.9"]),
+    st.booleans(),
+    st.sampled_from(["", "protest,terrorist act"]),
+)
+def test_pipeline_exits_0_1_or_2_on_small_corpora(
+    tmp_path_factory, lines, threshold, with_stopwords, query
+):
+    work = tmp_path_factory.mktemp("robust")
+    corpus = work / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stopwords = work / "stopwords.txt"
+    stopwords.write_text("\n".join(STOPWORDS) + "\n", encoding="utf-8")
+    out = work / "out"
+    argv = ["pipeline", "--corpus", str(corpus), "--out-dir", str(out)]
+    argv += ["--threshold", threshold]
+    argv += ["--stopwords", str(stopwords)] if with_stopwords else []
+    argv += ["--query", query] if query else []
+    rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        # a stage the manifest notes as skipped leaves its artifact out
+        manifest = (out / MANIFEST_TXT).read_text(encoding="utf-8")
+        skipped = set()
+        if "# narrowing: none" in manifest:
+            skipped.add("narrowed_corpus.jsonl")
+        if "# clustering: skipped" in manifest:
+            skipped.add(CLUSTERS_JSON)
+        listed = {line.split("\t")[0] for line in manifest.splitlines() if "\t" in line}
+        assert listed == set(PIPELINE_ARTIFACTS) - skipped
+        for name in PIPELINE_ARTIFACTS:
+            assert (out / name).is_file() == (name not in skipped), name

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from opflow.corpus import (
@@ -13,7 +15,8 @@ from opflow.corpus import (
     CorpusFormatError,
     Document,
     FlowQuery,
-    TokenizedDoc,
+    TermTable,
+    _extract_tokens,
     filter_by_dates,
     filter_by_query,
     format_timestamp,
@@ -31,6 +34,10 @@ def doc(id="d1", ts="2016-06-24T08:00:00Z", source="wire", title="tt", body="bb"
     return Document(
         id=id, published_at=parse_timestamp(ts), source=source, title=title, body=body
     )
+
+
+def table(*term_lists):
+    return TermTable.from_terms((f"d{i}", list(terms)) for i, terms in enumerate(term_lists))
 
 
 # --- normalization ---------------------------------------------------------
@@ -112,27 +119,44 @@ def test_date_span_of_empty_corpus_fails():
 
 
 def test_tokenize_merges_title_and_body():
-    t = tokenize(doc(title="Big Protest", body="protest in the square"))
-    assert t.terms == ["big", "protest", "protest", "in", "the", "square"]
-    assert t.term_counts["protest"] == 2
+    d = doc(title="Big Protest", body="protest in the square")
+    assert tokenize(d) == ["big", "protest", "protest", "in", "the", "square"]
+    t = tokenize_corpus(Corpus([d]))
+    assert [t.vocab[i] for i in t.term_ids] == tokenize(d)
+    # distinct terms in order of first appearance, with their counts
+    assert [t.vocab[i] for i in t.row_terms] == ["big", "protest", "in", "the", "square"]
+    assert t.row_counts.tolist() == [1, 2, 1, 1, 1]
 
 
 def test_tokenize_applies_stopwords():
-    t = tokenize(doc(title="the protest", body="the the square"), stopwords={"the"})
-    assert t.terms == ["protest", "square"]
+    assert tokenize(doc(title="the protest", body="the the square"), stopwords={"the"}) == [
+        "protest", "square"
+    ]
+
+
+def test_term_table_rows_follow_the_input():
+    t = table(["bb", "aa", "bb"], [], ["cc", "aa"])
+    assert list(t) == ["d0", "d1", "d2"] and len(t) == 3
+    assert t.vocab == ["bb", "aa", "cc"]
+    assert t.indptr.tolist() == [0, 3, 3, 5]
+    assert t.row_ptr.tolist() == [0, 2, 2, 4]
+    assert t.row_terms.tolist() == [0, 1, 2, 1]
+    assert t.row_counts.tolist() == [2, 1, 1, 1]
 
 
 def test_contains_single_term():
-    t = TokenizedDoc.from_terms("d", ["protest", "march"])
-    assert t.contains("protest")
-    assert not t.contains("petition")
+    t = table(["protest", "march"])
+    assert t.contains_any(["protest"]).tolist() == [True]
+    assert t.contains_any(["petition"]).tolist() == [False]
 
 
 def test_contains_phrase_needs_adjacency():
-    t = TokenizedDoc.from_terms("d", ["terrorist", "big", "act"])
-    assert not t.contains("terrorist act")
-    u = TokenizedDoc.from_terms("d", ["big", "terrorist", "act"])
-    assert u.contains("terrorist act")
+    t = table(["terrorist", "big", "act"], ["big", "terrorist", "act"])
+    assert t.contains_any(["terrorist act"]).tolist() == [False, True]
+    # a run across two documents is no occurrence
+    assert table(["big", "terrorist"], ["act"]).contains_any(["terrorist act"]).tolist() == [
+        False, False
+    ]
 
 
 # --- queries ---------------------------------------------------------------
@@ -140,20 +164,19 @@ def test_contains_phrase_needs_adjacency():
 
 def test_query_and_of_ors():
     q = FlowQuery(required_groups=[{"brexit"}, {"protest", "petition"}])
-    assert q.matches(TokenizedDoc.from_terms("d", ["brexit", "petition"]))
-    assert not q.matches(TokenizedDoc.from_terms("d", ["brexit", "weather"]))
-    assert not q.matches(TokenizedDoc.from_terms("d", ["protest"]))
+    docs = table(["brexit", "petition"], ["brexit", "weather"], ["protest"])
+    assert q.matches(docs).tolist() == [True, False, False]
 
 
 def test_query_exclusion_wins():
     q = FlowQuery(required_groups=[{"brexit"}], excluded_terms=frozenset({"sport"}))
-    assert not q.matches(TokenizedDoc.from_terms("d", ["brexit", "sport"]))
+    assert q.matches(table(["brexit", "sport"])).tolist() == [False]
 
 
 def test_query_phrase_group():
     q = FlowQuery(required_groups=[{"terrorist act"}])
-    assert q.matches(TokenizedDoc.from_terms("d", ["terrorist", "act"]))
-    assert not q.matches(TokenizedDoc.from_terms("d", ["terrorist", "x", "act"]))
+    docs = table(["terrorist", "act"], ["terrorist", "x", "act"])
+    assert q.matches(docs).tolist() == [True, False]
 
 
 def test_query_needs_groups():
@@ -254,6 +277,21 @@ def test_save_load_round_trip_is_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_corpus_writes_one_json_object_per_line(tmp_path):
+    d = Document(
+        id="a", published_at=parse_timestamp("2016-06-24T08:00:00Z"), source="s",
+        title='Naïve "café"', body="x\ty", language="fr",
+    )
+    p = tmp_path / "c.jsonl"
+    save_corpus(Corpus([d, doc(id="b")]), p)
+    first = p.read_text(encoding="utf-8").splitlines()[0]
+    assert first == json.dumps(
+        {"id": "a", "published_at": "2016-06-24T08:00:00Z", "source": "s",
+         "title": 'Naïve "café"', "body": "x\ty", "language": "fr"},
+        ensure_ascii=False,
+    )
+
+
 def test_load_stopwords_with_comments(tmp_path):
     p = _write(tmp_path, "s.txt", "# noise\nthe\nand # inline\n\n")
     assert load_stopwords(p) == frozenset({"the", "and"})
@@ -275,7 +313,7 @@ def test_filter_by_query_keeps_order():
 def test_filter_by_query_needs_tokenized_forms():
     c = Corpus.from_documents([doc(id="a")])
     with pytest.raises(ValueError, match="no tokenized form"):
-        filter_by_query(c, FlowQuery(required_groups=[{"x"}]), {})
+        filter_by_query(c, FlowQuery(required_groups=[{"x"}]), table())
 
 
 def test_filter_by_dates_inclusive():
@@ -328,8 +366,22 @@ def test_from_documents_always_sorted(docs):
 def test_round_trip_preserves_documents(docs, tmp_path_factory):
     c = Corpus.from_documents(docs)
     p = tmp_path_factory.mktemp("rt") / "c.jsonl"
-    skip = any(not tokenize(d).terms for d in c)
+    skip = any(not tokenize(d) for d in c)
     if skip:
         return  # zero-token docs are rejected on load by design
     save_corpus(c, p)
     assert load_corpus(p).documents == c.documents
+
+
+@given(st.text())
+@example("Straße ß")  # casefolds to "ss"
+@example("a_bb_c__dd")  # underscore separates
+@example("x1 22 3")  # digits
+@example("e\u0301te \u0301a")  # combining marks
+@example("a b c")  # single letters only
+def test_one_step_tokenizer_equals_runs_of_two_or_more(text):
+    # the two-step rule: every maximal letter/digit run, then drop runs
+    # shorter than two characters
+    folded = text.casefold()
+    two_step = [t for t in re.findall(r"[^\W_]+", folded) if len(t) >= 2]
+    assert _extract_tokens(text) == two_step

@@ -5,79 +5,114 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opflow.corpus import TokenizedDoc
+import oracles
+from opflow.corpus import TermTable
 from opflow.eventcluster import (
     SIM_EVALUATIONS,
     UNASSIGNED,
     Centroid,
-    DocVector,
+    DocVectors,
     assign,
     kmeans_seeded,
     recompute_centroids,
     seed_centroids,
-    sim,
     vectorize,
     write_cluster_report,
 )
 from opflow.termbase import document_frequencies
 
 
-def vec(doc_id, **weights):
-    return DocVector(doc_id=doc_id, weights=dict(weights))
+def vectors_of(rows):
+    """DocVectors of {doc id: {term: weight}}, each row in the given order."""
+    vocab = list(dict.fromkeys(t for weights in rows.values() for t in weights))
+    index = {t: i for i, t in enumerate(vocab)}
+    return DocVectors(
+        doc_ids=list(rows),
+        vocab=vocab,
+        indptr=np.cumsum([0] + [len(weights) for weights in rows.values()]),
+        terms=np.array([index[t] for weights in rows.values() for t in weights], dtype=np.int64),
+        weights=np.array([w for weights in rows.values() for w in weights.values()], dtype=float),
+    )
 
 
-def unit(doc_id, *terms):
-    w = 1.0 / math.sqrt(len(terms))
-    return DocVector(doc_id=doc_id, weights={t: w for t in terms})
+def row(vectors, doc_id):
+    """The {term: weight} map of one document's row."""
+    i = vectors.doc_ids.index(doc_id)
+    span = slice(vectors.indptr[i], vectors.indptr[i + 1])
+    terms = [vectors.vocab[t] for t in vectors.terms[span].tolist()]
+    return dict(zip(terms, vectors.weights[span].tolist()))
+
+
+def unit(*terms):
+    return {t: 1.0 / math.sqrt(len(terms)) for t in terms}
 
 
 # --- similarity ------------------------------------------------------------
 
 
 def test_sim_is_sparse_dot_product():
-    d = vec("d", aa=0.6, bb=0.8)
-    c = Centroid(cluster_index=1, weights={"bb": 1.0})
-    assert sim(d, c) == pytest.approx(0.8)
-    assert sim(d, Centroid(cluster_index=2, weights={"zz": 1.0})) == 0.0
+    vectors = vectors_of({"d": {"aa": 0.6, "bb": 0.8}})
+    _, sims = assign(vectors, [Centroid(cluster_index=1, weights={"bb": 1.0})])
+    assert sims.tolist() == [pytest.approx(0.8)]
+    _, sims = assign(vectors, [Centroid(cluster_index=2, weights={"zz": 1.0})])
+    assert sims.tolist() == [0.0]
 
 
 def test_sim_counter_counts():
     SIM_EVALUATIONS.reset()
-    d = vec("d", aa=1.0)
+    vectors = vectors_of({"d": {"aa": 1.0}})
     c = Centroid(cluster_index=1, weights={"aa": 1.0})
-    sim(d, c)
-    sim(d, c)
+    assign(vectors, [c])
+    assign(vectors, [c])
     assert SIM_EVALUATIONS.count == 2
+
+
+def test_sums_run_left_to_right_on_every_python():
+    # crafted so that a compensated sum (math.fsum, or builtin sum() on
+    # Python >= 3.12) rounds differently from adding left to right
+    tiny = 2.0 ** -53
+    assert math.fsum([1.0, tiny, tiny]) != 1.0
+    c = Centroid(cluster_index=1, weights={"aa": 1.0, "bb": 1.0, "cc": 1.0})
+    _, sims = assign(vectors_of({"d": {"aa": 1.0, "bb": tiny, "cc": tiny}}), [c])
+    assert sims.tolist() == [1.0]
+    # Q adds the best sims 1.0, tiny, tiny in doc order
+    vectors = vectors_of({"d1": {"aa": 1.0}, "d2": {"aa": tiny}, "d3": {"aa": tiny}})
+    assert kmeans_seeded(vectors, seed_centroids(["aa"]), max_iter=1).q_history == [1.0]
+    # a centroid's norm: squares 1.0 and eight of 2**-54
+    weights = {"aa": 1.0, **{f"t{i}": 2.0 ** -27 for i in range(8)}}
+    assert math.sqrt(math.fsum(w * w for w in weights.values())) != 1.0
+    (centroid,) = recompute_centroids(
+        np.array([1]), vectors_of({"d": weights}), top_t=9, previous=seed_centroids(["aa"])
+    )
+    assert centroid.weights["aa"] == 1.0
 
 
 # --- vectorize -------------------------------------------------------------
 
 
-def _tok(doc_id, terms):
-    return TokenizedDoc.from_terms(doc_id, terms)
-
-
 def test_vectorize_weights_and_normalization():
-    tok = [_tok("a", ["xx", "xx", "shared"]), _tok("b", ["yy", "shared"])]
+    tok = TermTable.from_terms([("a", ["xx", "xx", "shared"]), ("b", ["yy", "shared"])])
     df = document_frequencies(tok)
     vectors = vectorize(tok, df, len(tok))
-    va = {v.doc_id: v for v in vectors}["a"]
+    va = row(vectors, "a")
     # "shared" has df == N, zero weight, dropped; "xx" alone remains
-    assert set(va.weights) == {"xx"}
-    assert va.weights["xx"] == pytest.approx(1.0)
-    assert math.hypot(*va.weights.values()) == pytest.approx(1.0)
+    assert set(va) == {"xx"}
+    assert va["xx"] == pytest.approx(1.0)
+    assert math.hypot(*va.values()) == pytest.approx(1.0)
 
 
 def test_vectorize_omits_zero_weight_docs():
-    tok = [_tok("a", ["everywhere"]), _tok("b", ["everywhere"]),
-           _tok("c", ["everywhere", "rare"])]
+    tok = TermTable.from_terms(
+        [("a", ["everywhere"]), ("b", ["everywhere"]), ("c", ["everywhere", "rare"])]
+    )
     df = document_frequencies(tok)
     vectors = vectorize(tok, df, len(tok))
-    assert [v.doc_id for v in vectors] == ["c"]
+    assert vectors.doc_ids == ["c"]
 
 
 # --- seeds -----------------------------------------------------------------
@@ -109,77 +144,86 @@ def test_seed_centroids_validation():
 
 
 def test_assign_picks_largest_sim():
-    vectors = [unit("d1", "aa"), unit("d2", "bb")]
+    vectors = vectors_of({"d1": unit("aa"), "d2": unit("bb")})
     seeds = seed_centroids(["aa", "bb"])
     assignments, best_sims = assign(vectors, seeds)
-    assert assignments == {"d1": 1, "d2": 2}
-    assert best_sims == {"d1": pytest.approx(1.0), "d2": pytest.approx(1.0)}
+    assert assignments.tolist() == [1, 2]
+    assert best_sims.tolist() == [pytest.approx(1.0), pytest.approx(1.0)]
 
 
 def test_assign_tie_goes_to_smallest_index():
-    vectors = [unit("d", "aa", "bb")]
+    vectors = vectors_of({"d": unit("aa", "bb")})
     seeds = seed_centroids(["aa", "bb"])
-    assert assign(vectors, seeds)[0]["d"] == 1
+    assert assign(vectors, seeds)[0].tolist() == [1]
 
 
 def test_assign_orthogonal_docs_are_unassigned():
-    vectors = [unit("d", "zz")]
+    vectors = vectors_of({"d": unit("zz")})
     seeds = seed_centroids(["aa"])
-    assert assign(vectors, seeds) == ({"d": UNASSIGNED}, {"d": 0.0})
+    assignments, best_sims = assign(vectors, seeds)
+    assert assignments.tolist() == [UNASSIGNED] and best_sims.tolist() == [0.0]
 
 
 def test_assign_needs_centroids():
     with pytest.raises(ValueError):
-        assign([unit("d", "aa")], [])
+        assign(vectors_of({"d": unit("aa")}), [])
 
 
 # --- centroid recomputation ------------------------------------------------
 
 
 def test_recompute_singleton_equals_doc_vector():
-    v = vec("d", aa=0.6, bb=0.8)
+    weights = {"aa": 0.6, "bb": 0.8}
     seeds = seed_centroids(["aa"])
-    out = recompute_centroids({"d": 1}, [v], top_t=5, previous=seeds)
-    assert out[0].weights == pytest.approx(v.weights)
+    out = recompute_centroids(np.array([1]), vectors_of({"d": weights}), top_t=5, previous=seeds)
+    assert out[0].weights == pytest.approx(weights)
 
 
 def test_recompute_two_singletons_mean():
-    vectors = [vec("x", aa=1.0), vec("y", bb=1.0)]
+    vectors = vectors_of({"x": {"aa": 1.0}, "y": {"bb": 1.0}})
     seeds = seed_centroids(["aa"])
-    out = recompute_centroids({"x": 1, "y": 1}, vectors, top_t=2, previous=seeds)
+    out = recompute_centroids(np.array([1, 1]), vectors, top_t=2, previous=seeds)
     r = 1 / math.sqrt(2)
     assert out[0].weights == {"aa": pytest.approx(r), "bb": pytest.approx(r)}
 
 
 def test_recompute_truncates_to_top_t_with_lexical_ties():
-    vectors = [vec("x", aa=0.5, bb=0.5, cc=0.5, dd=0.5)]
+    vectors = vectors_of({"x": {"dd": 0.5, "cc": 0.5, "bb": 0.5, "aa": 0.5}})
     seeds = seed_centroids(["aa"])
-    out = recompute_centroids({"x": 1}, vectors, top_t=2, previous=seeds)
-    assert set(out[0].weights) == {"aa", "bb"}
+    out = recompute_centroids(np.array([1]), vectors, top_t=2, previous=seeds)
+    assert list(out[0].weights) == ["aa", "bb"]
     assert out[0].weights["aa"] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_recompute_empty_cluster_keeps_previous():
     seeds = seed_centroids(["aa", "bb"])
-    out = recompute_centroids({"d": 1}, [unit("d", "aa")], top_t=3, previous=seeds)
+    out = recompute_centroids(
+        np.array([1]), vectors_of({"d": unit("aa")}), top_t=3, previous=seeds
+    )
     assert out[1].weights == seeds[1].weights
 
 
 def test_recompute_rejects_bad_top_t():
     with pytest.raises(ValueError):
-        recompute_centroids({}, [], top_t=0, previous=seed_centroids(["aa"]))
+        recompute_centroids(
+            np.array([], dtype=np.int64), vectors_of({}), top_t=0, previous=seed_centroids(["aa"])
+        )
 
 
 # --- k-means loop ----------------------------------------------------------
 
 
+def _planted_rows():
+    rows = {}
+    for i in range(6):
+        rows[f"a{i}"] = {"aa": 0.9, f"f{i}": math.sqrt(1 - 0.81)}
+    for i in range(6):
+        rows[f"b{i}"] = {"bb": 0.9, f"g{i}": math.sqrt(1 - 0.81)}
+    return rows
+
+
 def _planted_vectors():
-    vectors = []
-    for i in range(6):
-        vectors.append(DocVector(f"a{i}", {"aa": 0.9, f"f{i}": math.sqrt(1 - 0.81)}))
-    for i in range(6):
-        vectors.append(DocVector(f"b{i}", {"bb": 0.9, f"g{i}": math.sqrt(1 - 0.81)}))
-    return vectors
+    return vectors_of(_planted_rows())
 
 
 def test_kmeans_recovers_planted_split():
@@ -196,17 +240,17 @@ def test_kmeans_max_iter_one_is_a_single_pass():
     assert result.iterations == 1
     assert len(result.q_history) == 1
     # Q sums the members' sims; d3 is orthogonal to both seeds and adds nothing
-    vectors = [unit("d1", "aa"), unit("d2", "bb"), unit("d3", "zz")]
+    vectors = vectors_of({"d1": unit("aa"), "d2": unit("bb"), "d3": unit("zz")})
     result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]), max_iter=1)
     assert result.q_history == [pytest.approx(2.0)]
 
 
-@pytest.mark.parametrize("vectors", [[], [unit("d0", "zz")]], ids=["no-vectors", "orthogonal"])
-def test_kmeans_that_assigns_nothing_is_a_single_pass(vectors):
-    result = kmeans_seeded(vectors, seed_centroids(["protest"]))
+@pytest.mark.parametrize("rows", [{}, {"d0": unit("zz")}], ids=["no-vectors", "orthogonal"])
+def test_kmeans_that_assigns_nothing_is_a_single_pass(rows):
+    result = kmeans_seeded(vectors_of(rows), seed_centroids(["protest"]))
     assert result.iterations == 1
     assert result.q_history == [0.0]
-    assert result.assignments == {v.doc_id: UNASSIGNED for v in vectors}
+    assert result.assignments == {doc_id: UNASSIGNED for doc_id in rows}
 
 
 def test_kmeans_exact_sim_budget_per_iteration():
@@ -231,9 +275,9 @@ def test_kmeans_is_deterministic():
 
 def test_kmeans_validation():
     with pytest.raises(ValueError):
-        kmeans_seeded([], [])
+        kmeans_seeded(vectors_of({}), [])
     with pytest.raises(ValueError):
-        kmeans_seeded([], seed_centroids(["aa"]), max_iter=0)
+        kmeans_seeded(vectors_of({}), seed_centroids(["aa"]), max_iter=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,12 +287,13 @@ def test_kmeans_q_monotone_with_untruncated_centroids(seed):
 
     rng = _random.Random(seed)
     terms = [f"t{i}" for i in range(12)]
-    vectors = []
+    rows = {}
     for i in range(rng.randint(4, 30)):
         chosen = rng.sample(terms, rng.randint(1, 4))
         raw = {t: rng.uniform(0.1, 1.0) for t in chosen}
         norm = math.sqrt(sum(w * w for w in raw.values()))
-        vectors.append(DocVector(f"d{i}", {t: w / norm for t, w in raw.items()}))
+        rows[f"d{i}"] = {t: w / norm for t, w in raw.items()}
+    vectors = vectors_of(rows)
     seeds = seed_centroids(rng.sample(terms, rng.randint(1, 4)))
     result = kmeans_seeded(vectors, seeds, max_iter=30, top_t=len(terms) + 1)
     for earlier, later in zip(result.q_history, result.q_history[1:]):
@@ -259,7 +304,7 @@ def test_kmeans_q_monotone_with_untruncated_centroids(seed):
 
 
 def test_cluster_report_layout_and_determinism(tmp_path):
-    vectors = _planted_vectors() + [unit("stray", "zz")]
+    vectors = vectors_of({**_planted_rows(), "stray": unit("zz")})
     result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]))
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     SIM_EVALUATIONS.reset()
@@ -282,15 +327,69 @@ def test_cluster_report_layout_and_determinism(tmp_path):
 
 @pytest.mark.parametrize("max_iter", [1, 2, 50])
 def test_cluster_report_sims_are_those_of_the_final_centroids(tmp_path, max_iter):
-    vectors = _planted_vectors() + [unit("mixed", "aa", "bb", "zz"), unit("stray", "zz")]
+    rows = {**_planted_rows(), "mixed": unit("aa", "bb", "zz"), "stray": unit("zz")}
+    vectors = vectors_of(rows)
     result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]), max_iter=max_iter, top_t=3)
     write_cluster_report(result, tmp_path / "r.json", [])
     report = json.loads((tmp_path / "r.json").read_text())
-    by_id = {v.doc_id: v for v in vectors}
     checked = 0
     for c, cluster in zip(result.centroids, report["clusters"]):
         for member in cluster["members"]:
-            assert member["sim"] == sim(by_id[member["doc_id"]], c)
+            doc_id = member["doc_id"]
+            _, sims = assign(vectors_of({doc_id: rows[doc_id]}), [c])
+            assert member["sim"] == sims[0]
             checked += 1
     assert checked + len(report["unassigned_doc_ids"]) == len(vectors)
     assert all(result.sims[d] == 0.0 for d in report["unassigned_doc_ids"])
+
+
+# --- against the plain-dict oracle -----------------------------------------
+
+# rows of 8 or more terms tell a pairwise sum (np.sum) from a left-to-right one
+WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "terrorist", "act"]
+
+
+@st.composite
+def small_corpora(draw):
+    """Up to 14 docs (ids d0..d13, so id order is not doc order); some
+    empty, some made only of a word every doc holds (df == N)."""
+    everywhere = draw(st.sampled_from([[], ["common"]]))
+    docs = []
+    for i in range(draw(st.integers(1, 14))):
+        terms = draw(st.lists(st.sampled_from(WORDS + ["terrorist act"]), max_size=12))
+        docs.append((f"d{i}", " ".join(terms + everywhere).split()))
+    seed_terms = draw(
+        st.lists(st.sampled_from(["aa", "bb", "cc", "terrorist act", "zz"]),
+                 min_size=1, max_size=4, unique=True)
+    )
+    return docs, seed_terms
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_corpora(), st.integers(1, 3), st.integers(1, 4))
+def test_kmeans_equals_the_dict_oracle_bit_for_bit(corpus, max_iter, top_t):
+    docs, seed_terms = corpus
+    table = TermTable.from_terms(docs)
+    vectors = vectorize(table, document_frequencies(table), len(table))
+    seeds = seed_centroids(seed_terms)
+    SIM_EVALUATIONS.reset()
+    result = kmeans_seeded(vectors, seeds, max_iter=max_iter, top_t=top_t)
+    want = oracles.seeded_kmeans(docs, seed_terms, max_iter=max_iter, top_t=top_t)
+
+    assert vectors.doc_ids == list(want["vectors"])
+    for doc_id, weights in want["vectors"].items():
+        got = row(vectors, doc_id)
+        assert list(got) == list(weights) and _bits(got.values()) == _bits(weights.values())
+    assert result.assignments == want["assignments"]
+    assert list(result.sims) == list(want["sims"])
+    assert _bits(result.sims.values()) == _bits(want["sims"].values())
+    assert _bits(result.q_history) == _bits(want["q_history"])
+    assert [[(t, w.hex()) for t, w in c.weights.items()] for c in result.centroids] == [
+        [(t, w.hex()) for t, w in c.items()] for c in want["centroids"]
+    ]
+    assert SIM_EVALUATIONS.count == want["sim_evaluations"]
+    assert SIM_EVALUATIONS.count == result.iterations * len(seeds) * len(vectors)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opflow.corpus import FlowQuery, TokenizedDoc
+from opflow.corpus import FlowQuery, TermTable
 from opflow.termbase import (
     DEFAULT_EVENT_LEXICON,
     DEFAULT_TOP_M,
@@ -25,18 +25,16 @@ from opflow.termbase import (
 
 
 def toks(*term_lists):
-    return [
-        TokenizedDoc.from_terms(f"d{i}", list(terms))
-        for i, terms in enumerate(term_lists)
-    ]
+    return TermTable.from_terms((f"d{i}", list(terms)) for i, terms in enumerate(term_lists))
 
 
 # --- tf-idf ----------------------------------------------------------------
 
 
 def test_document_frequencies():
-    df = document_frequencies(toks(["ab", "ab", "cd"], ["cd", "ef"]))
-    assert df == {"ab": 1, "cd": 2, "ef": 1}
+    docs = toks(["ab", "ab", "cd"], ["cd", "ef"])
+    df = document_frequencies(docs)
+    assert dict(zip(docs.vocab, df.tolist())) == {"ab": 1, "cd": 2, "ef": 1}
 
 
 def test_tfidf_frozen_value():
@@ -66,7 +64,7 @@ def test_tfidf_rejects_all_empty():
     with pytest.raises(ValueError):
         compute_tfidf(toks([], []))
     with pytest.raises(ValueError):
-        compute_tfidf([])
+        compute_tfidf(toks())
 
 
 @settings(max_examples=60)
