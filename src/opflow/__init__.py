@@ -9,6 +9,7 @@ documents, and cluster them around seeded event keywords.
 from .corpus import (
     Corpus,
     Document,
+    DocumentTable,
     FlowQuery,
     TermTable,
     filter_by_dates,

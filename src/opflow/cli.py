@@ -346,12 +346,12 @@ def find_events(
     """Rank terms, match the event lexicon, keep the documents carrying
     an event term, and project them onto sources."""
     lexicon = load_lexicon(config.lexicon) if config.lexicon else DEFAULT_EVENT_LEXICON
-    table = tokenized.take(corpus)
+    table = tokenized.select(corpus)
     ranked = compute_tfidf(table)
     matched = match_event_terms(ranked, lexicon, table, top_m=config.top_m)
     if matched:
         event_query = FlowQuery(required_groups=[frozenset(matched)])
-        event_corpus = filter_by_query(corpus, event_query, tokenized)
+        event_corpus = filter_by_query(corpus, event_query, table)
     else:
         log.warning("events: no lexicon term among the top %d ranked terms", config.top_m)
         event_corpus = Corpus([])
@@ -400,7 +400,7 @@ def cluster_events(
     """Seeded k-means over the corpus, one cluster per seed term; idf
     comes from this corpus alone.  Returns the ids of the documents left
     without a vector (every term in every document) and the clustering."""
-    table = tokenized.take(corpus)
+    table = tokenized.select(corpus)
     df = document_frequencies(table)
     vectors = vectorize(table, df, len(table))
     vectorized = set(vectors.doc_ids)

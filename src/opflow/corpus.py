@@ -5,6 +5,26 @@ normalizes their text into token streams, and filters them with boolean
 queries (AND of OR-groups, plus exclusions) and date ranges.  All
 operations are pure: they return new objects and never mutate inputs.
 
+A corpus file is read in one validated pass into a
+:class:`DocumentTable`: per document its id, its UTC timestamp as int64
+microseconds, its UTC day ordinal, its source id (sources ranked by
+name), its output line, and its interned token stream before stopwords,
+all sorted by (published_at, id).  A :class:`Corpus` is an ascending
+array of rows of one table, so a query filter is a mask, a date filter a
+``searchsorted`` on day ordinals, and a subset of a valid corpus is
+never validated again.  :class:`Document` objects are built only when
+asked for, by ``Corpus.documents`` or iteration.
+
+A record's output line is its input line, newline added where missing,
+when that line provably equals the encoding of the record
+(:meth:`Document.json_line`): it holds no backslash, so no string in it
+is escaped and ``json.dumps(..., ensure_ascii=False)`` would write each
+string as it stands; its published_at reads ``YYYY-MM-DDTHH:MM:SSZ``,
+which formats back to itself; and it equals the canonical field layout
+(id, published_at, source, title, body, then language if given, with
+``", "`` and ``": "`` separators) rebuilt by concatenation.  Every other
+record is encoded.
+
 A tokenized corpus is one :class:`TermTable`: every term is interned
 once into a vocabulary, and each document is a row of CSR arrays (its
 token stream of term ids, and its distinct terms with their counts in
@@ -16,8 +36,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -32,8 +52,15 @@ from .errors import DataError
 # a maximal run starts and takes all of it: the tokens are the maximal
 # runs of length >= 2, and one search tells whether a text has a token.
 _ANY_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
+# an instant that format_timestamp writes back unchanged
+_CANONICAL_TIME_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 # one encoder for every line: json.dumps would build one per record
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+_DAY_MICROS = 86_400_000_000
+_EPOCH_ORDINAL = _EPOCH.toordinal()
 
 
 class CorpusFormatError(DataError):
@@ -74,6 +101,15 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+def _encode_line(
+    doc_id: str, stamp: str, source: str, title: str, body: str, language: str | None
+) -> str:
+    record = {"id": doc_id, "published_at": stamp, "source": source, "title": title, "body": body}
+    if language is not None:
+        record["language"] = language
+    return _JSON_ENCODER.encode(record) + "\n"
+
+
 @dataclass(frozen=True)
 class Document:
     """One timestamped, source-attributed text."""
@@ -86,39 +122,137 @@ class Document:
     language: str | None = None
 
     def day(self) -> date:
-        """Calendar date of publication (UTC)."""
-        return self.published_at.date()
+        """Calendar date of publication (UTC); a naive time is taken as UTC."""
+        if self.published_at.tzinfo is None:
+            return self.published_at.date()
+        return self.published_at.astimezone(timezone.utc).date()
 
     @cached_property
     def json_line(self) -> str:
-        """The document as one JSONL line, newline included; formatted on
-        first use, so a document saved to several files is encoded once."""
-        record = {
-            "id": self.id,
-            "published_at": format_timestamp(self.published_at),
-            "source": self.source,
-            "title": self.title,
-            "body": self.body,
-        }
-        if self.language is not None:
-            record["language"] = self.language
-        return _JSON_ENCODER.encode(record) + "\n"
+        """The document as one JSONL line, newline included."""
+        return _encode_line(
+            self.id, format_timestamp(self.published_at), self.source,
+            self.title, self.body, self.language,
+        )
+
+
+def _intern(tokens: list[str], index: dict[str, int]) -> list[int]:
+    """Term ids of the tokens; a new term gets the next free id."""
+    ids = list(map(index.get, tokens))
+    if None in ids:
+        ids = [index.setdefault(t, len(index)) for t in tokens]
+    return ids
 
 
 @dataclass
-class Corpus:
-    """Ordered, id-unique document collection.
+class DocumentTable:
+    """Documents as columns, one row each, sorted by (published_at, id).
 
-    Documents are kept sorted ascending by (published_at, id); use
+    ``micros`` holds UTC microseconds since 1970-01-01 and ``days`` the
+    ordinals of the UTC dates; ``source_ids`` index ``sources``, which
+    is sorted by name.  ``lines`` are the rows' JSONL lines, newline
+    included.  Row ``i``'s tokens, stopwords included, are
+    ``term_ids[indptr[i]:indptr[i + 1]]`` over ``vocab``.  A row's
+    :class:`Document` is built from its line and timestamp on demand.
+    """
+
+    ids: list[str]
+    micros: np.ndarray
+    days: np.ndarray
+    sources: list[str]
+    source_ids: np.ndarray
+    lines: list[str]
+    vocab: list[str]
+    indptr: np.ndarray
+    term_ids: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        ids: list[str],
+        micros: list[int],
+        sources: list[str],
+        lines: list[str],
+        vocab: list[str],
+        lengths: list[int],
+        term_ids: list[int],
+    ) -> DocumentTable:
+        """The table of id-unique rows given in any order."""
+        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        stamps = np.array(micros, dtype=np.int64)
+        order = by_id[np.argsort(stamps[by_id], kind="stable")]
+        names = sorted(set(sources))
+        rank = {name: i for i, name in enumerate(names)}
+        source_ids = np.fromiter(map(rank.__getitem__, sources), dtype=np.int64, count=len(sources))
+        entries, indptr = csr_take(csr_offsets(np.array(lengths, dtype=np.int64)), order)
+        stamps = stamps[order]
+        listed = order.tolist()
+        return cls(
+            ids=[ids[i] for i in listed],
+            micros=stamps,
+            days=stamps // _DAY_MICROS + _EPOCH_ORDINAL,
+            sources=names,
+            source_ids=source_ids[order],
+            lines=[lines[i] for i in listed],
+            vocab=vocab,
+            indptr=indptr,
+            term_ids=np.array(term_ids, dtype=np.int64)[entries],
+        )
+
+    @classmethod
+    def from_documents(cls, documents: list[Document]) -> DocumentTable:
+        index: dict[str, int] = {}
+        lengths: list[int] = []
+        term_ids: list[int] = []
+        for doc in documents:
+            tokens = _extract_tokens(doc.title + " " + doc.body)
+            lengths.append(len(tokens))
+            term_ids.extend(_intern(tokens, index))
+        return cls.build(
+            ids=[d.id for d in documents],
+            micros=[_micros(d.published_at) for d in documents],
+            sources=[d.source for d in documents],
+            lines=[d.json_line for d in documents],
+            vocab=list(index),
+            lengths=lengths,
+            term_ids=term_ids,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def document(self, row: int) -> Document:
+        obj = json.loads(self.lines[row])
+        return Document(
+            id=obj["id"],
+            published_at=_EPOCH + int(self.micros[row]) * _MICROSECOND,
+            source=obj["source"],
+            title=obj["title"],
+            body=obj["body"],
+            language=obj.get("language"),
+        )
+
+
+def _micros(dt: datetime) -> int:
+    """UTC microseconds since 1970-01-01; a naive datetime is taken as UTC."""
+    if dt.tzinfo is None:
+        return (dt - _NAIVE_EPOCH) // _MICROSECOND
+    return (dt - _EPOCH) // _MICROSECOND
+
+
+class Corpus:
+    """Ordered, id-unique document collection: ascending rows of one
+    :class:`DocumentTable`, so documents come sorted by (published_at, id).
+
+    ``Corpus(documents)`` checks and tables a sorted list; use
     :meth:`from_documents` to build from unordered input.
     """
 
-    documents: list[Document] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(self, documents: Iterable[Document] = ()) -> None:
+        documents = list(documents)
         seen: set[str] = set()
         prev_key = None
-        for doc in self.documents:
+        for doc in documents:
             if not doc.id:
                 raise ValueError("document with empty id")
             if doc.id in seen:
@@ -128,23 +262,72 @@ class Corpus:
             if prev_key is not None and key < prev_key:
                 raise ValueError("documents not sorted by (published_at, id)")
             prev_key = key
+        self.table = DocumentTable.from_documents(documents)
+        self.rows = np.arange(len(documents), dtype=np.int64)
+
+    @classmethod
+    def of_rows(cls, table: DocumentTable, rows: np.ndarray) -> Corpus:
+        """The given ascending rows of a table, taken as valid."""
+        corpus = cls.__new__(cls)
+        corpus.table = table
+        corpus.rows = rows
+        return corpus
 
     @classmethod
     def from_documents(cls, documents: list[Document]) -> Corpus:
         return cls(sorted(documents, key=lambda d: (d.published_at, d.id)))
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        # a line encodes its record exactly, so equal lines are equal records
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return len(self) == len(other) and self.lines == other.lines
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<Corpus of {len(self)} documents>"
 
     def __iter__(self):
         return iter(self.documents)
 
+    def _column(self, values: list) -> list:
+        if len(self.rows) == len(self.table):
+            return values
+        return [values[i] for i in self.rows.tolist()]
+
+    @property
+    def ids(self) -> list[str]:
+        return self._column(self.table.ids)
+
+    @property
+    def lines(self) -> list[str]:
+        """JSONL line of each document, newline included."""
+        return self._column(self.table.lines)
+
+    @property
+    def days(self) -> np.ndarray:
+        """UTC day ordinal of each document, ascending."""
+        return self.table.days[self.rows]
+
+    @property
+    def documents(self) -> list[Document]:
+        return [self.table.document(i) for i in self.rows.tolist()]
+
+    def subset(self, keep: np.ndarray) -> Corpus:
+        """The documents where ``keep`` (one bool per document) holds."""
+        return Corpus.of_rows(self.table, self.rows[keep])
+
     @property
     def date_span(self) -> tuple[date, date]:
         """(earliest, latest) publication date; requires a non-empty corpus."""
-        if not self.documents:
+        if not len(self):
             raise ValueError("empty corpus has no date span")
-        return self.documents[0].day(), max(d.day() for d in self.documents)
+        days = self.days
+        return date.fromordinal(int(days[0])), date.fromordinal(int(days[-1]))
 
 
 @dataclass
@@ -209,6 +392,8 @@ class TermTable:
     Its distinct terms, in order of first appearance, and their counts
     are ``row_terms`` and ``row_counts`` over ``row_ptr[i]:row_ptr[i + 1]``.
     ``len()`` is the number of documents and iteration yields their ids.
+    A table tokenized from a corpus keeps it: its rows are the corpus's
+    documents, in order.
     """
 
     doc_ids: list[str]
@@ -218,21 +403,34 @@ class TermTable:
     row_ptr: np.ndarray
     row_terms: np.ndarray
     row_counts: np.ndarray
+    corpus: Corpus | None = None
 
     @classmethod
     def from_terms(cls, rows: Iterable[tuple[str, list[str]]]) -> TermTable:
         """Intern the terms of (doc id, token list) rows, in order."""
         doc_ids: list[str] = []
         lengths: list[int] = []
-        tokens: list[str] = []
+        term_ids: list[int] = []
+        index: dict[str, int] = {}
         for doc_id, terms in rows:
             doc_ids.append(doc_id)
             lengths.append(len(terms))
-            tokens.extend(terms)
-        vocab = list(dict.fromkeys(tokens))
-        index = {term: i for i, term in enumerate(vocab)}
-        term_ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        indptr = csr_offsets(np.array(lengths, dtype=np.int64))
+            term_ids.extend(_intern(terms, index))
+        return cls.from_stream(
+            doc_ids, list(index), csr_offsets(np.array(lengths, dtype=np.int64)),
+            np.array(term_ids, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_stream(
+        cls,
+        doc_ids: list[str],
+        vocab: list[str],
+        indptr: np.ndarray,
+        term_ids: np.ndarray,
+        corpus: Corpus | None = None,
+    ) -> TermTable:
+        """The table of token streams given as CSR arrays."""
         # one key per (row, term); np.unique finds each key's first
         # position, and ordering those positions restores text order
         token_rows = csr_entry_rows(indptr)
@@ -248,6 +446,7 @@ class TermTable:
             row_ptr=csr_offsets(np.bincount(token_rows[first], minlength=len(doc_ids))),
             row_terms=term_ids[first],
             row_counts=counts[by_position],
+            corpus=corpus,
         )
 
     def __len__(self) -> int:
@@ -261,28 +460,32 @@ class TermTable:
         """Term -> term id."""
         return {term: i for i, term in enumerate(self.vocab)}
 
-    @cached_property
-    def _row_of(self) -> dict[str, int]:
-        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
-
-    def take(self, corpus: Corpus) -> TermTable:
+    def select(self, corpus: Corpus) -> TermTable:
         """The rows of the corpus's documents, in corpus order, over the
-        same vocabulary."""
-        row_of = self._row_of
-        missing = [d.id for d in corpus if d.id not in row_of]
-        if missing:
-            raise ValueError(f"no tokenized form for doc ids: {missing[:5]}")
-        rows = np.array([row_of[d.id] for d in corpus], dtype=np.int64)
-        tokens, indptr = csr_take(self.indptr, rows)
-        distinct, row_ptr = csr_take(self.row_ptr, rows)
+        same vocabulary; the table itself when they are all its rows."""
+        mine = self.corpus
+        pos = np.zeros(len(corpus), dtype=np.int64)
+        found = np.zeros(len(corpus), dtype=bool)
+        if mine is not None and mine.table is corpus.table and len(mine):
+            pos = np.minimum(np.searchsorted(mine.rows, corpus.rows), len(mine) - 1)
+            found = mine.rows[pos] == corpus.rows
+        if not found.all():
+            ids = corpus.ids
+            missing = [ids[i] for i in np.flatnonzero(~found)[:5].tolist()]
+            raise ValueError(f"no tokenized form for doc ids: {missing}")
+        if len(corpus) == len(self):
+            return self
+        tokens, indptr = csr_take(self.indptr, pos)
+        distinct, row_ptr = csr_take(self.row_ptr, pos)
         return TermTable(
-            doc_ids=[d.id for d in corpus],
+            doc_ids=corpus.ids,
             vocab=self.vocab,
             indptr=indptr,
             term_ids=self.term_ids[tokens],
             row_ptr=row_ptr,
             row_terms=self.row_terms[distinct],
             row_counts=self.row_counts[distinct],
+            corpus=corpus,
         )
 
     def contains_any(self, terms: Iterable[str]) -> np.ndarray:
@@ -326,39 +529,65 @@ def tokenize(doc: Document, stopwords: frozenset[str] | set[str] = frozenset()) 
 def tokenize_corpus(
     corpus: Corpus, stopwords: frozenset[str] | set[str] = frozenset()
 ) -> TermTable:
-    """Tokenized form of every document, one row each, in corpus order."""
-    return TermTable.from_terms((doc.id, tokenize(doc, stopwords)) for doc in corpus)
+    """Tokenized form of every document, one row each, in corpus order:
+    the table's token streams with the stopwords' ids dropped."""
+    table = corpus.table
+    entries, indptr = csr_take(table.indptr, corpus.rows)
+    term_ids = table.term_ids[entries]
+    if stopwords:
+        dropped = np.array([term in stopwords for term in table.vocab], dtype=bool)
+        kept = ~dropped[term_ids]
+        lengths = np.bincount(csr_entry_rows(indptr)[kept], minlength=len(corpus))
+        indptr = csr_offsets(lengths)
+        term_ids = term_ids[kept]
+    return TermTable.from_stream(corpus.ids, table.vocab, indptr, term_ids, corpus)
 
 
 _REQUIRED_KEYS = ("id", "published_at", "source", "title", "body")
 
 
-def _parse_record(obj: dict, line_no: int) -> Document:
+def _parse_line(line: str, line_no: int) -> tuple[str, int, str, list[str], str]:
+    """Validate one record line, which ends in a newline; return its id,
+    UTC microseconds, source, tokens and output line."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"line {line_no}: record must be a JSON object")
     for key in _REQUIRED_KEYS:
         if key not in obj:
             raise CorpusFormatError(f"line {line_no}: missing key {key!r}")
         if key != "published_at" and not isinstance(obj[key], str):
             raise CorpusFormatError(f"line {line_no}: key {key!r} must be a string")
-    if not obj["id"]:
+    doc_id, stamp, source = obj["id"], obj["published_at"], obj["source"]
+    title, body = obj["title"], obj["body"]
+    if not doc_id:
         raise CorpusFormatError(f"line {line_no}: empty id")
+    canonical = isinstance(stamp, str) and _CANONICAL_TIME_RE.fullmatch(stamp) is not None
     try:
-        published = parse_timestamp(str(obj["published_at"]))
+        instant = parse_timestamp(str(stamp))
     except ValueError as exc:
         raise CorpusFormatError(f"line {line_no}: bad published_at: {exc}") from None
+    micros = (instant - _EPOCH) // _MICROSECOND
     language = obj.get("language")
     if language is not None and not isinstance(language, str):
         raise CorpusFormatError(f"line {line_no}: language must be a string")
-    doc = Document(
-        id=obj["id"],
-        published_at=published,
-        source=obj["source"],
-        title=obj["title"],
-        body=obj["body"],
-        language=language,
+    tokens = _extract_tokens(title + " " + body)
+    if not tokens:
+        raise CorpusFormatError(f"line {line_no}: document {doc_id!r} has no tokens")
+    if canonical and "\\" not in line:
+        layout = (
+            f'{{"id": "{doc_id}", "published_at": "{stamp}", "source": "{source}",'
+            f' "title": "{title}", "body": "{body}"'
+        )
+        layout += "}\n" if language is None else f', "language": "{language}"}}\n'
+        if line == layout:
+            return doc_id, micros, source, tokens, line
+    text_stamp = stamp if canonical else format_timestamp(instant)
+    return doc_id, micros, source, tokens, _encode_line(
+        doc_id, text_stamp, source, title, body, language
     )
-    if not _ANY_TOKEN_RE.search((doc.title + " " + doc.body).casefold()):
-        raise CorpusFormatError(f"line {line_no}: document {doc.id!r} has no tokens")
-    return doc
 
 
 def _decode_error_message(path: str | Path) -> str:
@@ -376,11 +605,12 @@ def _decode_error_message(path: str | Path) -> str:
 
 def read_line_file(path: str | Path) -> list[tuple[int, str, str]]:
     """(line number, data, comment) of each line holding data, both
-    parts stripped; '#' starts the comment.  A file that is not UTF-8
-    is a DataError naming the file and the line."""
+    parts stripped; '#' starts the comment.  A leading UTF-8 byte order
+    mark is dropped.  A file that is not UTF-8 is a DataError naming the
+    file and the line."""
     entries = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
                 data, _, comment = line.partition("#")
                 if data.strip():
@@ -391,42 +621,55 @@ def read_line_file(path: str | Path) -> list[tuple[int, str, str]]:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load a JSONL corpus file into a validated, sorted Corpus.
+    """Load a JSONL corpus file into a validated, sorted Corpus over a
+    new document table.  A leading UTF-8 byte order mark is dropped.
 
     Re-delivered records (same id, identical content) are merged silently;
     a duplicate id with differing content is an error.
     """
-    docs: dict[str, Document] = {}
+    ids: list[str] = []
+    micros: list[int] = []
+    sources: list[str] = []
+    lines: list[str] = []
+    lengths: list[int] = []
+    term_ids: list[int] = []
+    vocab: dict[str, int] = {}
+    row_of: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc.msg}") from None
-                if not isinstance(obj, dict):
-                    raise CorpusFormatError(f"line {line_no}: record must be a JSON object")
-                doc = _parse_record(obj, line_no)
-                prior = docs.get(doc.id)
-                if prior is None:
-                    docs[doc.id] = doc
-                elif prior != doc:
-                    raise CorpusFormatError(
-                        f"line {line_no}: duplicate id {doc.id!r} with differing content"
-                    )
+                if not line.endswith("\n"):
+                    line += "\n"
+                doc_id, instant, source, tokens, out = _parse_line(line, line_no)
+                prior = row_of.get(doc_id)
+                if prior is not None:
+                    # equal output lines are equal records
+                    if lines[prior] != out:
+                        raise CorpusFormatError(
+                            f"line {line_no}: duplicate id {doc_id!r} with differing content"
+                        )
+                    continue
+                row_of[doc_id] = len(ids)
+                ids.append(doc_id)
+                micros.append(instant)
+                sources.append(source)
+                lines.append(out)
+                lengths.append(len(tokens))
+                term_ids.extend(_intern(tokens, vocab))
     except UnicodeDecodeError:
         raise CorpusFormatError(_decode_error_message(path)) from None
-    if not docs:
+    if not ids:
         raise CorpusFormatError(f"corpus file {path} contains no records")
-    return Corpus.from_documents(list(docs.values()))
+    table = DocumentTable.build(ids, micros, sources, lines, list(vocab), lengths, term_ids)
+    return Corpus.of_rows(table, np.arange(len(table), dtype=np.int64))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus back out as JSONL; load_corpus(save_corpus(c)) == c."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(doc.json_line for doc in corpus)
+        handle.writelines(corpus.lines)
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -437,13 +680,14 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 def filter_by_query(corpus: Corpus, query: FlowQuery, tokenized: TermTable) -> Corpus:
     """Order-preserving subset of docs matching the query."""
-    keep = query.matches(tokenized.take(corpus))
-    return Corpus([d for d, k in zip(corpus, keep.tolist()) if k])
+    return corpus.subset(query.matches(tokenized.select(corpus)))
 
 
 def filter_by_dates(corpus: Corpus, date_from: date, date_to: date) -> Corpus:
     """Inclusive date-range subset."""
     if date_from > date_to:
         raise ValueError(f"date_from {date_from} is after date_to {date_to}")
-    kept = [d for d in corpus if date_from <= d.day() <= date_to]
-    return Corpus(kept)
+    days = corpus.days
+    lo = np.searchsorted(days, date_from.toordinal(), side="left")
+    hi = np.searchsorted(days, date_to.toordinal(), side="right")
+    return Corpus.of_rows(corpus.table, corpus.rows[lo:hi])

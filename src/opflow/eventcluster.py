@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -314,17 +315,36 @@ def kmeans_seeded(
     )
 
 
+def _members_block(doc_ids: list[str], sims: dict[str, float]) -> str:
+    """The "members" list of one cluster, laid out as ``json.dump`` with
+    ``indent=2`` lays it out at that depth of the report."""
+    if not doc_ids:
+        return "[]"
+    items = [
+        '{\n          "doc_id": ' + encode_basestring_ascii(doc_id)
+        + ',\n          "sim": ' + float.__repr__(sims[doc_id]) + "\n        }"
+        for doc_id in doc_ids
+    ]
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
 def write_cluster_report(
     clustering: Clustering, path: str | Path, omitted_doc_ids: list[str]
 ) -> None:
-    """One JSON document describing clusters, members, and the Q trace."""
+    """One JSON document describing clusters, members, and the Q trace.
+
+    ``json.dumps(indent=2, sort_keys=True)`` writes the report with every
+    member list empty, and each ``"members": []`` is then replaced by the
+    list written directly.  The text ``"members": []`` can only be such a
+    key: a string's own quotes are escaped.
+    """
     members: dict[int, list[str]] = {c.cluster_index: [] for c in clustering.centroids}
     members[UNASSIGNED] = []
-    for doc_id, j in sorted(clustering.assignments.items()):
-        members[j].append(doc_id)
+    assignments = clustering.assignments
+    for doc_id in sorted(assignments):
+        members[assignments[doc_id]].append(doc_id)
     clusters = []
     for c in clustering.centroids:
-        member_ids = members[c.cluster_index]
         centroid_terms = [
             {"term": t, "weight": w}
             for t, w in sorted(c.weights.items(), key=lambda item: (-item[1], item[0]))
@@ -334,10 +354,8 @@ def write_cluster_report(
                 "index": c.cluster_index,
                 "seed_terms": list(c.seed_terms),
                 "centroid_terms": centroid_terms,
-                "member_count": len(member_ids),
-                "members": [
-                    {"doc_id": doc_id, "sim": clustering.sims[doc_id]} for doc_id in member_ids
-                ],
+                "member_count": len(members[c.cluster_index]),
+                "members": [],
             }
         )
     report = {
@@ -347,6 +365,10 @@ def write_cluster_report(
         "unassigned_doc_ids": members[UNASSIGNED],
         "omitted_doc_ids": sorted(omitted_doc_ids),
     }
+    pieces = json.dumps(report, indent=2, sort_keys=True).split('"members": []')
+    blocks = [_members_block(members[c.cluster_index], clustering.sims) for c in clustering.centroids]
+    text = pieces[0] + "".join(
+        '"members": ' + block + piece for block, piece in zip(blocks, pieces[1:])
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")

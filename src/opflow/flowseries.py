@@ -141,12 +141,9 @@ def build_daily_series(corpus: Corpus) -> DailySeries:
     """Documents per day from the earliest through the latest date."""
     if len(corpus) == 0:
         raise ValueError("cannot build a series from an empty corpus")
-    first, last = corpus.date_span
-    n = (last - first).days + 1
-    values = [0.0] * n
-    for doc in corpus:
-        values[(doc.day() - first).days] += 1.0
-    return DailySeries(start_date=first, values=values)
+    days = corpus.days
+    counts = np.bincount(days - days[0]).astype(float)
+    return DailySeries(start_date=date.fromordinal(int(days[0])), values=counts.tolist())
 
 
 def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> DailySeries:

@@ -10,9 +10,10 @@ have no dominant source and contribute no source edges.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import Corpus
 from .flowseries import DailySeries, build_daily_series
@@ -57,17 +58,24 @@ def horizontal_visibility_graph(series: DailySeries) -> VisibilityGraph:
     return VisibilityGraph(node_count=n, edges=edges)
 
 
-def _dominant_sources(corpus: Corpus, n: int, start) -> list[str | None]:
-    by_day: list[Counter] = [Counter() for _ in range(n)]
-    for doc in corpus.documents:
-        by_day[(doc.day() - start).days][doc.source] += 1
-    dominant: list[str | None] = []
-    for c in by_day:
-        if not c:
-            dominant.append(None)
-            continue
-        # most documents wins; ties to the smallest name
-        dominant.append(min(c, key=lambda s: (-c[s], s)))
+def _dominant_sources(corpus: Corpus, n: int) -> list[str | None]:
+    """Dominant source of each day of the corpus's n-day span."""
+    names = corpus.table.sources
+    days = corpus.days
+    # only the (day, source) cells that occur are counted
+    cells, counts = np.unique(
+        (days - days[0]) * len(names) + corpus.table.source_ids[corpus.rows],
+        return_counts=True,
+    )
+    day, source = np.divmod(cells, len(names))
+    # most documents first, then the smallest source id, which ranks
+    # the names: each day's first cell in this order is its winner
+    order = np.lexsort((source, -counts, day))
+    day, source = day[order], source[order]
+    first = np.flatnonzero(np.diff(day, prepend=-1))
+    dominant: list[str | None] = [None] * n
+    for i, s in zip(day[first].tolist(), source[first].tolist()):
+        dominant[i] = names[s]
     return dominant
 
 
@@ -75,8 +83,10 @@ def source_link_graph(corpus: Corpus) -> SourceGraph:
     """Project the flow's visibility edges onto per-day dominant sources."""
     series = build_daily_series(corpus)
     vg = horizontal_visibility_graph(series)
-    dominant = _dominant_sources(corpus, len(series.values), series.start_date)
-    nodes = Counter(doc.source for doc in corpus.documents)
+    dominant = _dominant_sources(corpus, len(series.values))
+    names = corpus.table.sources
+    used, counts = np.unique(corpus.table.source_ids[corpus.rows], return_counts=True)
+    nodes = {names[s]: count for s, count in zip(used.tolist(), counts.tolist())}
     edges: dict[tuple[str, str], int] = {}
     for i, j in vg.edges:
         a, b = dominant[i], dominant[j]
@@ -85,7 +95,7 @@ def source_link_graph(corpus: Corpus) -> SourceGraph:
         if a > b:
             a, b = b, a
         edges[(a, b)] = edges.get((a, b), 0) + 1
-    return SourceGraph(nodes=dict(nodes), edges=edges)
+    return SourceGraph(nodes=nodes, edges=edges)
 
 
 def write_source_graph(graph: SourceGraph, edges_path: str | Path, nodes_path: str | Path) -> None:

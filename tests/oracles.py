@@ -7,8 +7,10 @@ agreement between the two is evidence and not tautology.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
+from datetime import datetime, timezone
 
 
 def pearson(xs, ps):
@@ -52,6 +54,26 @@ def hvg_edges(values):
             ):
                 edges.add((i, j))
     return edges
+
+
+def source_graph(day_sources):
+    """Nodes and edges of the source projection of the HVG, by Counters.
+
+    ``day_sources[k]`` lists the sources of the documents on day k of
+    the span; a day's dominant source has the most documents, ties to
+    the smallest name.
+    """
+    dominant = []
+    for sources in day_sources:
+        counts = Counter(sources)
+        dominant.append(min(counts, key=lambda s: (-counts[s], s)) if counts else None)
+    edges = Counter()
+    for i, j in hvg_edges([len(sources) for sources in day_sources]):
+        a, b = dominant[i], dominant[j]
+        if a is not None and b is not None and a != b:
+            edges[tuple(sorted((a, b)))] += 1
+    nodes = Counter(s for sources in day_sources for s in sources)
+    return dict(nodes), dict(edges)
 
 
 def tfidf_weights(token_lists):
@@ -160,3 +182,70 @@ def seeded_kmeans(docs, seed_terms, max_iter, top_t):
         "centroids": centroids,
         "sim_evaluations": evaluations,
     }
+
+
+def utc_instant(stamp):
+    """The aware UTC datetime of an ISO-8601 text; "Z"/"z" or no zone is UTC."""
+    text = stamp.strip()
+    if text[-1:] in ("Z", "z"):
+        text = text[:-1] + "+00:00"
+    when = datetime.fromisoformat(text)
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return when.astimezone(timezone.utc)
+
+
+def json_line(record):
+    """A corpus record as its saved JSONL line: the five fields and the
+    language, if any, in that order, published_at as the UTC instant
+    with a "Z" and the microseconds only when nonzero, one
+    ``json.dumps(..., ensure_ascii=False)`` each."""
+    when = utc_instant(record["published_at"])
+    stamp = (
+        f"{when.year:04d}-{when.month:02d}-{when.day:02d}"
+        f"T{when.hour:02d}:{when.minute:02d}:{when.second:02d}"
+        + (f".{when.microsecond:06d}" if when.microsecond else "")
+        + "Z"
+    )
+    out = {
+        "id": record["id"],
+        "published_at": stamp,
+        "source": record["source"],
+        "title": record["title"],
+        "body": record["body"],
+    }
+    if record.get("language") is not None:
+        out["language"] = record["language"]
+    return json.dumps(out, ensure_ascii=False) + "\n"
+
+
+def cluster_report(clustering, omitted_doc_ids):
+    """The cluster report as ``json.dumps(indent=2, sort_keys=True)``
+    writes the whole of it, members included, plus a newline."""
+    members = {c.cluster_index: [] for c in clustering.centroids}
+    members[0] = []
+    for doc_id, j in sorted(clustering.assignments.items()):
+        members[j].append(doc_id)
+    clusters = [
+        {
+            "index": c.cluster_index,
+            "seed_terms": list(c.seed_terms),
+            "centroid_terms": [
+                {"term": t, "weight": w}
+                for t, w in sorted(c.weights.items(), key=lambda item: (-item[1], item[0]))
+            ],
+            "member_count": len(members[c.cluster_index]),
+            "members": [
+                {"doc_id": d, "sim": clustering.sims[d]} for d in members[c.cluster_index]
+            ],
+        }
+        for c in clustering.centroids
+    ]
+    report = {
+        "iterations": clustering.iterations,
+        "q_history": clustering.q_history,
+        "clusters": clusters,
+        "unassigned_doc_ids": members[0],
+        "omitted_doc_ids": sorted(omitted_doc_ids),
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -468,6 +468,44 @@ def test_pipeline_reproduces_the_golden_manifest(fx, fixtures_dir, tmp_path):
     assert (tmp_path / MANIFEST_TXT).read_bytes() == golden
 
 
+def test_pipeline_reproduces_the_selective_golden_manifest(fx, fixtures_dir, tmp_path):
+    # a query that drops documents, so the flow and every stage after it
+    # see a proper subset of the corpus
+    assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
+                 "--stopwords", fx["stopwords"], "--threshold", "0.6",
+                 "--query", "protest", "--exclude", "common29"]) == 0
+    assert 0 < len(load_corpus(tmp_path / "flow_corpus.jsonl")) < 200
+    golden = (fixtures_dir / "pipeline_manifest_selective.txt").read_bytes()
+    assert (tmp_path / MANIFEST_TXT).read_bytes() == golden
+
+
+def test_pipeline_reads_a_corpus_and_stopwords_behind_a_bom(fx, fixtures_dir, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(bom + Path(fx["corpus"]).read_bytes())
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_bytes(bom + Path(fx["stopwords"]).read_bytes())
+    out = tmp_path / "out"
+    assert run_pipeline({"corpus": str(corpus), "stopwords": str(stopwords)}, out) == 0
+    golden = (fixtures_dir / "pipeline_manifest.txt").read_bytes()
+    assert (out / MANIFEST_TXT).read_bytes() == golden
+    # a byte order mark anywhere else is a data error
+    lines = Path(fx["corpus"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus.write_text(lines[0] + "\ufeff" + "".join(lines[1:]), encoding="utf-8")
+    assert run_pipeline({"corpus": str(corpus), "stopwords": fx["stopwords"]}, out) == 2
+
+
+def test_pipeline_builds_no_document_objects(fx, tmp_path, monkeypatch):
+    from opflow.corpus import DocumentTable
+
+    def refuse(self, row):
+        raise AssertionError("a Document was built")
+
+    monkeypatch.setattr(DocumentTable, "document", refuse)
+    assert run_pipeline(fx, tmp_path) == 0
+    assert (tmp_path / CLUSTERS_JSON).is_file()
+
+
 def test_pipeline_clears_stale_artifacts(fx, tmp_path):
     stale = tmp_path / CLUSTERS_JSON
     unrelated = tmp_path / "keep.txt"

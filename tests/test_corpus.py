@@ -7,9 +7,10 @@ import re
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from opflow.corpus import (
     Corpus,
     CorpusFormatError,
@@ -24,6 +25,7 @@ from opflow.corpus import (
     load_stopwords,
     normalize_term,
     parse_timestamp,
+    read_line_file,
     save_corpus,
     tokenize,
     tokenize_corpus,
@@ -84,6 +86,31 @@ def test_format_timestamp_round_trip():
 def test_document_day_is_utc_date():
     d = doc(ts="2016-06-24T23:30:00-02:00")
     assert d.day() == date(2016, 6, 25)
+
+
+def test_document_day_agrees_with_corpus_days_for_any_offset():
+    # 00:30 at +02:00 is 22:30 UTC the day before
+    d = Document(
+        id="a", published_at=datetime(2016, 6, 25, 0, 30, tzinfo=timezone(timedelta(hours=2))),
+        source="s", title="tt", body="bb",
+    )
+    c = Corpus([d])
+    assert d.day() == date(2016, 6, 24)
+    assert c.date_span == (d.day(), d.day())
+    assert len(filter_by_dates(c, date(2016, 6, 24), date(2016, 6, 24))) == 1
+    assert len(filter_by_dates(c, date(2016, 6, 25), date(2016, 6, 25))) == 0
+    assert c.documents == [d] and c.documents[0].day() == d.day()
+
+
+def test_corpus_equality_compares_records(tmp_path):
+    c = Corpus.from_documents([doc(id="a"), doc(id="b", title="Naïve café")])
+    p = tmp_path / "c.jsonl"
+    save_corpus(c, p)
+    assert load_corpus(p) == c
+    assert c == Corpus.from_documents([doc(id="b", title="Naïve café"), doc(id="a")])
+    assert c != Corpus([doc(id="a")])
+    assert c != Corpus.from_documents([doc(id="a"), doc(id="b", title="cafe")])
+    assert repr(c) == "<Corpus of 2 documents>"
 
 
 def test_corpus_rejects_duplicate_ids():
@@ -292,6 +319,145 @@ def test_save_corpus_writes_one_json_object_per_line(tmp_path):
     )
 
 
+def test_load_corpus_merges_one_instant_written_two_ways(tmp_path):
+    offset = GOOD_LINE.replace("2016-06-24T08:00:00Z", "2016-06-24T10:00:00+02:00")
+    p = _write(tmp_path, "c.jsonl", offset + "\n" + GOOD_LINE + "\n")
+    c = load_corpus(p)
+    assert len(c) == 1
+    save_corpus(c, tmp_path / "out.jsonl")
+    assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == GOOD_LINE + "\n"
+
+
+def test_load_corpus_names_the_line_of_a_conflicting_duplicate(tmp_path):
+    other = GOOD_LINE.replace('"source": "s"', '"source": "t"')
+    p = _write(tmp_path, "c.jsonl", GOOD_LINE + "\n\n" + other + "\n")
+    with pytest.raises(CorpusFormatError, match="line 3: duplicate id 'a' with differing content"):
+        load_corpus(p)
+
+
+def test_load_corpus_orders_by_full_timestamp_not_by_day(tmp_path):
+    stamps = {
+        "a": "2016-06-24T10:00:00Z",
+        "b": "2016-06-24T08:00:00.000001Z",
+        "c": "2016-06-24T08:00:00Z",
+        "d": "2016-06-24T09:00:00+02:00",  # 07:00 UTC
+        "e": "2016-06-24T08:00:00Z",  # ties with c: the id decides
+    }
+    lines = [GOOD_LINE.replace('"a"', f'"{i}"').replace("2016-06-24T08:00:00Z", t) for i, t in stamps.items()]
+    c = load_corpus(_write(tmp_path, "c.jsonl", "\n".join(lines) + "\n"))
+    assert c.ids == ["d", "c", "e", "b", "a"]
+    assert [d.id for d in c] == c.ids
+
+
+def test_bom_is_dropped_at_the_start_and_an_error_later(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_bytes(b"\xef\xbb\xbf" + (GOOD_LINE + "\n").encode("utf-8"))
+    save_corpus(load_corpus(p), tmp_path / "out.jsonl")
+    assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == GOOD_LINE + "\n"
+    stray = _write(tmp_path, "s.jsonl", GOOD_LINE + "\n\ufeff" + GOOD_LINE.replace('"a"', '"b"') + "\n")
+    with pytest.raises(CorpusFormatError, match="line 2: invalid JSON"):
+        load_corpus(stray)
+    words = tmp_path / "w.txt"
+    words.write_bytes(b"\xef\xbb\xbfthe # first\nand\n")
+    assert read_line_file(words) == [(1, "the", "first"), (2, "and", "")]
+
+
+def test_lines_laid_out_as_saved_are_kept_without_encoding(tmp_path, monkeypatch, fixtures_dir):
+    import opflow.corpus as corpus_module
+
+    encoded = []
+    original = corpus_module._encode_line
+    monkeypatch.setattr(
+        corpus_module, "_encode_line", lambda *a: encoded.append(a[0]) or original(*a)
+    )
+    fixture = (fixtures_dir / "corpus.jsonl").read_text(encoding="utf-8")
+    with_language = GOOD_LINE.replace('"a"', '"lang"')[:-1] + ', "language": "en"}'
+    p = _write(tmp_path, "c.jsonl", fixture + with_language)  # no final newline
+    c = load_corpus(p)
+    assert encoded == [] and len(c) == 201
+    escaped = GOOD_LINE.replace('"a"', '"esc"').replace("words", "w\\u00f6rds")
+    offset = GOOD_LINE.replace('"a"', '"off"').replace("08:00:00Z", "08:00:00+00:00")
+    load_corpus(_write(tmp_path, "d.jsonl", "\n".join([GOOD_LINE, escaped, offset]) + "\n"))
+    assert encoded == ["esc", "off"]
+
+
+# characters json.dumps escapes, or writes as they stand, or the loader
+# must not take for line ends
+TRICKY = st.text(
+    alphabet=st.sampled_from(list('ab Z"\\/\x00\x1f\t\r\n\x7f\x85é€\u2028\u2029\U0001f600')),
+    max_size=6,
+)
+
+
+@st.composite
+def raw_records(draw):
+    """Corpus records with distinct ids, each written as a line that may
+    or may not be laid out as save_corpus writes it.  About half of the
+    lines have the field order, separators and raw non-ASCII text of
+    save_corpus, whatever their timestamp or strings need."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.lists(TRICKY.filter(bool), min_size=n, max_size=n, unique=True))
+    lines, records = [], []
+    for doc_id in ids:
+        when = datetime(2016, 6, 24, tzinfo=timezone.utc) + timedelta(
+            seconds=draw(st.integers(0, 3 * 86_400)),
+            microseconds=draw(st.sampled_from([0, 0, 1, 250_000])),
+        )
+        form = draw(st.sampled_from(["Z", "Z", "z", "+02:00", "-05:30", "naive"]))
+        if form in ("Z", "z", "naive"):
+            stamp = when.replace(tzinfo=None).isoformat() + ("" if form == "naive" else form)
+        else:
+            hours, minutes = int(form[1:3]), int(form[4:6])
+            sign = 1 if form[0] == "+" else -1
+            zone = timezone(sign * timedelta(hours=hours, minutes=minutes))
+            stamp = when.astimezone(zone).isoformat()
+        record = {
+            "id": doc_id,
+            "published_at": stamp,
+            "source": draw(TRICKY),
+            "title": draw(TRICKY),
+            "body": draw(TRICKY) + " xx",  # every record keeps a token
+        }
+        if draw(st.booleans()):
+            record["language"] = draw(TRICKY)
+        if draw(st.booleans()):
+            lines.append(json.dumps(record, ensure_ascii=False))
+        else:
+            if draw(st.booleans()):
+                record["extra"] = draw(st.sampled_from([1, None, "x", [1, "y"]]))
+            keys = draw(st.permutations(list(record)))
+            separators = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", " :  ")]))
+            line = json.dumps(
+                {k: record[k] for k in keys},
+                ensure_ascii=draw(st.booleans()),
+                separators=separators,
+            )
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+        records.append(record)
+    last_newline = draw(st.booleans())
+    return records, "\n".join(lines) + ("\n" if last_newline else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=raw_records())
+@example(
+    raw=(
+        [{"id": "a", "published_at": "2016-06-24T08:00:00Z", "source": "s", "title": "t",
+          "body": "b xx", "language": "en"}],
+        '{"id": "a", "published_at": "2016-06-24T08:00:00Z", "source": "s", "title": "t",'
+        ' "body": "b xx", "language": "en"}',
+    )
+)
+def test_saved_lines_equal_the_reference_encoding(raw, tmp_path_factory):
+    records, text = raw
+    folder = tmp_path_factory.mktemp("lines")
+    (folder / "in.jsonl").write_text(text, encoding="utf-8", newline="")
+    save_corpus(load_corpus(folder / "in.jsonl"), folder / "out.jsonl")
+    ordered = sorted(records, key=lambda r: (oracles.utc_instant(r["published_at"]), r["id"]))
+    want = "".join(oracles.json_line(r) for r in ordered)
+    assert (folder / "out.jsonl").read_bytes() == want.encode("utf-8")
+
+
 def test_load_stopwords_with_comments(tmp_path):
     p = _write(tmp_path, "s.txt", "# noise\nthe\nand # inline\n\n")
     assert load_stopwords(p) == frozenset({"the", "and"})
@@ -314,6 +480,35 @@ def test_filter_by_query_needs_tokenized_forms():
     c = Corpus.from_documents([doc(id="a")])
     with pytest.raises(ValueError, match="no tokenized form"):
         filter_by_query(c, FlowQuery(required_groups=[{"x"}]), table())
+    assert len(filter_by_query(Corpus([]), FlowQuery(required_groups=[{"x"}]), table(["x"]))) == 0
+
+
+def test_filter_by_query_takes_a_subset_from_a_wider_table():
+    c = Corpus.from_documents(
+        [doc(id="a", body="protest", ts="2016-06-20T10:00:00Z"),
+         doc(id="b", body="protest", ts="2016-06-21T10:00:00Z"),
+         doc(id="c", body="weather", ts="2016-06-21T11:00:00Z")]
+    )
+    query = FlowQuery(required_groups=[{"protest"}])
+    later = filter_by_dates(c, date(2016, 6, 21), date(2016, 6, 21))
+    assert [d.id for d in filter_by_query(later, query, tokenize_corpus(c))] == ["b"]
+    with pytest.raises(ValueError, match=r"no tokenized form for doc ids: \['a'\]"):
+        filter_by_query(c, query, tokenize_corpus(later))
+
+
+def test_tokenize_corpus_drops_stopwords_from_the_loaded_stream(tmp_path):
+    lines = [
+        GOOD_LINE.replace("words here", "the protest and the square"),
+        GOOD_LINE.replace('"a"', '"b"').replace("Referendum", "The").replace("words here", "and"),
+    ]
+    c = load_corpus(_write(tmp_path, "c.jsonl", "\n".join(lines) + "\n"))
+    stopwords = frozenset({"the", "and"})
+    t = tokenize_corpus(c, stopwords)
+    rows = [
+        [t.vocab[i] for i in t.term_ids[t.indptr[r]:t.indptr[r + 1]].tolist()] for r in range(len(t))
+    ]
+    assert rows == [tokenize(d, stopwords) for d in c] == [["referendum", "protest", "square"], []]
+    assert t.row_ptr.tolist() == [0, 3, 3]
 
 
 def test_filter_by_dates_inclusive():

@@ -16,6 +16,7 @@ from opflow.eventcluster import (
     SIM_EVALUATIONS,
     UNASSIGNED,
     Centroid,
+    Clustering,
     DocVectors,
     assign,
     kmeans_seeded,
@@ -341,6 +342,35 @@ def test_cluster_report_sims_are_those_of_the_final_centroids(tmp_path, max_iter
             checked += 1
     assert checked + len(report["unassigned_doc_ids"]) == len(vectors)
     assert all(result.sims[d] == 0.0 for d in report["unassigned_doc_ids"])
+
+
+@st.composite
+def clusterings(draw):
+    ids = draw(st.lists(st.text(alphabet='aé"\\\x01\u2028😀', min_size=1, max_size=4), unique=True, max_size=8))
+    k = draw(st.integers(1, 3))
+    sims = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1 + 0.2]), st.floats(0.0, 1.0))
+    weights = st.dictionaries(st.sampled_from(["aa", "bb", "terrorist act"]), st.floats(0.0, 1.0))
+    return Clustering(
+        assignments={d: draw(st.integers(0, k)) for d in ids},
+        centroids=[
+            Centroid(cluster_index=j, weights=draw(weights), seed_terms=[f"s{j}"])
+            for j in range(1, k + 1)
+        ],
+        q_history=draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3)),
+        iterations=draw(st.integers(1, 3)),
+        sims={d: draw(sims) for d in ids},
+    ), draw(st.lists(st.text(alphabet="xé", max_size=3), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=clusterings())
+def test_cluster_report_equals_json_dump_of_the_whole_report(case, tmp_path_factory):
+    # ids that need escaping or are not ASCII, empty member lists, and
+    # sims whose shortest repr is long
+    clustering, omitted = case
+    path = tmp_path_factory.mktemp("report") / "clusters.json"
+    write_cluster_report(clustering, path, omitted)
+    assert path.read_text(encoding="utf-8") == oracles.cluster_report(clustering, omitted)
 
 
 # --- against the plain-dict oracle -----------------------------------------

@@ -8,7 +8,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
-from opflow.corpus import Corpus, Document
+from opflow.corpus import Corpus, Document, filter_by_dates
 from opflow.flowseries import DailySeries
 from opflow.sourcegraph import (
     SourceGraph,
@@ -16,7 +16,7 @@ from opflow.sourcegraph import (
     source_link_graph,
     write_source_graph,
 )
-from oracles import hvg_edges
+from oracles import hvg_edges, source_graph
 
 START = date(2016, 6, 1)
 
@@ -154,6 +154,29 @@ def test_source_link_graph_nodes_cover_all_sources():
     graph = source_link_graph(corpus)
     assert set(graph.nodes) == {"A", "B", "C"}
     assert sum(graph.nodes.values()) == len(corpus)
+
+
+def test_source_link_graph_matches_oracle_with_many_sparse_sources():
+    # 400 sources over two years, most days empty or with a few
+    # documents: only the (day, source) cells that occur are counted
+    rng = random.Random(20160601)
+    names = [f"s{i:03d}" for i in range(400)]
+    day_sources = [
+        [rng.choice(names[:5] if rng.random() < 0.5 else names) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2 else []
+        for _ in range(730)
+    ]
+    day_sources[0] = day_sources[0] or ["s000"]
+    day_sources[-1] = day_sources[-1] or ["s399"]
+    graph = source_link_graph(mkcorpus(day_sources))
+    assert (graph.nodes, graph.edges) == source_graph(day_sources)
+
+
+def test_source_link_graph_of_a_subset_ignores_unused_sources():
+    corpus = mkcorpus([["zz"], ["A", "B", "B"], ["A"], ["zz", "A"], ["zz"]])
+    flow = filter_by_dates(corpus, START + timedelta(days=1), START + timedelta(days=3))
+    graph = source_link_graph(flow)
+    assert (graph.nodes, graph.edges) == source_graph([["A", "B", "B"], ["A"], ["zz", "A"]])
 
 
 # --- writer ----------------------------------------------------------------

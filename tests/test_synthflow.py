@@ -260,8 +260,8 @@ def test_make_fixture_script_reproduces_the_bundled_fixture(tmp_path, monkeypatc
     monkeypatch.setattr(sys, "argv", ["make_fixture.py", "--out-dir", str(tmp_path)])
     assert make_fixture.main() == 0
     made = sorted(p.name for p in tmp_path.iterdir())
-    # the golden pipeline manifest is recorded from `opflow pipeline`, not made here
-    bundled = [p.name for p in fixtures_dir.iterdir() if p.name != "pipeline_manifest.txt"]
+    # the golden pipeline manifests are recorded from `opflow pipeline`, not made here
+    bundled = [p.name for p in fixtures_dir.iterdir() if not p.name.startswith("pipeline_manifest")]
     assert made == sorted(bundled)
     for name in made:
         assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
