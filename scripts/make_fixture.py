@@ -62,11 +62,23 @@ terrorist act
 """
 
 
+# the lifecycle phase of each control point of DEFAULT_TEMPLATE
+PHASES = (
+    "background",
+    "calm",
+    "art preparation",
+    "calm",
+    "attack trigger",
+    "peak of expectations",
+    "loss of illusions",
+    "public awareness",
+    "productivity",
+)
+
+
 def template_lines() -> str:
     lines = ["# lifecycle template, position amplitude # phase"]
-    for (pos, amp), label in zip(
-        DEFAULT_TEMPLATE.control_points, DEFAULT_TEMPLATE.labels
-    ):
+    for (pos, amp), label in zip(DEFAULT_TEMPLATE.control_points, PHASES, strict=True):
         lines.append(f"{pos} {amp}  # {label}")
     return "\n".join(lines) + "\n"
 

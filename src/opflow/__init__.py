@@ -18,7 +18,6 @@ from .corpus import (
     load_stopwords,
     normalize_term,
     save_corpus,
-    tokenize,
     tokenize_corpus,
 )
 from .errors import ConfigError, DataError
@@ -46,7 +45,6 @@ from .flowseries import (
     load_template,
     sample_template,
     smooth,
-    window_correlation,
 )
 from .sourcegraph import (
     SourceGraph,

@@ -354,7 +354,7 @@ def find_events(
         event_corpus = filter_by_query(corpus, event_query, table)
     else:
         log.warning("events: no lexicon term among the top %d ranked terms", config.top_m)
-        event_corpus = Corpus([])
+        event_corpus = Corpus(corpus.table, corpus.rows[:0])
     graph = source_link_graph(event_corpus) if len(event_corpus) else SourceGraph({}, {})
     log.info(
         "events: %d matched terms, %d event docs, %d source links",

@@ -9,11 +9,14 @@ A corpus file is read in one validated pass into a
 :class:`DocumentTable`: per document its id, its UTC timestamp as int64
 microseconds, its UTC day ordinal, its source id (sources ranked by
 name), its output line, and its interned token stream before stopwords,
-all sorted by (published_at, id).  A :class:`Corpus` is an ascending
-array of rows of one table, so a query filter is a mask, a date filter a
-``searchsorted`` on day ordinals, and a subset of a valid corpus is
-never validated again.  :class:`Document` objects are built only when
-asked for, by ``Corpus.documents`` or iteration.
+all sorted by (published_at, id).  ``Corpus.from_documents`` reads
+documents as the lines of such a file (each one's ``json_line``), so
+every corpus passes the same validation, merge and sort rules.  A
+:class:`Corpus` is an ascending array of rows of one table, so a query
+filter is a mask, a date filter a ``searchsorted`` on day ordinals, and
+a subset of a valid corpus is never validated again.  :class:`Document`
+objects are built only when asked for, by ``Corpus.documents`` or
+iteration.
 
 A record's output line is its input line, newline added where missing,
 when that line provably equals the encoding of the record
@@ -57,7 +60,6 @@ _CANONICAL_TIME_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[
 # one encoder for every line: json.dumps would build one per record
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_NAIVE_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 _DAY_MICROS = 86_400_000_000
 _EPOCH_ORDINAL = _EPOCH.toordinal()
@@ -97,7 +99,10 @@ def parse_timestamp(raw: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    """Inverse of :func:`parse_timestamp`, emitting the compact "Z" suffix."""
+    """Inverse of :func:`parse_timestamp`, emitting the compact "Z" suffix;
+    a naive datetime is taken as UTC."""
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
@@ -199,25 +204,6 @@ class DocumentTable:
             term_ids=np.array(term_ids, dtype=np.int64)[entries],
         )
 
-    @classmethod
-    def from_documents(cls, documents: list[Document]) -> DocumentTable:
-        index: dict[str, int] = {}
-        lengths: list[int] = []
-        term_ids: list[int] = []
-        for doc in documents:
-            tokens = _extract_tokens(doc.title + " " + doc.body)
-            lengths.append(len(tokens))
-            term_ids.extend(_intern(tokens, index))
-        return cls.build(
-            ids=[d.id for d in documents],
-            micros=[_micros(d.published_at) for d in documents],
-            sources=[d.source for d in documents],
-            lines=[d.json_line for d in documents],
-            vocab=list(index),
-            lengths=lengths,
-            term_ids=term_ids,
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -233,49 +219,24 @@ class DocumentTable:
         )
 
 
-def _micros(dt: datetime) -> int:
-    """UTC microseconds since 1970-01-01; a naive datetime is taken as UTC."""
-    if dt.tzinfo is None:
-        return (dt - _NAIVE_EPOCH) // _MICROSECOND
-    return (dt - _EPOCH) // _MICROSECOND
-
-
 class Corpus:
     """Ordered, id-unique document collection: ascending rows of one
     :class:`DocumentTable`, so documents come sorted by (published_at, id).
 
-    ``Corpus(documents)`` checks and tables a sorted list; use
-    :meth:`from_documents` to build from unordered input.
+    ``Corpus(table, rows)`` takes the rows as given; a corpus of
+    documents comes from :meth:`from_documents` or :func:`load_corpus`,
+    which read records by the same rules.
     """
 
-    def __init__(self, documents: Iterable[Document] = ()) -> None:
-        documents = list(documents)
-        seen: set[str] = set()
-        prev_key = None
-        for doc in documents:
-            if not doc.id:
-                raise ValueError("document with empty id")
-            if doc.id in seen:
-                raise ValueError(f"duplicate document id {doc.id!r}")
-            seen.add(doc.id)
-            key = (doc.published_at, doc.id)
-            if prev_key is not None and key < prev_key:
-                raise ValueError("documents not sorted by (published_at, id)")
-            prev_key = key
-        self.table = DocumentTable.from_documents(documents)
-        self.rows = np.arange(len(documents), dtype=np.int64)
+    def __init__(self, table: DocumentTable, rows: np.ndarray) -> None:
+        self.table = table
+        self.rows = rows
 
     @classmethod
-    def of_rows(cls, table: DocumentTable, rows: np.ndarray) -> Corpus:
-        """The given ascending rows of a table, taken as valid."""
-        corpus = cls.__new__(cls)
-        corpus.table = table
-        corpus.rows = rows
-        return corpus
-
-    @classmethod
-    def from_documents(cls, documents: list[Document]) -> Corpus:
-        return cls(sorted(documents, key=lambda d: (d.published_at, d.id)))
+    def from_documents(cls, documents: Iterable[Document]) -> Corpus:
+        """The corpus of the documents, read as the lines of a corpus
+        file: an error names a document's 1-based position as its line."""
+        return _read_lines(enumerate((d.json_line for d in documents), start=1))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -319,15 +280,7 @@ class Corpus:
 
     def subset(self, keep: np.ndarray) -> Corpus:
         """The documents where ``keep`` (one bool per document) holds."""
-        return Corpus.of_rows(self.table, self.rows[keep])
-
-    @property
-    def date_span(self) -> tuple[date, date]:
-        """(earliest, latest) publication date; requires a non-empty corpus."""
-        if not len(self):
-            raise ValueError("empty corpus has no date span")
-        days = self.days
-        return date.fromordinal(int(days[0])), date.fromordinal(int(days[-1]))
+        return Corpus(self.table, self.rows[keep])
 
 
 @dataclass
@@ -518,14 +471,6 @@ class TermTable:
         return rows[starts + n <= self.indptr[rows + 1]]
 
 
-def tokenize(doc: Document, stopwords: frozenset[str] | set[str] = frozenset()) -> list[str]:
-    """Tokens of title+body: case-folded letter/digit runs of length >= 2,
-    stopwords dropped.  A doc may legitimately come out empty once
-    stopwords are applied; downstream stages skip such docs."""
-    tokens = _extract_tokens(doc.title + " " + doc.body)
-    return [t for t in tokens if t not in stopwords] if stopwords else tokens
-
-
 def tokenize_corpus(
     corpus: Corpus, stopwords: frozenset[str] | set[str] = frozenset()
 ) -> TermTable:
@@ -620,9 +565,9 @@ def read_line_file(path: str | Path) -> list[tuple[int, str, str]]:
     return entries
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Load a JSONL corpus file into a validated, sorted Corpus over a
-    new document table.  A leading UTF-8 byte order mark is dropped.
+def _read_lines(numbered: Iterable[tuple[int, str]]) -> Corpus:
+    """The validated, sorted corpus of (line number, record line) pairs
+    over a new document table; blank lines are skipped.
 
     Re-delivered records (same id, identical content) are merged silently;
     a duplicate id with differing content is an error.
@@ -635,35 +580,42 @@ def load_corpus(path: str | Path) -> Corpus:
     term_ids: list[int] = []
     vocab: dict[str, int] = {}
     row_of: dict[str, int] = {}
+    for line_no, line in numbered:
+        if not line.strip():
+            continue
+        if not line.endswith("\n"):
+            line += "\n"
+        doc_id, instant, source, tokens, out = _parse_line(line, line_no)
+        prior = row_of.get(doc_id)
+        if prior is not None:
+            # equal output lines are equal records
+            if lines[prior] != out:
+                raise CorpusFormatError(
+                    f"line {line_no}: duplicate id {doc_id!r} with differing content"
+                )
+            continue
+        row_of[doc_id] = len(ids)
+        ids.append(doc_id)
+        micros.append(instant)
+        sources.append(source)
+        lines.append(out)
+        lengths.append(len(tokens))
+        term_ids.extend(_intern(tokens, vocab))
+    table = DocumentTable.build(ids, micros, sources, lines, list(vocab), lengths, term_ids)
+    return Corpus(table, np.arange(len(table), dtype=np.int64))
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a JSONL corpus file by the rules of :func:`_read_lines`.
+    A leading UTF-8 byte order mark is dropped."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                if not line.endswith("\n"):
-                    line += "\n"
-                doc_id, instant, source, tokens, out = _parse_line(line, line_no)
-                prior = row_of.get(doc_id)
-                if prior is not None:
-                    # equal output lines are equal records
-                    if lines[prior] != out:
-                        raise CorpusFormatError(
-                            f"line {line_no}: duplicate id {doc_id!r} with differing content"
-                        )
-                    continue
-                row_of[doc_id] = len(ids)
-                ids.append(doc_id)
-                micros.append(instant)
-                sources.append(source)
-                lines.append(out)
-                lengths.append(len(tokens))
-                term_ids.extend(_intern(tokens, vocab))
+            corpus = _read_lines(enumerate(handle, start=1))
     except UnicodeDecodeError:
         raise CorpusFormatError(_decode_error_message(path)) from None
-    if not ids:
+    if not len(corpus):
         raise CorpusFormatError(f"corpus file {path} contains no records")
-    table = DocumentTable.build(ids, micros, sources, lines, list(vocab), lengths, term_ids)
-    return Corpus.of_rows(table, np.arange(len(table), dtype=np.int64))
+    return corpus
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -690,4 +642,4 @@ def filter_by_dates(corpus: Corpus, date_from: date, date_to: date) -> Corpus:
     days = corpus.days
     lo = np.searchsorted(days, date_from.toordinal(), side="left")
     hi = np.searchsorted(days, date_to.toordinal(), side="right")
-    return Corpus.of_rows(corpus.table, corpus.rows[lo:hi])
+    return Corpus(corpus.table, corpus.rows[lo:hi])

@@ -61,7 +61,6 @@ class LifecycleTemplate:
     """
 
     control_points: list[tuple[float, float]]
-    labels: list[str] | None = None
 
     def __post_init__(self) -> None:
         pts = [(float(p), float(a)) for p, a in self.control_points]
@@ -74,36 +73,23 @@ class LifecycleTemplate:
             raise ValueError("template positions must be strictly increasing")
         if any(a < 0 for _, a in pts):
             raise ValueError("template amplitudes must be non-negative")
-        if self.labels is not None and len(self.labels) != len(pts):
-            raise ValueError("one label per control point required")
         self.control_points = pts
 
 
 # Default 9-phase curve: amplitudes are configurable artifact defaults
-# (overridable via a template file), phase names follow the standard
+# (overridable via a template file); the phases follow the standard
 # operation lifecycle vocabulary.
 DEFAULT_TEMPLATE = LifecycleTemplate(
     control_points=[
-        (0.00, 0.10),
-        (0.15, 0.08),
-        (0.25, 0.30),
-        (0.35, 0.10),
-        (0.45, 0.15),
-        (0.55, 1.00),
-        (0.70, 0.25),
-        (0.85, 0.45),
-        (1.00, 0.30),
-    ],
-    labels=[
-        "background",
-        "calm",
-        "art preparation",
-        "calm",
-        "attack trigger",
-        "peak of expectations",
-        "loss of illusions",
-        "public awareness",
-        "productivity",
+        (0.00, 0.10),  # background
+        (0.15, 0.08),  # calm
+        (0.25, 0.30),  # art preparation
+        (0.35, 0.10),  # calm
+        (0.45, 0.15),  # attack trigger
+        (0.55, 1.00),  # peak of expectations
+        (0.70, 0.25),  # loss of illusions
+        (0.85, 0.45),  # public awareness
+        (1.00, 0.30),  # productivity
     ],
 )
 
@@ -175,9 +161,7 @@ def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
 def _corr_block(values: np.ndarray, k: int, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Correlations of every length-k window against the template samples.
 
-    Returns (corr, undefined) arrays indexed by shift l = 0..n-k.  The
-    same code path serves the scalar and grid entry points, so a grid
-    cell is bit-identical to the one-off computation.
+    Returns (corr, undefined) arrays indexed by shift l = 0..n-k.
     """
     windows = sliding_window_view(values, k)
     p_mean = samples.mean()
@@ -195,29 +179,6 @@ def _corr_block(values: np.ndarray, k: int, samples: np.ndarray) -> tuple[np.nda
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = numerator / np.sqrt(x_ss * p_ss)
     return corr, undefined
-
-
-def window_correlation(
-    series: DailySeries, l: int, k: int, template_samples: list[float]
-) -> float | None:
-    """Pearson correlation of x[l:l+k] against the k template samples.
-
-    Both means are taken over the window itself.  Returns None when
-    either side has zero variance.
-    """
-    n = len(series)
-    if k < 2:
-        raise ValueError(f"scale k must be >= 2, got {k}")
-    if l < 0 or l + k > n:
-        raise ValueError(f"window (l={l}, k={k}) out of range for series of length {n}")
-    if len(template_samples) != k:
-        raise ValueError(f"expected {k} template samples, got {len(template_samples)}")
-    values = np.asarray(series.values, dtype=float)[l:l + k]
-    samples = np.asarray(template_samples, dtype=float)
-    corr, undefined = _corr_block(values, k, samples)
-    if bool(undefined[0]):
-        return None
-    return float(corr[0])
 
 
 def correlogram(
@@ -285,13 +246,9 @@ def detect_peaks(corr: Correlogram, threshold: float, top_n: int) -> list[Peak]:
 
 
 def load_template(path: str | Path) -> LifecycleTemplate:
-    """Template file: one "position amplitude" pair per line, '#' comments.
-
-    A trailing comment on a data line is kept as the phase label.
-    """
+    """Template file: one "position amplitude" pair per line, '#' comments."""
     points: list[tuple[float, float]] = []
-    labels: list[str] = []
-    for line_no, data, comment in read_line_file(path):
+    for line_no, data, _ in read_line_file(path):
         parts = data.split()
         if len(parts) != 2:
             raise TemplateFormatError(
@@ -303,12 +260,10 @@ def load_template(path: str | Path) -> LifecycleTemplate:
             raise TemplateFormatError(
                 f"line {line_no}: non-numeric control point {data!r}"
             ) from None
-        labels.append(comment)
     if not points:
         raise TemplateFormatError(f"template file {path} has no control points")
-    named = [lbl for lbl in labels if lbl]
     try:
-        return LifecycleTemplate(points, labels if named else None)
+        return LifecycleTemplate(points)
     except ValueError as exc:
         raise TemplateFormatError(str(exc)) from None
 

