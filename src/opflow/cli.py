@@ -444,13 +444,21 @@ def cmd_cluster(config: PipelineConfig) -> int:
     return 0
 
 
+def _file_digest(path: Path) -> str:
+    """SHA-256 of a file, read in 1 MiB blocks so no artifact is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _write_manifest(out_dir: Path, notes: list[str]) -> None:
     lines = [f"# {note}" for note in notes]
     for name in sorted(PIPELINE_ARTIFACTS):
         path = out_dir / name
         if path.is_file():
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{name}\t{digest}")
+            lines.append(f"{name}\t{_file_digest(path)}")
     (out_dir / MANIFEST_TXT).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -19,14 +19,22 @@ objects are built only when asked for, by ``Corpus.documents`` or
 iteration.
 
 A record's output line is its input line, newline added where missing,
-when that line provably equals the encoding of the record
-(:meth:`Document.json_line`): it holds no backslash, so no string in it
-is escaped and ``json.dumps(..., ensure_ascii=False)`` would write each
-string as it stands; its published_at reads ``YYYY-MM-DDTHH:MM:SSZ``,
-which formats back to itself; and it equals the canonical field layout
-(id, published_at, source, title, body, then language if given, with
-``", "`` and ``": "`` separators) rebuilt by concatenation.  Every other
-record is encoded.
+when ``_RECORD_RE`` matches that line whole, which proves it equals the
+encoding of the record (:meth:`Document.json_line`): the canonical field
+layout (id, published_at, source, title, body, then language if given,
+with ``", "`` and ``": "`` separators), every string free of quotes,
+backslashes and control characters, so ``json.dumps(...,
+ensure_ascii=False)`` would write it as it stands, and published_at as
+``YYYY-MM-DDTHH:MM:SSZ``, which formats back to itself.  Such a line is
+read without ``json.loads``.  Every other line, and a matched one whose
+date does not exist or whose text has no token, is decoded, validated
+field by field and encoded, so its error reads the same either way.
+
+Text is tokenized word by word: a whitespace-separated word's term ids
+are computed once per load and looked up for every later occurrence.
+Case folding maps each character on its own and no whitespace character
+folds to a letter or digit, so the tokens of a text are the tokens of
+its words in order.
 
 A tokenized corpus is one :class:`TermTable`: every term is interned
 once into a vocabulary, and each document is a row of CSR arrays (its
@@ -42,6 +50,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -55,11 +64,22 @@ from .errors import DataError
 # a maximal run starts and takes all of it: the tokens are the maximal
 # runs of length >= 2, and one search tells whether a text has a token.
 _ANY_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
-# an instant that format_timestamp writes back unchanged
-_CANONICAL_TIME_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# a record line exactly as Document.json_line writes it, newline
+# included; S stands for a character that JSON writes as it stands, so
+# no string needs an escape, and the instant is one that
+# format_timestamp writes back unchanged.  Groups: id, published_at
+# without its "Z", source, title, body.
+_RECORD_RE = re.compile(
+    (
+        r'\{"id": "(S+)", "published_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}'
+        r'T[0-9]{2}:[0-9]{2}:[0-9]{2})Z", "source": "(S*)", "title": "(S*)",'
+        r' "body": "(S*)"(?:, "language": "S*")?\}\n'
+    ).replace("S", r'[^"\\\x00-\x1f]')
+)
 # one encoder for every line: json.dumps would build one per record
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 _DAY_MICROS = 86_400_000_000
 _EPOCH_ORDINAL = _EPOCH.toordinal()
@@ -139,14 +159,6 @@ class Document:
             self.id, format_timestamp(self.published_at), self.source,
             self.title, self.body, self.language,
         )
-
-
-def _intern(tokens: list[str], index: dict[str, int]) -> list[int]:
-    """Term ids of the tokens; a new term gets the next free id."""
-    ids = list(map(index.get, tokens))
-    if None in ids:
-        ids = [index.setdefault(t, len(index)) for t in tokens]
-    return ids
 
 
 @dataclass
@@ -368,7 +380,7 @@ class TermTable:
         for doc_id, terms in rows:
             doc_ids.append(doc_id)
             lengths.append(len(terms))
-            term_ids.extend(_intern(terms, index))
+            term_ids.extend(index.setdefault(t, len(index)) for t in terms)
         return cls.from_stream(
             doc_ids, list(index), csr_offsets(np.array(lengths, dtype=np.int64)),
             np.array(term_ids, dtype=np.int64),
@@ -491,9 +503,43 @@ def tokenize_corpus(
 _REQUIRED_KEYS = ("id", "published_at", "source", "title", "body")
 
 
-def _parse_line(line: str, line_no: int) -> tuple[str, int, str, list[str], str]:
+def _term_ids(text: str, vocab: dict[str, int], words: dict[str, tuple[int, ...]]) -> list[int]:
+    """Term ids of the text's tokens, a new term interned at the next
+    free id.  ``words`` maps each whitespace-separated word seen so far
+    to the ids of its tokens; a new word is tokenized and entered."""
+    split = text.split()
+    try:
+        return list(chain.from_iterable(map(words.__getitem__, split)))
+    except KeyError:
+        pass
+    ids: list[int] = []
+    for word in split:
+        known = words.get(word)
+        if known is None:
+            known = words[word] = tuple(
+                vocab.setdefault(t, len(vocab)) for t in _extract_tokens(word)
+            )
+        ids.extend(known)
+    return ids
+
+
+def _parse_line(
+    line: str, line_no: int, vocab: dict[str, int], words: dict[str, tuple[int, ...]]
+) -> tuple[str, int, str, list[int], str]:
     """Validate one record line, which ends in a newline; return its id,
-    UTC microseconds, source, tokens and output line."""
+    UTC microseconds, source, term ids (by :func:`_term_ids`) and output
+    line."""
+    match = _RECORD_RE.fullmatch(line)
+    if match is not None:
+        doc_id, stamp, source, title, body = match.groups()
+        try:
+            micros = (datetime.fromisoformat(stamp) - _NAIVE_EPOCH) // _MICROSECOND
+        except ValueError:
+            pass  # decoded below, which reports the error
+        else:
+            terms = _term_ids(title + " " + body, vocab, words)
+            if terms:
+                return doc_id, micros, source, terms, line
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -509,7 +555,6 @@ def _parse_line(line: str, line_no: int) -> tuple[str, int, str, list[str], str]
     title, body = obj["title"], obj["body"]
     if not doc_id:
         raise CorpusFormatError(f"line {line_no}: empty id")
-    canonical = isinstance(stamp, str) and _CANONICAL_TIME_RE.fullmatch(stamp) is not None
     try:
         instant = parse_timestamp(str(stamp))
     except ValueError as exc:
@@ -518,20 +563,11 @@ def _parse_line(line: str, line_no: int) -> tuple[str, int, str, list[str], str]
     language = obj.get("language")
     if language is not None and not isinstance(language, str):
         raise CorpusFormatError(f"line {line_no}: language must be a string")
-    tokens = _extract_tokens(title + " " + body)
-    if not tokens:
+    terms = _term_ids(title + " " + body, vocab, words)
+    if not terms:
         raise CorpusFormatError(f"line {line_no}: document {doc_id!r} has no tokens")
-    if canonical and "\\" not in line:
-        layout = (
-            f'{{"id": "{doc_id}", "published_at": "{stamp}", "source": "{source}",'
-            f' "title": "{title}", "body": "{body}"'
-        )
-        layout += "}\n" if language is None else f', "language": "{language}"}}\n'
-        if line == layout:
-            return doc_id, micros, source, tokens, line
-    text_stamp = stamp if canonical else format_timestamp(instant)
-    return doc_id, micros, source, tokens, _encode_line(
-        doc_id, text_stamp, source, title, body, language
+    return doc_id, micros, source, terms, _encode_line(
+        doc_id, format_timestamp(instant), source, title, body, language
     )
 
 
@@ -579,13 +615,14 @@ def _read_lines(numbered: Iterable[tuple[int, str]]) -> Corpus:
     lengths: list[int] = []
     term_ids: list[int] = []
     vocab: dict[str, int] = {}
+    words: dict[str, tuple[int, ...]] = {}
     row_of: dict[str, int] = {}
     for line_no, line in numbered:
         if not line.strip():
             continue
         if not line.endswith("\n"):
             line += "\n"
-        doc_id, instant, source, tokens, out = _parse_line(line, line_no)
+        doc_id, instant, source, terms, out = _parse_line(line, line_no, vocab, words)
         prior = row_of.get(doc_id)
         if prior is not None:
             # equal output lines are equal records
@@ -599,8 +636,8 @@ def _read_lines(numbered: Iterable[tuple[int, str]]) -> Corpus:
         micros.append(instant)
         sources.append(source)
         lines.append(out)
-        lengths.append(len(tokens))
-        term_ids.extend(_intern(tokens, vocab))
+        lengths.append(len(terms))
+        term_ids.extend(terms)
     table = DocumentTable.build(ids, micros, sources, lines, list(vocab), lengths, term_ids)
     return Corpus(table, np.arange(len(table), dtype=np.int64))
 

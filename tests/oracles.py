@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -208,6 +209,42 @@ def utc_instant(stamp):
     if when.tzinfo is None:
         when = when.replace(tzinfo=timezone.utc)
     return when.astimezone(timezone.utc)
+
+
+def tokens(text):
+    """Tokens by the two-step rule: every maximal letter/digit run of the
+    case-folded text, then the runs shorter than two characters dropped."""
+    return [t for t in re.findall(r"[^\W_]+", text.casefold()) if len(t) >= 2]
+
+
+def document_columns(text):
+    """Columns of the document table of a corpus file's text whose ids
+    are distinct, as lists: each line decoded by ``json.loads``, its
+    instant by ``utc_instant``, the tokens of title + " " + body by the
+    two-step rule, terms numbered in order of first appearance in the
+    file and rows sorted by (instant, id)."""
+    records = [json.loads(line) for line in text.split("\n") if line.strip()]
+    vocab = {}
+    rows = []
+    for record in records:
+        terms = tokens(record["title"] + " " + record["body"])
+        rows.append((
+            utc_instant(record["published_at"]),
+            record["id"],
+            [vocab.setdefault(t, len(vocab)) for t in terms],
+        ))
+    rows.sort(key=lambda row: row[:2])
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    indptr = [0]
+    for _, _, ids in rows:
+        indptr.append(indptr[-1] + len(ids))
+    return {
+        "micros": [(when - epoch) // timedelta(microseconds=1) for when, _, _ in rows],
+        "days": [when.date().toordinal() for when, _, _ in rows],
+        "vocab": list(vocab),
+        "indptr": indptr,
+        "term_ids": [i for _, _, ids in rows for i in ids],
+    }
 
 
 def json_line(record):

@@ -18,7 +18,9 @@ from opflow.corpus import (
     Document,
     FlowQuery,
     TermTable,
+    _RECORD_RE,
     _extract_tokens,
+    _term_ids,
     filter_by_dates,
     filter_by_query,
     format_timestamp,
@@ -487,6 +489,63 @@ def test_saved_lines_equal_the_reference_encoding(raw, tmp_path_factory):
     assert (folder / "out.jsonl").read_bytes() == want.encode("utf-8")
 
 
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_records())
+def test_loaded_columns_equal_the_decoded_records(raw, tmp_path_factory):
+    _, text = raw
+    path = tmp_path_factory.mktemp("columns") / "in.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    table = load_corpus(path).table
+    want = oracles.document_columns(text)
+    assert table.micros.tolist() == want["micros"]
+    assert table.days.tolist() == want["days"]
+    assert table.vocab == want["vocab"]
+    assert table.indptr.tolist() == want["indptr"]
+    assert table.term_ids.tolist() == want["term_ids"]
+
+
+def _load_error(tmp_path, line):
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(_write(tmp_path, "c.jsonl", line + "\n"))
+    return str(info.value)
+
+
+def test_lines_in_saved_layout_keep_the_errors_of_their_fields(tmp_path):
+    # a bad day or a tokenless text passes the layout match and is then
+    # decoded, which names the fault; an empty id or a raw control
+    # character fails the match
+    bad_day = GOOD_LINE.replace("2016-06-24T08", "2016-02-30T00")
+    tokenless = GOOD_LINE.replace("Referendum", "!").replace("words here", "? _")
+    assert _RECORD_RE.fullmatch(bad_day + "\n") and _RECORD_RE.fullmatch(tokenless + "\n")
+    with pytest.raises(ValueError) as day:
+        parse_timestamp("2016-02-30T00:00:00Z")
+    assert _load_error(tmp_path, bad_day) == f"line 1: bad published_at: {day.value}"
+    assert _load_error(tmp_path, tokenless) == "line 1: document 'a' has no tokens"
+    assert _load_error(tmp_path, GOOD_LINE.replace('"a"', '""')) == "line 1: empty id"
+    control = GOOD_LINE.replace("words", "wo\x01rds")
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(control)
+    assert _load_error(tmp_path, control) == f"line 1: invalid JSON: {decode.value.msg}"
+
+
+def _columns(table):
+    return (
+        table.ids, table.micros.tolist(), table.days.tolist(), table.sources,
+        table.source_ids.tolist(), table.lines, table.vocab, table.indptr.tolist(),
+        table.term_ids.tolist(),
+    )
+
+
+def test_crlf_and_lone_cr_files_load_like_lf_files(tmp_path, fixtures_dir):
+    lines = (fixtures_dir / "corpus.jsonl").read_text(encoding="utf-8").rstrip("\n").split("\n")
+    tables = []
+    for i, end in enumerate(["\n", "\r\n", "\r"]):
+        path = tmp_path / f"c{i}.jsonl"
+        path.write_bytes((end.join(lines) + end).encode("utf-8"))
+        tables.append(_columns(load_corpus(path).table))
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
 def test_load_stopwords_with_comments(tmp_path):
     p = _write(tmp_path, "s.txt", "# noise\nthe\nand # inline\n\n")
     assert load_stopwords(p) == frozenset({"the", "and"})
@@ -599,8 +658,34 @@ def test_round_trip_preserves_documents(docs, tmp_path_factory):
 @example("e\u0301te \u0301a")  # combining marks
 @example("a b c")  # single letters only
 def test_one_step_tokenizer_equals_runs_of_two_or_more(text):
-    # the two-step rule: every maximal letter/digit run, then drop runs
-    # shorter than two characters
-    folded = text.casefold()
-    two_step = [t for t in re.findall(r"[^\W_]+", folded) if len(t) >= 2]
-    assert _extract_tokens(text) == two_step
+    assert _extract_tokens(text) == oracles.tokens(text)
+
+
+def test_no_whitespace_character_folds_to_a_letter_or_digit():
+    # so no token spans a whitespace character, and a text's tokens are
+    # those of its whitespace-separated words, in order
+    word_character = re.compile(r"[^\W_]")
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert " " in spaces and "\u3000" in spaces
+    assert [c for c in spaces if word_character.search(c.casefold())] == []
+
+
+# whitespace that str.split() splits on, separators, and letters whose
+# case folding changes their length or has a final form
+WORDY = st.text(
+    alphabet=st.sampled_from(
+        list(" \t\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000_ßİΣσςaZé09")
+    ),
+    max_size=24,
+)
+
+
+@given(texts=st.lists(WORDY, min_size=1, max_size=4))
+@example(texts=["ΑΣ ς", "İx\u3000ß_ss", "ss"])
+def test_word_memo_equals_tokenizing_each_whole_text(texts):
+    vocab, words, want = {}, {}, {}
+    for text in texts:
+        expected = [want.setdefault(t, len(want)) for t in _extract_tokens(text)]
+        assert _term_ids(text, vocab, words) == expected
+        assert _term_ids(text, vocab, words) == expected  # every word known now
+    assert list(vocab) == list(want)
