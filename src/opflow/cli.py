@@ -8,8 +8,8 @@ event-lexicon match, query augmentation, event corpus, source graph),
 order, with date narrowing to the best peak window and a digest
 manifest), and ``synth`` (fixture generation).
 
-Options can come from a flat ``key = value`` config file; command line
-flags override file values.  Exit status: 0 success (warnings allowed),
+Each ``PipelineConfig`` field is an option, set by a flat ``key = value``
+config file or by its flag; flags override file values.  Exit status: 0 success (warnings allowed),
 1 usage or config error, 2 data error, 3 internal error.
 """
 
@@ -21,7 +21,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import (
@@ -112,26 +112,32 @@ PIPELINE_ARTIFACTS = (
 )
 
 
+def _option(default, help_text: str):
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class PipelineConfig:
-    """Everything a stage needs; assembled from config file plus flags."""
+    """Everything a stage needs; assembled from config file plus flags.
+    Each field is also the flag ``--name-with-dashes``, with its help
+    text beside its default."""
 
-    corpus: Path | None = None
-    out_dir: Path | None = None
-    query: str = ""
-    exclude: str = ""
-    stopwords: Path | None = None
-    lexicon: Path | None = None
-    template: Path | None = None
-    window: int = DEFAULT_SMOOTHING_WINDOW
-    scales: str = ""
-    shifts: str = ""
-    threshold: float = 0.8
-    top_n: int = 10
-    top_m: int = DEFAULT_TOP_M
-    top_t: int = 25
-    max_iter: int = 50
-    terms: Path | None = None
+    corpus: Path | None = _option(None, "JSONL corpus file")
+    query: str = _option("", "AND-groups split by ';', OR-terms by ','")
+    exclude: str = _option("", "comma list of excluded terms")
+    stopwords: Path | None = _option(None, "stopword file, one per line")
+    lexicon: Path | None = _option(None, "event lexicon file (default: built-in)")
+    template: Path | None = _option(None, "lifecycle template file (default: built-in)")
+    window: int = _option(DEFAULT_SMOOTHING_WINDOW, "smoothing window in days")
+    scales: str = _option("", "scale grid, 'a..b' or comma list (default 7..n)")
+    shifts: str = _option("", "shift grid, 'a..b' or comma list (default all)")
+    threshold: float = _option(0.8, "peak threshold")
+    top_n: int = _option(10, "max peaks reported")
+    top_m: int = _option(DEFAULT_TOP_M, "ranked terms searched for events")
+    top_t: int = _option(25, "terms kept per centroid")
+    max_iter: int = _option(50, "k-means iteration cap")
+    out_dir: Path | None = _option(None, "output directory")
+    terms: Path | None = _option(None, "event term file (default: out dir's)")
 
 
 # a None default marks a path; every other field takes its default's type
@@ -158,7 +164,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-def validate_config(config: PipelineConfig) -> None:
+def validate_config(config: PipelineConfig) -> PipelineConfig:
     if config.corpus is None:
         raise ConfigError("a corpus file is required (--corpus or config key 'corpus')")
     if config.out_dir is None:
@@ -187,6 +193,7 @@ def validate_config(config: PipelineConfig) -> None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {config.out_dir}: {exc}") from None
+    return config
 
 
 def _comma_terms(text: str, label: str) -> frozenset[str]:
@@ -315,7 +322,6 @@ def _write_correlogram(corr: Correlogram, peaks: list[Peak], out: Path) -> None:
 
 def cmd_series(config: PipelineConfig) -> int:
     """Write raw and smoothed daily dynamics of the filtered flow."""
-    validate_config(config)
     flow, _, _ = _flow(config)
     _write_series(*dynamics_series(flow, config), Path(config.out_dir))
     return 0
@@ -323,7 +329,6 @@ def cmd_series(config: PipelineConfig) -> int:
 
 def cmd_correlogram(config: PipelineConfig) -> int:
     """Write template correlation over the grid, plus the peak report."""
-    validate_config(config)
     flow, _, _ = _flow(config)
     series = build_daily_series(flow)
     _write_correlogram(*dynamics_correlogram(series, config), Path(config.out_dir))
@@ -388,7 +393,6 @@ def _write_events(events: Events, query: FlowQuery | None, out: Path) -> None:
 def cmd_events(config: PipelineConfig) -> int:
     """Rank terms, match the event lexicon, narrow to event documents,
     and project the event flow onto sources."""
-    validate_config(config)
     flow, tokenized, query = _flow(config)
     _write_events(find_events(flow, tokenized, config), query, Path(config.out_dir))
     return 0
@@ -425,7 +429,6 @@ def _read_event_terms(path: Path) -> list[str]:
 
 def cmd_cluster(config: PipelineConfig) -> int:
     """Seeded k-means over the given corpus; one cluster per event term."""
-    validate_config(config)
     terms_path = Path(config.terms) if config.terms else Path(config.out_dir) / EVENT_TERMS_TXT
     if not terms_path.is_file():
         raise ConfigError(
@@ -480,7 +483,6 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     """All stages in order on one load and one tokenization of the corpus,
     ending with a digest manifest.  A stage failure aborts with the stage
     name; files already written stay in place."""
-    validate_config(config)
     out = Path(config.out_dir)
     for name in PIPELINE_ARTIFACTS + (MANIFEST_TXT,):
         (out / name).unlink(missing_ok=True)
@@ -528,13 +530,9 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     """Generate a planted series (and optionally a planted corpus).  Both
     spec files are read before any output is written."""
-    if not Path(args.burst_spec).is_file():
-        raise ConfigError(f"burst spec file not found: {args.burst_spec}")
     burst = load_burst_spec(args.burst_spec, args.seed)
     spec = None
     if args.cluster_spec is not None:
-        if not Path(args.cluster_spec).is_file():
-            raise ConfigError(f"cluster spec file not found: {args.cluster_spec}")
         spec = load_cluster_spec(args.cluster_spec, args.seed)
     template = load_template(args.template) if args.template else DEFAULT_TEMPLATE
     out = Path(args.out_dir)
@@ -554,25 +552,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_options(sub: argparse.ArgumentParser, with_terms: bool = False) -> None:
+def _add_common_options(sub: argparse.ArgumentParser, with_terms: bool) -> None:
+    """--config, then one flag per PipelineConfig field; --terms only
+    where ``with_terms``."""
     sub.add_argument("--config", type=Path, help="flat key = value config file")
-    sub.add_argument("--corpus", type=Path, help="JSONL corpus file")
-    sub.add_argument("--query", help="AND-groups split by ';', OR-terms by ','")
-    sub.add_argument("--exclude", help="comma list of excluded terms")
-    sub.add_argument("--stopwords", type=Path, help="stopword file, one per line")
-    sub.add_argument("--lexicon", type=Path, help="event lexicon file (default: built-in)")
-    sub.add_argument("--template", type=Path, help="lifecycle template file (default: built-in)")
-    sub.add_argument("--window", type=int, help=f"smoothing window in days (default {DEFAULT_SMOOTHING_WINDOW})")
-    sub.add_argument("--scales", help="scale grid, 'a..b' or comma list (default 7..n)")
-    sub.add_argument("--shifts", help="shift grid, 'a..b' or comma list (default all)")
-    sub.add_argument("--threshold", type=float, help="peak threshold (default 0.8)")
-    sub.add_argument("--top-n", type=int, dest="top_n", help="max peaks reported (default 10)")
-    sub.add_argument("--top-m", type=int, dest="top_m", help="ranked terms searched for events (default 200)")
-    sub.add_argument("--top-t", type=int, dest="top_t", help="terms kept per centroid (default 25)")
-    sub.add_argument("--max-iter", type=int, dest="max_iter", help="k-means iteration cap (default 50)")
-    sub.add_argument("--out-dir", type=Path, dest="out_dir", help="output directory")
-    if with_terms:
-        sub.add_argument("--terms", type=Path, help="event term file (default: out dir's)")
+    for option in fields(PipelineConfig):
+        if option.name == "terms" and not with_terms:
+            continue
+        help_text = option.metadata["help"]
+        if option.default not in (None, ""):
+            help_text += f" (default {option.default})"
+        sub.add_argument(
+            "--" + option.name.replace("_", "-"), dest=option.name,
+            type=_CONFIG_TYPES[option.name], help=help_text,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (handler, description) in handlers.items():
         sub = commands.add_parser(name, help=description)
-        _add_common_options(sub, with_terms=(name in ("cluster", "pipeline")))
-        sub.set_defaults(func=lambda args, h=handler: h(build_config(args)))
+        _add_common_options(sub, with_terms=(name == "cluster"))
+        sub.set_defaults(func=lambda args, h=handler: h(validate_config(build_config(args))))
 
     synth = commands.add_parser("synth", help="generate planted fixtures")
     synth.add_argument("--burst-spec", type=Path, required=True, dest="burst_spec")
@@ -615,10 +608,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 1
-    except (DataError, ValueError) as exc:
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (DataError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return 2
     except Exception:  # pragma: no cover - defensive

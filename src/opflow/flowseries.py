@@ -139,8 +139,6 @@ def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> Daily
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"smoothing window must be odd and positive, got {window}")
-    if window == 1:
-        return DailySeries(series.start_date, list(series.values))
     half = window // 2
     vals = np.asarray(series.values, dtype=float)
     n = len(vals)

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Document, normalize_term
-from .errors import ConfigError
+from .corpus import Corpus, Document, normalize_term, read_line_file
+from .errors import ConfigError, DataError
 from .flowseries import DailySeries, LifecycleTemplate, sample_template
 
 DEFAULT_SOURCES = ("agency-alpha", "channel-beta", "daily-gamma", "portal-delta")
@@ -238,19 +237,20 @@ def write_ground_truth(truth: dict[str, int], path) -> None:
 
 
 def read_kv_file(path) -> list[tuple[str, str]]:
-    """Flat "key = value" lines; '#' comments and blanks ignored.
+    """Flat "key = value" lines, read by ``read_line_file``: a leading
+    byte order mark is dropped, '#' starts a comment anywhere on a line,
+    and blank lines are skipped.
 
     Returned as pairs because some consumers allow repeated keys.
     """
-    pairs = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        entries = read_line_file(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except DataError as exc:  # names the file and the line
+        raise ConfigError(f"cannot read config file {exc}") from None
+    pairs = []
+    for line_no, line, _ in entries:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")

@@ -132,8 +132,8 @@ def test_read_kv_file_rejects_bad_lines(tmp_path):
         read_kv_file(path)
     with pytest.raises(ConfigError, match="cannot read"):
         read_kv_file(tmp_path / "missing")
-    path.write_bytes(b"query = caf\xe9\n")
-    with pytest.raises(ConfigError, match="cannot read config file"):
+    path.write_bytes(b"window = 5\nquery = caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config file .*line 2: invalid UTF-8"):
         read_kv_file(path)
 
 
@@ -164,6 +164,50 @@ def test_build_config_rejects_unknown_and_malformed_keys(tmp_path):
         build_config(_ns(config=conf))
 
 
+def test_config_and_burst_spec_behind_a_bom_are_read(fx, tmp_path):
+    conf = tmp_path / "conf"
+    conf.write_text("\ufeffwindow = 5\nquery = protest\n", encoding="utf-8")
+    config = build_config(_ns(config=conf))
+    assert (config.window, config.query) == (5, "protest")
+    spec = tmp_path / "burst.spec"
+    spec.write_text("\ufeff" + Path(fx["burst"]).read_text(), encoding="utf-8")
+    assert load_burst_spec(spec) == load_burst_spec(Path(fx["burst"]))
+
+
+def test_config_comment_after_a_value_is_dropped(fx, tmp_path):
+    conf = tmp_path / "conf"
+    conf.write_text("query = protest  # the flow\n")
+    assert main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "file"),
+                 "--config", str(conf)]) == 0
+    assert main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "flag"),
+                 "--query", "protest"]) == 0
+    for name in ("series_raw.csv", "series_smoothed.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+def test_stage_flags_are_config_plus_one_per_field():
+    from dataclasses import fields
+
+    from opflow.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("series", "correlogram", "events", "cluster", "pipeline"):
+        actions = [a for a in commands[command]._actions if a.dest != "help"]
+        flags = {a.option_strings[0]: a.dest for a in actions}
+        expected = {"--config": "config"}
+        for option in fields(PipelineConfig):
+            if option.name != "terms" or command == "cluster":
+                expected["--" + option.name.replace("_", "-")] = option.name
+        assert flags == expected, command
+        for action in actions:
+            default = getattr(PipelineConfig, action.dest, None)
+            if default not in (None, ""):
+                assert action.help.endswith(f" (default {default})"), action.dest
+    assert "--terms" in commands["cluster"].format_help()
+    assert "--terms" not in commands["pipeline"].format_help()
+
+
 # --- exit codes ------------------------------------------------------------
 
 
@@ -183,6 +227,12 @@ def test_exit_1_on_usage_errors(tmp_path):
     assert main(["series", "--no-such-flag"]) == 1
     assert main([]) == 1
     assert main(["not-a-command"]) == 1
+
+
+def test_exit_1_on_terms_flag_outside_cluster(fx, tmp_path):
+    # the pipeline seeds k-means from its own event terms, so it takes no --terms
+    assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
+                 "--terms", str(tmp_path / "nonexistent")]) == 1
 
 
 def test_exit_2_on_corrupt_corpus(tmp_path):
@@ -517,12 +567,34 @@ def test_pipeline_clears_stale_artifacts(fx, tmp_path):
     assert unrelated.read_text() == "mine"
 
 
-def test_pipeline_loads_and_tokenizes_the_corpus_once(fx, tmp_path, monkeypatch):
+# every library name perfbench/spans.py wraps in opflow.cli, with the calls
+# one fixture pipeline makes of it
+TRACED_CALLS = {
+    "load_corpus": 1, "tokenize_corpus": 1, "filter_by_query": 1, "filter_by_dates": 1,
+    "save_corpus": 3, "build_daily_series": 1, "smooth": 1, "correlogram": 1,
+    "detect_peaks": 1, "write_series_csv": 2, "write_correlogram_csv": 1,
+    "write_peaks_csv": 1, "compute_tfidf": 1, "document_frequencies": 1,
+    "match_event_terms": 1, "write_term_report": 1, "source_link_graph": 1,
+    "write_source_graph": 1, "vectorize": 1, "seed_centroids": 1, "kmeans_seeded": 1,
+    "write_cluster_report": 1,
+}
+# the parameters perfbench's span counts read by name
+TRACED_PARAMETERS = {
+    "filter_by_query": {"corpus"}, "filter_by_dates": {"corpus"}, "save_corpus": {"corpus"},
+    "compute_tfidf": {"tokenized"}, "vectorize": {"tokenized"},
+    "kmeans_seeded": {"seeds", "vectors"},
+}
+
+
+def test_pipeline_calls_each_traced_name_as_often_as_measured(fx, tmp_path, monkeypatch):
+    import inspect
+
     import opflow.cli as cli
 
-    calls = {"load_corpus": 0, "tokenize_corpus": 0}
+    calls = dict.fromkeys(TRACED_CALLS, 0)
     for name in calls:
         original = getattr(cli, name)
+        assert TRACED_PARAMETERS.get(name, set()) <= set(inspect.signature(original).parameters)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -531,7 +603,7 @@ def test_pipeline_loads_and_tokenizes_the_corpus_once(fx, tmp_path, monkeypatch)
         monkeypatch.setattr(cli, name, counted)
     assert run_pipeline(fx, tmp_path) == 0
     assert (tmp_path / CLUSTERS_JSON).is_file()  # the chain ran to its last stage
-    assert calls == {"load_corpus": 1, "tokenize_corpus": 1}
+    assert calls == TRACED_CALLS
 
 
 def test_pipeline_equals_manual_stage_composition(fx, tmp_path):
