@@ -157,6 +157,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     values: dict = {}
     if args.config is not None:
         values = typed_values(read_kv_file(args.config), _CONFIG_TYPES, args.config)
+        # a subcommand reads the config keys it has flags for, and no other
+        for key in values:
+            if not hasattr(args, key):
+                raise ConfigError(
+                    f"{args.config}: config key {key!r} is not an option of"
+                    f" the {args.command} subcommand"
+                )
     for key in _CONFIG_TYPES:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -297,7 +304,7 @@ def dynamics_correlogram(
     scales, shifts = resolve_grids(config, len(series.values))
     corr = correlogram(series, template, scales=scales, shifts=shifts)
     peaks = detect_peaks(corr, config.threshold, config.top_n)
-    if not corr.defined_cells():
+    if not (corr.admissible & ~corr.undefined).any():
         log.warning("correlogram: every window is flat, no defined cells")
     elif not peaks:
         log.warning("correlogram: no peak at or above threshold %g", config.threshold)

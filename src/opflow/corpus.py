@@ -516,9 +516,14 @@ def _term_ids(text: str, vocab: dict[str, int], words: dict[str, tuple[int, ...]
     for word in split:
         known = words.get(word)
         if known is None:
-            known = words[word] = tuple(
-                vocab.setdefault(t, len(vocab)) for t in _extract_tokens(word)
-            )
+            folded = word.casefold()
+            # \w is str.isalnum plus "_", so an alphanumeric word of two
+            # or more characters is one maximal run: its own single token
+            if len(folded) >= 2 and folded.isalnum():
+                known = (vocab.setdefault(folded, len(vocab)),)
+            else:
+                known = tuple(vocab.setdefault(t, len(vocab)) for t in _extract_tokens(word))
+            words[word] = known
         ids.extend(known)
     return ids
 

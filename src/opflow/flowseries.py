@@ -7,14 +7,21 @@ window x[l:l+k] is Pearson-correlated with the template resampled to k
 points.  The resulting correlogram localizes operation-like bursts; its
 peaks map back to calendar date windows.
 
-Zero-variance windows (or a constant template) have no defined
-correlation and are carried as an explicit undefined marker (`None` in
-cells, "NA" in CSV exports) so they can never masquerade as real peaks.
+The correlogram is dense: one (scale x shift) float array, filled one
+scale at a time, with boolean masks for the admissible cells
+(l + k <= n) and the undefined ones.  Zero-variance windows (or a
+constant template) have no defined correlation; they are marked in the
+``undefined`` mask, never by a value, and read as `None` through the
+``cells`` view and as "NA" in CSV exports, so they can never masquerade
+as real peaks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -42,6 +49,8 @@ class DailySeries:
         if len(self.values) < 1:
             raise ValueError("series must have at least one day")
         self.values = [float(v) for v in self.values]
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("series values must be finite")
         if any(v < 0 for v in self.values):
             raise ValueError("series values must be non-negative")
 
@@ -56,7 +65,7 @@ class DailySeries:
 class LifecycleTemplate:
     """Piecewise-linear operation lifecycle curve.
 
-    Control points are (position, amplitude) pairs with positions
+    Control points are finite (position, amplitude) pairs with positions
     strictly increasing from 0 to 1; amplitudes are non-negative.
     """
 
@@ -66,6 +75,8 @@ class LifecycleTemplate:
         pts = [(float(p), float(a)) for p, a in self.control_points]
         if len(pts) < 2:
             raise ValueError("template needs at least 2 control points")
+        if not all(math.isfinite(p) and math.isfinite(a) for p, a in pts):
+            raise ValueError("template control points must be finite")
         positions = [p for p, _ in pts]
         if positions[0] != 0.0 or positions[-1] != 1.0:
             raise ValueError("template positions must start at 0 and end at 1")
@@ -105,22 +116,90 @@ class Peak:
     window_end: date
 
 
-@dataclass
-class Correlogram:
-    """Correlation values over the (shift, scale) grid.
+class _Cells(Mapping):
+    """Read-only ``(l, k) -> float | None`` view over a correlogram's
+    arrays: the admissible cells only, in (l, k) order, None where the
+    correlation is undefined."""
 
-    ``cells[(l, k)]`` is the correlation for window x[l:l+k], or None
-    where the correlation is undefined (zero variance).  Only admissible
-    pairs (l + k <= series length) are present.
+    def __init__(self, corr: Correlogram) -> None:
+        self._corr = corr
+        self._len = int(np.count_nonzero(corr.admissible))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, key: tuple[int, int]) -> float | None:
+        l, k = key
+        corr = self._corr
+        j = bisect_left(corr.shifts, l)
+        i = bisect_left(corr.scales, k)
+        if (
+            j == len(corr.shifts) or corr.shifts[j] != l
+            or i == len(corr.scales) or corr.scales[i] != k
+            or not corr.admissible[i, j]
+        ):
+            raise KeyError(key)
+        return None if corr.undefined[i, j] else float(corr.values[i, j])
+
+    def _columns(self) -> tuple[list[int], list[int], list[float | None]]:
+        """Shift index, scale index and value (None where undefined) of
+        every admissible cell, in (l, k) order."""
+        corr = self._corr
+        # the transposed mask is shift-major, so its cells come in (l, k) order
+        shift_at, scale_at = np.nonzero(corr.admissible.T)
+        values = np.where(
+            corr.undefined[scale_at, shift_at], None, corr.values[scale_at, shift_at]
+        )
+        return shift_at.tolist(), scale_at.tolist(), values.tolist()
+
+    def _keys(self, shift_at: list[int], scale_at: list[int]) -> Iterator[tuple[int, int]]:
+        shifts, scales = self._corr.shifts, self._corr.scales
+        return ((shifts[j], scales[i]) for j, i in zip(shift_at, scale_at))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        shift_at, scale_at, _ = self._columns()
+        return self._keys(shift_at, scale_at)
+
+    def items(self) -> ItemsView:
+        return _CellItems(self)
+
+    def values(self) -> ValuesView:
+        return _CellValues(self)
+
+
+class _CellItems(ItemsView):
+    def __iter__(self):
+        shift_at, scale_at, values = self._mapping._columns()
+        return zip(self._mapping._keys(shift_at, scale_at), values)
+
+
+class _CellValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._columns()[2])
+
+
+@dataclass(eq=False)  # arrays have no single truth value to compare by
+class Correlogram:
+    """Correlation values over the (scale, shift) grid.
+
+    ``values[i, j]`` is the correlation of the window
+    x[shifts[j] : shifts[j] + scales[i]] with the template resampled to
+    scales[i] points.  It is meaningful only where ``admissible`` (the
+    window fits: l + k <= series length) and not ``undefined`` (the
+    window or the template has zero variance).  ``cells`` reads the same
+    arrays as a mapping from (l, k) to a float, or None where undefined,
+    over the admissible cells only.
     """
 
     shifts: list[int]
     scales: list[int]
-    cells: dict[tuple[int, int], float | None]
+    values: np.ndarray
+    admissible: np.ndarray
+    undefined: np.ndarray
     start_date: date
 
-    def defined_cells(self) -> list[tuple[int, int, float]]:
-        return [(l, k, v) for (l, k), v in sorted(self.cells.items()) if v is not None]
+    def __post_init__(self) -> None:
+        self.cells = _Cells(self)
 
 
 def build_daily_series(corpus: Corpus) -> DailySeries:
@@ -156,9 +235,12 @@ def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
     return [float(v) for v in np.interp(positions, xs, ys)]
 
 
-def _corr_block(values: np.ndarray, k: int, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _corr_block(
+    values: np.ndarray, changes: np.ndarray, k: int, samples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Correlations of every length-k window against the template samples.
 
+    ``changes[i]`` counts the indices j < i with values[j + 1] != values[j].
     Returns (corr, undefined) arrays indexed by shift l = 0..n-k.
     """
     windows = sliding_window_view(values, k)
@@ -170,8 +252,9 @@ def _corr_block(values: np.ndarray, k: int, samples: np.ndarray) -> tuple[np.nda
     numerator = np.sum(x_centered * p_centered, axis=1)
     x_ss = np.sum(x_centered * x_centered, axis=1)
     # A window (or template) of identical values has zero variance; the
-    # correlation is undefined there, not zero.
-    undefined = np.all(windows == windows[:, :1], axis=1)
+    # correlation is undefined there, not zero.  A window is flat exactly
+    # when no value changes inside it.
+    undefined = changes[k - 1:] == changes[:len(values) - k + 1]
     if bool(np.all(samples == samples[0])):
         undefined = np.ones_like(undefined)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -185,9 +268,9 @@ def correlogram(
     scales: list[int],
     shifts: list[int],
 ) -> Correlogram:
-    """Evaluate the correlation over the whole (shift, scale) grid.
+    """Evaluate the correlation over the whole (scale, shift) grid.
 
-    Inadmissible pairs (l + k beyond the series end) get no cell.
+    Inadmissible pairs (l + k beyond the series end) are masked out.
     """
     if not scales:
         raise ValueError("scale list must not be empty")
@@ -201,19 +284,27 @@ def correlogram(
     shifts = sorted(set(int(l) for l in shifts))
     values = np.asarray(series.values, dtype=float)
     n = len(values)
-    cells: dict[tuple[int, int], float | None] = {}
-    for k in scales:
-        admissible = [l for l in shifts if l + k <= n]
-        if not admissible:
+    changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+    shift_grid = np.asarray(shifts)
+    grid = np.zeros((len(scales), len(shifts)))
+    admissible = np.zeros(grid.shape, dtype=bool)
+    undefined = np.zeros(grid.shape, dtype=bool)
+    for i, k in enumerate(scales):
+        # shifts are sorted, so the admissible ones (l <= n - k) lead
+        fit = int(np.searchsorted(shift_grid, n - k, side="right"))
+        if not fit:
             continue
         samples = np.asarray(sample_template(template, k), dtype=float)
-        corr, undefined = _corr_block(values, k, samples)
-        for l in admissible:
-            cells[(l, k)] = None if undefined[l] else float(corr[l])
+        corr, flat = _corr_block(values, changes, k, samples)
+        grid[i, :fit] = corr[shift_grid[:fit]]
+        undefined[i, :fit] = flat[shift_grid[:fit]]
+        admissible[i, :fit] = True
     return Correlogram(
         shifts=shifts,
         scales=scales,
-        cells=cells,
+        values=grid,
+        admissible=admissible,
+        undefined=undefined,
         start_date=series.start_date,
     )
 
@@ -227,20 +318,23 @@ def detect_peaks(corr: Correlogram, threshold: float, top_n: int) -> list[Peak]:
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     threshold = min(float(threshold), 1.0)
-    hits = [(l, k, v) for (l, k, v) in corr.defined_cells() if v >= threshold]
-    hits.sort(key=lambda cell: (-cell[2], cell[0], cell[1]))
-    peaks = []
-    for l, k, v in hits[:top_n]:
-        peaks.append(
-            Peak(
-                shift=l,
-                scale=k,
-                value=v,
-                window_start=corr.start_date + timedelta(days=l),
-                window_end=corr.start_date + timedelta(days=l + k - 1),
-            )
+    hit = corr.admissible & ~corr.undefined & (corr.values >= threshold)
+    scale_at, shift_at = np.nonzero(hit)
+    scale = np.asarray(corr.scales)[scale_at]
+    shift = np.asarray(corr.shifts)[shift_at]
+    value = corr.values[scale_at, shift_at]
+    # lexsort is stable and its last key is the primary one
+    best = np.lexsort((scale, shift, -value))[:top_n]
+    return [
+        Peak(
+            shift=l,
+            scale=k,
+            value=v,
+            window_start=corr.start_date + timedelta(days=l),
+            window_end=corr.start_date + timedelta(days=l + k - 1),
         )
-    return peaks
+        for l, k, v in zip(shift[best].tolist(), scale[best].tolist(), value[best].tolist())
+    ]
 
 
 def load_template(path: str | Path) -> LifecycleTemplate:
@@ -253,11 +347,14 @@ def load_template(path: str | Path) -> LifecycleTemplate:
                 f"line {line_no}: expected 'position amplitude', got {data!r}"
             )
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            point = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise TemplateFormatError(
                 f"line {line_no}: non-numeric control point {data!r}"
             ) from None
+        if not all(map(math.isfinite, point)):
+            raise TemplateFormatError(f"line {line_no}: non-finite control point {data!r}")
+        points.append(point)
     if not points:
         raise TemplateFormatError(f"template file {path} has no control points")
     try:
@@ -282,7 +379,7 @@ def write_correlogram_csv(corr: Correlogram, path: str | Path) -> None:
     """CSV export with header l,k,c; undefined cells emit the token NA."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("l,k,c\n")
-        for (l, k), v in sorted(corr.cells.items()):
+        for (l, k), v in corr.cells.items():
             cell = "NA" if v is None else repr(v)
             handle.write(f"{l},{k},{cell}\n")
 

@@ -43,6 +43,25 @@ def correlation_cell(series, l, k, samples):
     return correlogram(series, template, scales=[k], shifts=[l]).cells[(l, k)]
 
 
+def detect_peaks(cells, threshold, top_n):
+    """(shift, scale, value) of the defined cells of a ``(l, k) -> value``
+    dict at or above min(threshold, 1), by one tuple sort: value
+    descending, then shift, then scale; the first top_n."""
+    threshold = min(float(threshold), 1.0)
+    hits = [(l, k, v) for (l, k), v in sorted(cells.items()) if v is not None and v >= threshold]
+    hits.sort(key=lambda cell: (-cell[2], cell[0], cell[1]))
+    return hits[:top_n]
+
+
+def correlogram_csv(cells):
+    """Bytes of correlogram.csv for a ``(l, k) -> value`` dict, rows in
+    sorted key order, undefined cells as NA."""
+    rows = ["l,k,c\n"]
+    for (l, k), v in sorted(cells.items()):
+        rows.append(f"{l},{k},{'NA' if v is None else repr(v)}\n")
+    return "".join(rows).encode("utf-8")
+
+
 def sample_piecewise(points, k):
     """Piecewise-linear values at positions i/(k-1), by segment search."""
     assert k >= 2

@@ -235,6 +235,17 @@ def test_exit_1_on_terms_flag_outside_cluster(fx, tmp_path):
                  "--terms", str(tmp_path / "nonexistent")]) == 1
 
 
+def test_exit_1_on_terms_config_key_outside_cluster(fx, tmp_path, caplog):
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"terms = {tmp_path / 'nonexistent'}\n")
+    with caplog.at_level("ERROR"):
+        rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                   "--config", str(conf)])
+    assert rc == 1
+    assert "config key 'terms'" in caplog.text
+    assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
 def test_exit_2_on_corrupt_corpus(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "d1"}\n')
@@ -262,6 +273,17 @@ def test_exit_2_on_a_line_file_that_is_not_utf8(fx, tmp_path, caplog, command, f
                    flag, str(bad)])
     assert rc == 2
     assert f"{bad}: line 2: invalid UTF-8" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["correlogram", "pipeline"])
+def test_exit_2_on_a_non_finite_template_point(fx, tmp_path, caplog, command):
+    bad = tmp_path / "template.txt"
+    bad.write_text("0 0.1\n0.5 nan\n1 0.3\n")
+    with caplog.at_level("ERROR"):
+        rc = main([command, "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                   "--template", str(bad)])
+    assert rc == 2
+    assert "line 2: non-finite control point '0.5 nan'" in caplog.text
 
 
 # --- series ----------------------------------------------------------------

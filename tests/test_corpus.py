@@ -670,18 +670,31 @@ def test_no_whitespace_character_folds_to_a_letter_or_digit():
     assert [c for c in spaces if word_character.search(c.casefold())] == []
 
 
-# whitespace that str.split() splits on, separators, and letters whose
-# case folding changes their length or has a final form
+def test_word_characters_are_the_alphanumerics():
+    # so a case-folded word that is all alphanumeric is one maximal run,
+    # its own single token, as _term_ids assumes
+    word_character = re.compile(r"[^\W_]")
+    assert all(
+        bool(word_character.match(chr(c))) == chr(c).isalnum() for c in range(0x110000)
+    )
+
+
+# whitespace that str.split() splits on, separators, punctuation, digits
+# and numerals, a combining mark, and letters whose case folding changes
+# their length or has a final form
 WORDY = st.text(
     alphabet=st.sampled_from(
         list(" \t\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000_ßİΣσςaZé09")
+        + list("-.,'!²½٣\u0301ǅﬁ")
     ),
     max_size=24,
 )
 
 
+@settings(max_examples=300)
 @given(texts=st.lists(WORDY, min_size=1, max_size=4))
 @example(texts=["ΑΣ ς", "İx\u3000ß_ss", "ss"])
+@example(texts=["ß ßa İİ 09 a9 ﬁ", "x-ß, İa! _a9_ ½² é\u0301"])
 def test_word_memo_equals_tokenizing_each_whole_text(texts):
     vocab, words, want = {}, {}, {}
     for text in texts:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,9 @@ def test_series_rejects_empty_and_negative():
         series([])
     with pytest.raises(ValueError):
         series([1.0, -0.5])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            series([1.0, bad, 2.0])
 
 
 def test_series_dates_are_contiguous():
@@ -117,6 +122,10 @@ def test_template_validation():
         LifecycleTemplate([(0.0, 1.0), (0.5, 0.2), (0.5, 0.3), (1.0, 0.1)])
     with pytest.raises(ValueError, match="non-negative"):
         LifecycleTemplate([(0.0, 1.0), (1.0, -0.1)])
+    for bad in ([(0, .1), (math.nan, .5), (1, .2)], [(0, .1), (.5, math.inf), (1, .2)],
+                [(0, .1), (.5, math.nan), (1, .2)]):
+        with pytest.raises(ValueError, match="finite"):
+            LifecycleTemplate(bad)
 
 
 def test_sample_template_endpoints_hit_control_amplitudes():
@@ -152,6 +161,10 @@ def test_load_template_rejects_garbage(tmp_path):
     p.write_text("# only comments\n", encoding="utf-8")
     with pytest.raises(TemplateFormatError, match="no control points"):
         load_template(p)
+    for bad in ("nan 0.5", "0.5 inf", "0.5 -Infinity"):
+        p.write_text(f"0 0.1\n{bad}\n1 0.3\n", encoding="utf-8")
+        with pytest.raises(TemplateFormatError, match="line 2: non-finite"):
+            load_template(p)
 
 
 # --- windowed correlation --------------------------------------------------
@@ -235,8 +248,8 @@ def test_correlogram_input_validation():
 
 def test_correlogram_flat_series_all_undefined():
     corr = correlogram(series([5] * 9), DEFAULT_TEMPLATE, scales=[3, 4], shifts=[0, 2])
-    assert corr.defined_cells() == []
-    assert all(v is None for v in corr.cells.values())
+    assert corr.undefined[corr.admissible].all()
+    assert dict(corr.cells) == {(0, 3): None, (2, 3): None, (0, 4): None, (2, 4): None}
 
 
 # --- peaks -----------------------------------------------------------------
@@ -278,6 +291,52 @@ def test_detect_peaks_threshold_and_top_n():
 def test_detect_peaks_empty_on_flat_series():
     corr = correlogram(series([2] * 8), DEFAULT_TEMPLATE, scales=[3], shifts=[0, 1])
     assert detect_peaks(corr, threshold=0.0, top_n=5) == []
+
+
+# values with flat runs, repeats, and magnitudes whose squares underflow,
+# where the kernel itself returns nan or inf for a window that is not flat
+_CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+    st.sampled_from([0.0, 1e-200, 3e-200]),
+    st.floats(0, 50, allow_nan=False),
+)
+_TEMPLATES = st.sampled_from([
+    DEFAULT_TEMPLATE,
+    LifecycleTemplate([(0.0, 0.5), (1.0, 0.5)]),  # constant: every cell undefined
+    LifecycleTemplate([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]),
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(st.tuples(_CELL_VALUES, st.integers(1, 4)), min_size=1, max_size=12),
+    template=_TEMPLATES,
+    threshold=st.one_of(st.floats(-1.5, 1.5), st.sampled_from([-1.5, -0.0, 0.0, 1.0, 1.5])),
+    top_n=st.one_of(st.integers(1, 4), st.integers(1, 10_000)),
+    data=st.data(),
+)
+def test_peaks_and_csv_match_the_tuple_sort_oracle(runs, template, threshold, top_n, data):
+    values = [v for v, length in runs for _ in range(length)]
+    n = len(values)
+    # grids reach past the series end, so some pairs are inadmissible
+    scales = data.draw(st.lists(st.integers(2, n + 3), min_size=1, max_size=10))
+    shifts = data.draw(st.lists(st.integers(0, n + 2), min_size=1, max_size=16))
+    corr = correlogram(series(values), template, scales=scales, shifts=shifts)
+
+    pairs = {(l, k) for l in shifts for k in scales if l + k <= n}
+    assert len(corr.cells) == len(pairs)
+    cells = {pair: corr.cells[pair] for pair in pairs}
+    for (l, k), v in cells.items():
+        flat = len(set(values[l:l + k])) == 1 or len(set(sample_template(template, k))) == 1
+        assert (v is None) == flat
+
+    got = [(p.shift, p.scale, p.value.hex()) for p in detect_peaks(corr, threshold, top_n)]
+    want = [(l, k, v.hex()) for l, k, v in oracles.detect_peaks(cells, threshold, top_n)]
+    assert got == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        write_correlogram_csv(corr, path)
+        assert path.read_bytes() == oracles.correlogram_csv(cells)
 
 
 # --- csv writers -----------------------------------------------------------
