@@ -33,7 +33,7 @@ from .corpus import (
     load_corpus,
     load_stopwords,
     normalize_term,
-    read_line_file,
+    read_terms,
     save_corpus,
     tokenize_corpus,
 )
@@ -196,11 +196,16 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     ):
         if value < 1:
             raise ConfigError(f"{label} must be >= 1, got {value}")
-    try:
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {config.out_dir}: {exc}") from None
+    _make_out_dir(config.out_dir)
     return config
+
+
+def _make_out_dir(out: Path) -> Path:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    return out
 
 
 def _comma_terms(text: str, label: str) -> frozenset[str]:
@@ -427,13 +432,6 @@ def cluster_events(
     return omitted, clustering
 
 
-def _read_event_terms(path: Path) -> list[str]:
-    """Normalized terms of a term file, '#' starting a comment; a
-    repeated term keeps its first place."""
-    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
-    return list(dict.fromkeys(t for t in terms if t))
-
-
 def cmd_cluster(config: PipelineConfig) -> int:
     """Seeded k-means over the given corpus; one cluster per event term."""
     terms_path = Path(config.terms) if config.terms else Path(config.out_dir) / EVENT_TERMS_TXT
@@ -442,7 +440,7 @@ def cmd_cluster(config: PipelineConfig) -> int:
             f"no event terms at {terms_path}: run the events subcommand first,"
             " or point --terms at a term file"
         )
-    seed_terms = _read_event_terms(terms_path)
+    seed_terms = read_terms(terms_path)
     if not seed_terms:
         raise ConfigError(
             f"event term file {terms_path} is empty: run the events subcommand"
@@ -542,11 +540,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.cluster_spec is not None:
         spec = load_cluster_spec(args.cluster_spec, args.seed)
     template = load_template(args.template) if args.template else DEFAULT_TEMPLATE
-    out = Path(args.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    out = _make_out_dir(args.out_dir)
     series = generate_burst_series(template, burst)
     write_series_csv(series, out / "synth_series.csv")
     log.info("synth: series of %d days written", len(series.values))

@@ -666,10 +666,16 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         handle.writelines(corpus.lines)
 
 
+def read_terms(path: str | Path) -> list[str]:
+    """Normalized, non-empty terms of a term file, one per line, '#'
+    starting a comment; a repeated term keeps its first place."""
+    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
+    return list(dict.fromkeys(t for t in terms if t))
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stopword file: one term per line, '#' starts a comment."""
-    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
-    return frozenset(t for t in terms if t)
+    return frozenset(read_terms(path))
 
 
 def filter_by_query(corpus: Corpus, query: FlowQuery, tokenized: TermTable) -> Corpus:

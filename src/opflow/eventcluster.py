@@ -109,15 +109,17 @@ class Centroid:
     seed_terms: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no single truth value to compare by
 class Clustering:
-    """Result of a seeded k-means run."""
+    """Result of a seeded k-means run: the cluster index and best sim the
+    final pass gave each row of ``vectors``, and the centroids it used."""
 
-    assignments: dict[str, int]
+    vectors: DocVectors
+    labels: np.ndarray
+    sims: np.ndarray
     centroids: list[Centroid]
     q_history: list[float]
     iterations: int
-    sims: dict[str, float]  # each doc's best sim in the final pass
 
 
 def _columns_of(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -286,8 +288,7 @@ def kmeans_seeded(
     q_history records Q of each pass, i.e. the sum of winning
     similarities against the centroids that produced the assignment; an
     unassigned doc's best sim is 0.0, so Q is 0.0 exactly when the pass
-    assigns nothing.  The result keeps the final pass's best sims and
-    the centroids that pass used.
+    assigns nothing.
     """
     if not seeds:
         raise ValueError("at least one seed centroid is required")
@@ -307,66 +308,63 @@ def kmeans_seeded(
         centroids = recompute_centroids(labels, vectors, top_t, centroids)
         prev = labels
     return Clustering(
-        assignments=dict(zip(vectors.doc_ids, labels.tolist())),
-        centroids=centroids,
-        q_history=q_history,
-        iterations=len(q_history),
-        sims=dict(zip(vectors.doc_ids, best_sims.tolist())),
+        vectors=vectors, labels=labels, sims=best_sims, centroids=centroids,
+        q_history=q_history, iterations=len(q_history),
     )
 
 
-def _members_block(doc_ids: list[str], sims: dict[str, float]) -> str:
+def _members_block(doc_ids: list[str], sims: list[float]) -> str:
     """The "members" list of one cluster, laid out as ``json.dump`` with
     ``indent=2`` lays it out at that depth of the report."""
     if not doc_ids:
         return "[]"
-    items = [
-        '{\n          "doc_id": ' + encode_basestring_ascii(doc_id)
-        + ',\n          "sim": ' + float.__repr__(sims[doc_id]) + "\n        }"
-        for doc_id in doc_ids
-    ]
+    items = map(
+        '{{\n          "doc_id": {},\n          "sim": {}\n        }}'.format,
+        map(encode_basestring_ascii, doc_ids),
+        map(float.__repr__, sims),
+    )
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
 def write_cluster_report(
     clustering: Clustering, path: str | Path, omitted_doc_ids: list[str]
 ) -> None:
-    """One JSON document describing clusters, members, and the Q trace.
+    """One JSON document describing clusters, members (in doc-id order), and the Q trace.
 
     ``json.dumps(indent=2, sort_keys=True)`` writes the report with every
     member list empty, and each ``"members": []`` is then replaced by the
     list written directly.  The text ``"members": []`` can only be such a
     key: a string's own quotes are escaped.
     """
-    members: dict[int, list[str]] = {c.cluster_index: [] for c in clustering.centroids}
-    members[UNASSIGNED] = []
-    assignments = clustering.assignments
-    for doc_id in sorted(assignments):
-        members[assignments[doc_id]].append(doc_id)
-    clusters = []
-    for c in clustering.centroids:
-        centroid_terms = [
-            {"term": t, "weight": w}
-            for t, w in sorted(c.weights.items(), key=lambda item: (-item[1], item[0]))
-        ]
-        clusters.append(
-            {
-                "index": c.cluster_index,
-                "seed_terms": list(c.seed_terms),
-                "centroid_terms": centroid_terms,
-                "member_count": len(members[c.cluster_index]),
-                "members": [],
-            }
-        )
+    order = clustering.vectors._id_order
+    labels = clustering.labels[order]
+    doc_ids = clustering.vectors.doc_ids
+    members = {}
+    for j in [c.cluster_index for c in clustering.centroids] + [UNASSIGNED]:
+        rows = order[labels == j].tolist()
+        members[j] = ([doc_ids[i] for i in rows], clustering.sims[rows].tolist())
+    clusters = [
+        {
+            "index": c.cluster_index,
+            "seed_terms": list(c.seed_terms),
+            "centroid_terms": [
+                {"term": t, "weight": w}
+                for t, w in sorted(c.weights.items(), key=lambda item: (-item[1], item[0]))
+            ],
+            "member_count": len(members[c.cluster_index][0]),
+            "members": [],
+        }
+        for c in clustering.centroids
+    ]
     report = {
         "iterations": clustering.iterations,
         "q_history": clustering.q_history,
         "clusters": clusters,
-        "unassigned_doc_ids": members[UNASSIGNED],
+        "unassigned_doc_ids": members[UNASSIGNED][0],
         "omitted_doc_ids": sorted(omitted_doc_ids),
     }
     pieces = json.dumps(report, indent=2, sort_keys=True).split('"members": []')
-    blocks = [_members_block(members[c.cluster_index], clustering.sims) for c in clustering.centroids]
+    blocks = [_members_block(*members[c.cluster_index]) for c in clustering.centroids]
     text = pieces[0] + "".join(
         '"members": ' + block + piece for block, piece in zip(blocks, pieces[1:])
     )

@@ -236,14 +236,17 @@ def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
 
 
 def _corr_block(
-    values: np.ndarray, changes: np.ndarray, k: int, samples: np.ndarray
+    values: np.ndarray, changes: np.ndarray, k: int, samples: np.ndarray, rescale: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Correlations of every length-k window against the template samples.
 
     ``changes[i]`` counts the indices j < i with values[j + 1] != values[j].
+    With ``rescale``, each window is first scaled to bring its max into [0.5, 1).
     Returns (corr, undefined) arrays indexed by shift l = 0..n-k.
     """
     windows = sliding_window_view(values, k)
+    if rescale:  # r is scale-free and a power-of-two scale is exact
+        windows = np.ldexp(windows, -np.frexp(windows.max(axis=1))[1][:, None])
     p_mean = samples.mean()
     p_centered = samples - p_mean
     p_ss = np.sum(p_centered * p_centered)
@@ -285,6 +288,7 @@ def correlogram(
     values = np.asarray(series.values, dtype=float)
     n = len(values)
     changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+    rescale = abs(np.frexp(values.max(initial=0.0))[1]) > 500  # squares over/underflow
     shift_grid = np.asarray(shifts)
     grid = np.zeros((len(scales), len(shifts)))
     admissible = np.zeros(grid.shape, dtype=bool)
@@ -295,7 +299,7 @@ def correlogram(
         if not fit:
             continue
         samples = np.asarray(sample_template(template, k), dtype=float)
-        corr, flat = _corr_block(values, changes, k, samples)
+        corr, flat = _corr_block(values, changes, k, samples, rescale)
         grid[i, :fit] = corr[shift_grid[:fit]]
         undefined[i, :fit] = flat[shift_grid[:fit]]
         admissible[i, :fit] = True

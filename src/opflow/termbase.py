@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FlowQuery, TermTable, normalize_term, read_line_file
+from .corpus import FlowQuery, TermTable, read_terms
 from .errors import DataError
 
 DEFAULT_TOP_M = 200
@@ -96,10 +96,8 @@ def compute_tfidf(tokenized: TermTable) -> list[TermWeight]:
 
 
 def load_lexicon(path: str | Path) -> frozenset[str]:
-    """Lexicon file: one entry per line, '#' comments; entries are
-    normalized with the corpus tokenizer and deduplicated."""
-    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
-    entries = frozenset(t for t in terms if t)
+    """Lexicon file: the terms :func:`read_terms` reads, as a set."""
+    entries = frozenset(read_terms(path))
     if not entries:
         raise LexiconError(f"lexicon file {path} has no usable entries")
     return entries

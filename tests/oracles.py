@@ -293,9 +293,12 @@ def json_line(record):
 def cluster_report(clustering, omitted_doc_ids):
     """The cluster report as ``json.dumps(indent=2, sort_keys=True)``
     writes the whole of it, members included, plus a newline."""
+    doc_ids = clustering.vectors.doc_ids
+    assignments = dict(zip(doc_ids, clustering.labels.tolist(), strict=True))
+    sims = dict(zip(doc_ids, clustering.sims.tolist(), strict=True))
     members = {c.cluster_index: [] for c in clustering.centroids}
     members[0] = []
-    for doc_id, j in sorted(clustering.assignments.items()):
+    for doc_id, j in sorted(assignments.items()):
         members[j].append(doc_id)
     clusters = [
         {
@@ -307,7 +310,7 @@ def cluster_report(clustering, omitted_doc_ids):
             ],
             "member_count": len(members[c.cluster_index]),
             "members": [
-                {"doc_id": d, "sim": clustering.sims[d]} for d in members[c.cluster_index]
+                {"doc_id": d, "sim": sims[d]} for d in members[c.cluster_index]
             ],
         }
         for c in clustering.centroids

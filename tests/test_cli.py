@@ -246,6 +246,18 @@ def test_exit_1_on_terms_config_key_outside_cluster(fx, tmp_path, caplog):
     assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["series", "synth"])
+def test_exit_1_when_the_output_directory_cannot_be_made(fx, tmp_path, caplog, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    inputs = {"series": ["--corpus", fx["corpus"]], "synth": ["--burst-spec", fx["burst"]]}
+    with caplog.at_level("ERROR"):
+        rc = main([command, *inputs[command], "--out-dir", str(out)])
+    assert rc == 1
+    assert f"cannot create output directory {out}: " in caplog.text
+
+
 def test_exit_2_on_corrupt_corpus(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "d1"}\n')

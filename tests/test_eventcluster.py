@@ -49,6 +49,11 @@ def row(vectors, doc_id):
     return dict(zip(terms, vectors.weights[span].tolist()))
 
 
+def by_doc_id(values, vectors):
+    """{doc id: value} of a per-row array of the clustering result."""
+    return dict(zip(vectors.doc_ids, values.tolist(), strict=True))
+
+
 def unit(*terms):
     return {t: 1.0 / math.sqrt(len(terms)) for t in terms}
 
@@ -230,8 +235,9 @@ def _planted_vectors():
 def test_kmeans_recovers_planted_split():
     vectors = _planted_vectors()
     result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]))
-    assert all(result.assignments[f"a{i}"] == 1 for i in range(6))
-    assert all(result.assignments[f"b{i}"] == 2 for i in range(6))
+    assignments = by_doc_id(result.labels, vectors)
+    assert all(assignments[f"a{i}"] == 1 for i in range(6))
+    assert all(assignments[f"b{i}"] == 2 for i in range(6))
     assert result.iterations <= 5
 
 
@@ -248,10 +254,11 @@ def test_kmeans_max_iter_one_is_a_single_pass():
 
 @pytest.mark.parametrize("rows", [{}, {"d0": unit("zz")}], ids=["no-vectors", "orthogonal"])
 def test_kmeans_that_assigns_nothing_is_a_single_pass(rows):
-    result = kmeans_seeded(vectors_of(rows), seed_centroids(["protest"]))
+    vectors = vectors_of(rows)
+    result = kmeans_seeded(vectors, seed_centroids(["protest"]))
     assert result.iterations == 1
     assert result.q_history == [0.0]
-    assert result.assignments == {doc_id: UNASSIGNED for doc_id in rows}
+    assert by_doc_id(result.labels, vectors) == {doc_id: UNASSIGNED for doc_id in rows}
 
 
 def test_kmeans_exact_sim_budget_per_iteration():
@@ -269,7 +276,7 @@ def test_kmeans_is_deterministic():
     vectors = _planted_vectors()
     r1 = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]))
     r2 = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]))
-    assert r1.assignments == r2.assignments
+    assert by_doc_id(r1.labels, vectors) == by_doc_id(r2.labels, vectors)
     assert r1.q_history == r2.q_history
     assert [c.weights for c in r1.centroids] == [c.weights for c in r2.centroids]
 
@@ -341,7 +348,8 @@ def test_cluster_report_sims_are_those_of_the_final_centroids(tmp_path, max_iter
             assert member["sim"] == sims[0]
             checked += 1
     assert checked + len(report["unassigned_doc_ids"]) == len(vectors)
-    assert all(result.sims[d] == 0.0 for d in report["unassigned_doc_ids"])
+    sims = by_doc_id(result.sims, vectors)
+    assert all(sims[d] == 0.0 for d in report["unassigned_doc_ids"])
 
 
 @st.composite
@@ -351,14 +359,15 @@ def clusterings(draw):
     sims = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1 + 0.2]), st.floats(0.0, 1.0))
     weights = st.dictionaries(st.sampled_from(["aa", "bb", "terrorist act"]), st.floats(0.0, 1.0))
     return Clustering(
-        assignments={d: draw(st.integers(0, k)) for d in ids},
+        vectors=vectors_of({d: {} for d in ids}),
+        labels=np.array([draw(st.integers(0, k)) for _ in ids], dtype=np.int64),
+        sims=np.array([draw(sims) for _ in ids], dtype=float),
         centroids=[
             Centroid(cluster_index=j, weights=draw(weights), seed_terms=[f"s{j}"])
             for j in range(1, k + 1)
         ],
         q_history=draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3)),
         iterations=draw(st.integers(1, 3)),
-        sims={d: draw(sims) for d in ids},
     ), draw(st.lists(st.text(alphabet="xé", max_size=3), max_size=3))
 
 
@@ -414,9 +423,11 @@ def test_kmeans_equals_the_dict_oracle_bit_for_bit(corpus, max_iter, top_t):
     for doc_id, weights in want["vectors"].items():
         got = row(vectors, doc_id)
         assert list(got) == list(weights) and _bits(got.values()) == _bits(weights.values())
-    assert result.assignments == want["assignments"]
-    assert list(result.sims) == list(want["sims"])
-    assert _bits(result.sims.values()) == _bits(want["sims"].values())
+    assert result.vectors is vectors
+    assert by_doc_id(result.labels, vectors) == want["assignments"]
+    sims = by_doc_id(result.sims, vectors)
+    assert list(sims) == list(want["sims"])
+    assert _bits(sims.values()) == _bits(want["sims"].values())
     assert _bits(result.q_history) == _bits(want["q_history"])
     assert [[(t, w.hex()) for t, w in c.weights.items()] for c in result.centroids] == [
         [(t, w.hex()) for t, w in c.items()] for c in want["centroids"]

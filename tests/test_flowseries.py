@@ -252,6 +252,32 @@ def test_correlogram_flat_series_all_undefined():
     assert dict(corr.cells) == {(0, 3): None, (2, 3): None, (0, 4): None, (2, 4): None}
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 30), min_size=2, max_size=16),
+    power=st.integers(-300, 300),
+    spike=st.sampled_from([[], [1e300, 0.0]]),
+    data=st.data(),
+)
+def test_correlogram_is_scale_free_from_1e_minus_300_to_1e300(values, power, spike, data):
+    # squares of values past about 1e154 overflow and below 1e-162 underflow;
+    # a spike ahead of the series must not cost the windows after it
+    n = len(spike) + len(values)
+    scales = data.draw(st.lists(st.integers(2, len(values)), min_size=1, max_size=4))
+    scaled = series(spike + [v * 10.0**power for v in values])
+    corr = correlogram(scaled, DEFAULT_TEMPLATE, scales=scales, shifts=list(range(n)))
+    for (l, k), got in corr.cells.items():
+        assert got is None or (math.isfinite(got) and abs(got) <= 1 + 1e-12)
+        if l < len(spike):
+            continue
+        start = l - len(spike)
+        want = oracles.pearson(values[start:start + k], sample_template(DEFAULT_TEMPLATE, k))
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and abs(got - want) <= 1e-12
+
+
 # --- peaks -----------------------------------------------------------------
 
 
