@@ -349,12 +349,14 @@ def cmd_correlogram(config: PipelineConfig) -> int:
 
 @dataclass
 class Events:
-    """What the events stage finds in one stage corpus."""
+    """What the events stage finds in one stage corpus; ``table`` is the
+    stage corpus's tokenized rows, which hold the event corpus's."""
 
     ranked: list[TermWeight]
     matched: list[str]
     corpus: Corpus
     graph: SourceGraph
+    table: TermTable
 
 
 def find_events(
@@ -377,7 +379,7 @@ def find_events(
         "events: %d matched terms, %d event docs, %d source links",
         len(matched), len(event_corpus), len(graph.edges),
     )
-    return Events(ranked, matched, event_corpus, graph)
+    return Events(ranked, matched, event_corpus, graph, table)
 
 
 def _write_augmented_query(query: FlowQuery | None, event_terms: list[str], path: Path) -> None:
@@ -519,11 +521,14 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 
     with _stage("terms"):
         events = find_events(stage_corpus, tokenized, config)
+        del tokenized  # free the full table: clustering reads events.table
         _write_events(events, query, out)
 
     with _stage("clustering"):
         if events.matched:
-            omitted, clustering = cluster_events(events.corpus, tokenized, events.matched, config)
+            omitted, clustering = cluster_events(
+                events.corpus, events.table, events.matched, config
+            )
             write_cluster_report(clustering, out / CLUSTERS_JSON, omitted)
         else:
             notes.append("clustering: skipped (no event terms matched)")

@@ -195,9 +195,14 @@ class DocumentTable:
         term_ids: list[int],
     ) -> DocumentTable:
         """The table of id-unique rows given in any order."""
-        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
         stamps = np.array(micros, dtype=np.int64)
-        order = by_id[np.argsort(stamps[by_id], kind="stable")]
+        steps = np.diff(stamps)
+        ties = np.flatnonzero(steps == 0).tolist()
+        if (steps >= 0).all() and all(ids[i] < ids[i + 1] for i in ties):
+            order = np.arange(len(ids))  # already in order, as every saved corpus is
+        else:
+            by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+            order = by_id[np.argsort(stamps[by_id], kind="stable")]
         names = sorted(set(sources))
         rank = {name: i for i, name in enumerate(names)}
         source_ids = np.fromiter(map(rank.__getitem__, sources), dtype=np.int64, count=len(sources))
@@ -396,21 +401,34 @@ class TermTable:
         corpus: Corpus | None = None,
     ) -> TermTable:
         """The table of token streams given as CSR arrays."""
-        # one key per (row, term); np.unique finds each key's first
-        # position, and ordering those positions restores text order
+        # One sort orders the tokens by (row, term, offset in the row):
+        # a key packs (row*V + term)*width + offset, V the vocabulary
+        # size and width the longest row, so keys stay below
+        # rows*V*width.  A (row, term) group starts where key // width
+        # changes; its count goes to its first token's position, so the
+        # nonzero counts, read in text order, give each row's distinct
+        # terms without a second sort.
+        n, n_terms = len(term_ids), len(vocab)
+        width = int(np.diff(indptr).max(initial=0))
         token_rows = csr_entry_rows(indptr)
-        keys = token_rows * len(vocab) + term_ids
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        by_position = np.argsort(first)
-        first = first[by_position]
+        keys = (token_rows * n_terms + term_ids) * width - indptr[token_rows]
+        keys += np.arange(n)
+        keys.sort()
+        groups = keys // width
+        first = np.flatnonzero(np.diff(groups, prepend=-1))
+        counts = np.zeros(n, dtype=np.int64)
+        at = groups[first]
+        counts[indptr[at // n_terms] + keys[first] - at * width] = np.diff(first, append=n)
+        distinct = np.flatnonzero(counts)
         return cls(
             doc_ids=doc_ids,
             vocab=vocab,
             indptr=indptr,
             term_ids=term_ids,
-            row_ptr=csr_offsets(np.bincount(token_rows[first], minlength=len(doc_ids))),
-            row_terms=term_ids[first],
-            row_counts=counts[by_position],
+            # sorting kept each row's tokens in its own span of keys
+            row_ptr=np.searchsorted(first, indptr),
+            row_terms=term_ids[distinct],
+            row_counts=counts[distinct],
             corpus=corpus,
         )
 

@@ -14,12 +14,14 @@ bucket (index 0) and never contribute to the clustering quality Q.
 
 Every float sum runs left to right in a fixed order, as a plain Python
 loop over term maps would, never pairwise (``np.sum``) or compensated
-(builtin ``sum`` on Python >= 3.12): a row's terms in first-appearance
-order, added column by column over the rows (:func:`_row_sums`); a
-centroid's terms in its own order when it is the smaller map; a term's
-weights over cluster members in doc-id order (``np.bincount``); and Q
-over documents in order.  So vectors, similarities, Q and centroids are
-the same bits on every supported Python version.
+(builtin ``sum`` on Python >= 3.12).  Each similarity is summed once,
+over the smaller of its two maps: a row's terms in first-appearance
+order, added column by column over the rows (:func:`_row_sums`), or the
+centroid's terms in its own order, over each term's postings, which a
+stable sort of the term ids lists in row order.  A term's weights over
+cluster members are added in doc-id order (``np.bincount``), and Q over
+documents in order.  So vectors, similarities, Q and centroids are the
+same bits on every supported Python version.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ class DocVectors:
     @cached_property
     def _by_term(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The same entries grouped by term (CSC): pointer, rows, weights."""
-        order = np.argsort(self.terms, kind="stable")
+        # a stable sort of 16-bit keys is a radix sort, and the stable
+        # permutation of equal ids does not depend on the key width
+        keys = self.terms.astype(np.uint16) if len(self.vocab) <= 1 << 16 else self.terms
+        order = np.argsort(keys, kind="stable")
         pointer = csr_offsets(np.bincount(self.terms, minlength=len(self.vocab)))
         return pointer, csr_entry_rows(self.indptr)[order], self.weights[order]
 
@@ -191,14 +196,19 @@ def _sims(vectors: DocVectors, centroid: Centroid) -> np.ndarray:
     """Dot product of every vector with the centroid, summed left to
     right over the smaller of the two term maps (the vector's when they
     are the same size), in that map's order; in [0, 1] for unit vectors
-    with non-negative weights."""
+    with non-negative weights.  Each row is summed in that one order."""
     index = vectors._term_index
     known = [(index[t], w) for t, w in centroid.weights.items() if t in index]
-    dense = np.zeros(len(vectors.vocab))
-    for term_id, w in known:
-        dense[term_id] = w
-    sims = _row_sums(vectors.weights * dense[vectors.terms], vectors._columns, len(vectors))
-    longer = np.diff(vectors.indptr) > len(centroid.weights)
+    size = len(centroid.weights)
+    longer = np.diff(vectors.indptr) > size
+    sims = np.zeros(len(vectors))
+    if not longer.all():
+        dense = np.zeros(len(vectors.vocab))
+        for term_id, w in known:
+            dense[term_id] = w
+        # a row no longer than the centroid has no entry past column ``size``
+        products = vectors.weights * dense[vectors.terms]
+        sims = _row_sums(products, vectors._columns[:size], len(vectors))
     if longer.any():
         pointer, rows, doc_weights = vectors._by_term
         in_centroid_order = np.zeros(len(vectors))
@@ -315,15 +325,16 @@ def kmeans_seeded(
 
 def _members_block(doc_ids: list[str], sims: list[float]) -> str:
     """The "members" list of one cluster, laid out as ``json.dump`` with
-    ``indent=2`` lays it out at that depth of the report."""
+    ``indent=2`` lays it out at that depth of the report: one ``%``
+    format over the interleaved (encoded id, sim) values."""
     if not doc_ids:
         return "[]"
-    items = map(
-        '{{\n          "doc_id": {},\n          "sim": {}\n        }}'.format,
-        map(encode_basestring_ascii, doc_ids),
-        map(float.__repr__, sims),
-    )
-    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+    member = '{\n          "doc_id": %s,\n          "sim": %r\n        }'
+    values = [None] * (2 * len(doc_ids))
+    values[::2] = map(encode_basestring_ascii, doc_ids)
+    values[1::2] = sims
+    members = ",\n        ".join([member] * len(doc_ids)) % tuple(values)
+    return "[\n        " + members + "\n      ]"
 
 
 def write_cluster_report(

@@ -141,24 +141,9 @@ class _Cells(Mapping):
             raise KeyError(key)
         return None if corr.undefined[i, j] else float(corr.values[i, j])
 
-    def _columns(self) -> tuple[list[int], list[int], list[float | None]]:
-        """Shift index, scale index and value (None where undefined) of
-        every admissible cell, in (l, k) order."""
-        corr = self._corr
-        # the transposed mask is shift-major, so its cells come in (l, k) order
-        shift_at, scale_at = np.nonzero(corr.admissible.T)
-        values = np.where(
-            corr.undefined[scale_at, shift_at], None, corr.values[scale_at, shift_at]
-        )
-        return shift_at.tolist(), scale_at.tolist(), values.tolist()
-
-    def _keys(self, shift_at: list[int], scale_at: list[int]) -> Iterator[tuple[int, int]]:
-        shifts, scales = self._corr.shifts, self._corr.scales
-        return ((shifts[j], scales[i]) for j, i in zip(shift_at, scale_at))
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        shift_at, scale_at, _ = self._columns()
-        return self._keys(shift_at, scale_at)
+        shifts, scales, _, _ = _admissible_cells(self._corr)
+        return zip(shifts, scales)
 
     def items(self) -> ItemsView:
         return _CellItems(self)
@@ -169,13 +154,18 @@ class _Cells(Mapping):
 
 class _CellItems(ItemsView):
     def __iter__(self):
-        shift_at, scale_at, values = self._mapping._columns()
-        return zip(self._mapping._keys(shift_at, scale_at), values)
+        shifts, scales, values, undefined = _admissible_cells(self._mapping._corr)
+        return zip(zip(shifts, scales), _none_where(undefined, values))
 
 
 class _CellValues(ValuesView):
     def __iter__(self):
-        return iter(self._mapping._columns()[2])
+        _, _, values, undefined = _admissible_cells(self._mapping._corr)
+        return _none_where(undefined, values)
+
+
+def _none_where(undefined: list[bool], values: list[float]) -> Iterator[float | None]:
+    return (None if flat else v for v, flat in zip(values, undefined))
 
 
 @dataclass(eq=False)  # arrays have no single truth value to compare by
@@ -200,6 +190,19 @@ class Correlogram:
 
     def __post_init__(self) -> None:
         self.cells = _Cells(self)
+
+
+def _admissible_cells(corr: Correlogram) -> tuple[list[int], list[int], list[float], list[bool]]:
+    """Shift, scale, value and undefined flag of every admissible cell,
+    in (l, k) order."""
+    # the transposed mask is shift-major, so its cells come in (l, k) order
+    shift_at, scale_at = np.nonzero(corr.admissible.T)
+    return (
+        np.asarray(corr.shifts, dtype=np.int64)[shift_at].tolist(),
+        np.asarray(corr.scales, dtype=np.int64)[scale_at].tolist(),
+        corr.values[scale_at, shift_at].tolist(),
+        corr.undefined[scale_at, shift_at].tolist(),
+    )
 
 
 def build_daily_series(corpus: Corpus) -> DailySeries:
@@ -288,7 +291,10 @@ def correlogram(
     values = np.asarray(series.values, dtype=float)
     n = len(values)
     changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
-    rescale = abs(np.frexp(values.max(initial=0.0))[1]) > 500  # squares over/underflow
+    # squares overflow past a binary exponent of 500, or underflow below -500
+    largest = np.frexp(values.max(initial=0.0))[1]
+    smallest = np.frexp(values[values > 0.0].min(initial=1.0))[1]
+    rescale = largest > 500 or smallest < -500
     shift_grid = np.asarray(shifts)
     grid = np.zeros((len(scales), len(shifts)))
     admissible = np.zeros(grid.shape, dtype=bool)
@@ -383,9 +389,10 @@ def write_correlogram_csv(corr: Correlogram, path: str | Path) -> None:
     """CSV export with header l,k,c; undefined cells emit the token NA."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("l,k,c\n")
-        for (l, k), v in corr.cells.items():
-            cell = "NA" if v is None else repr(v)
-            handle.write(f"{l},{k},{cell}\n")
+        handle.writelines(
+            f"{l},{k},{'NA' if flat else repr(v)}\n"
+            for l, k, v, flat in zip(*_admissible_cells(corr))
+        )
 
 
 def write_peaks_csv(peaks: list[Peak], path: str | Path) -> None:

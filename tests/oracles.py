@@ -136,6 +136,14 @@ def _left_to_right(values):
     return total
 
 
+def sparse_dot(vector, centroid):
+    """Dot product of two {term: weight} maps, summed left to right over
+    the smaller map (the vector's when they are the same size), in that
+    map's order."""
+    small, large = (centroid, vector) if len(centroid) < len(vector) else (vector, centroid)
+    return _left_to_right(w * large[t] for t, w in small.items() if t in large)
+
+
 def seeded_kmeans(docs, seed_terms, max_iter, top_t):
     """Keyword-seeded k-means on plain dicts, step by step.
 
@@ -173,10 +181,6 @@ def seeded_kmeans(docs, seed_terms, max_iter, top_t):
         tokens = sorted(set(term.split(" ")))
         centroids.append({t: 1.0 / math.sqrt(len(tokens)) for t in tokens})
 
-    def dot(vector, centroid):
-        small, large = (centroid, vector) if len(centroid) < len(vector) else (vector, centroid)
-        return _left_to_right(w * large[t] for t, w in small.items() if t in large)
-
     evaluations = 0
     q_history = []
     previous = None
@@ -185,7 +189,7 @@ def seeded_kmeans(docs, seed_terms, max_iter, top_t):
         for doc_id, vector in vectors.items():
             best_j, best_s = 0, 0.0
             for j, centroid in enumerate(centroids, start=1):
-                s = dot(vector, centroid)
+                s = sparse_dot(vector, centroid)
                 evaluations += 1
                 if s > best_s:
                     best_j, best_s = j, s

@@ -660,6 +660,23 @@ def test_pipeline_equals_manual_stage_composition(fx, tmp_path):
         assert (pipe / name).read_bytes() == (manual / name).read_bytes(), name
 
 
+def test_pipeline_clusters_an_event_corpus_smaller_than_its_stage(fx, tmp_path):
+    # two lexicon terms keep 107 of the 180 narrowed docs, so clustering
+    # selects its rows from the stage table the events stage ranked
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("protest\nreferendum\n", encoding="utf-8")
+    pipe, manual = tmp_path / "pipe", tmp_path / "manual"
+    common = ["--stopwords", fx["stopwords"]]
+    assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(pipe),
+                 "--threshold", "0.6", "--lexicon", str(lexicon)] + common) == 0
+    narrowed = (pipe / "narrowed_corpus.jsonl").read_text().splitlines()
+    events = (pipe / EVENT_CORPUS).read_text().splitlines()
+    assert 0 < len(events) < len(narrowed)
+    assert main(["cluster", "--corpus", str(pipe / EVENT_CORPUS), "--out-dir", str(manual),
+                 "--terms", str(pipe / EVENT_TERMS_TXT)] + common) == 0
+    assert (pipe / CLUSTERS_JSON).read_bytes() == (manual / CLUSTERS_JSON).read_bytes()
+
+
 # --- synth -----------------------------------------------------------------
 
 

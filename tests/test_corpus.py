@@ -546,6 +546,43 @@ def test_crlf_and_lone_cr_files_load_like_lf_files(tmp_path, fixtures_dir):
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
+BODY_WORDS = ["protest", "march", "vote", "city"]
+
+
+def _rows_by_term(table):
+    # each token as its term: interning follows file order, term text does not
+    return (
+        table.ids, table.micros.tolist(), table.lines, table.indptr.tolist(),
+        [table.vocab[t] for t in table.term_ids.tolist()],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ids=st.lists(
+        st.text(alphabet="abz", min_size=1, max_size=3), min_size=1, max_size=12, unique=True
+    ),
+    data=st.data(),
+)
+def test_saved_and_shuffled_records_give_equal_tables(ids, data, tmp_path_factory):
+    # few distinct stamps, so many records tie on published_at
+    stamps = st.sampled_from(["2016-06-24T08:00:00Z", "2016-06-24T08:00:01Z"])
+    bodies = st.lists(st.sampled_from(BODY_WORDS), min_size=1, max_size=4).map(" ".join)
+    docs = [doc(id=doc_id, ts=data.draw(stamps), body=data.draw(bodies)) for doc_id in ids]
+    saved = sorted(docs, key=lambda d: (d.published_at, d.id))
+    by_id_descending = sorted(docs, key=lambda d: d.id, reverse=True)
+    ties_descending = sorted(by_id_descending, key=lambda d: d.published_at)
+    shuffled = data.draw(st.permutations(docs))
+    folder = tmp_path_factory.mktemp("order")
+    tables = []
+    for name, order in [("saved", saved), ("ties", ties_descending), ("shuffled", shuffled)]:
+        path = folder / f"{name}.jsonl"
+        path.write_text("".join(d.json_line for d in order), encoding="utf-8")
+        tables.append(_rows_by_term(load_corpus(path).table))
+    assert tables[0][0] == [d.id for d in saved]
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
 def test_load_stopwords_with_comments(tmp_path):
     p = _write(tmp_path, "s.txt", "# noise\nthe\nand # inline\n\n")
     assert load_stopwords(p) == frozenset({"the", "and"})

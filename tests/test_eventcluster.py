@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opflow.corpus import TermTable
+from opflow.corpus import TermTable, csr_entry_rows, csr_offsets
 from opflow.eventcluster import (
     SIM_EVALUATIONS,
     UNASSIGNED,
     Centroid,
     Clustering,
     DocVectors,
+    _sims,
     assign,
     kmeans_seeded,
     recompute_centroids,
@@ -96,6 +97,40 @@ def test_sums_run_left_to_right_on_every_python():
         np.array([1]), vectors_of({"d": weights}), top_t=9, previous=seed_centroids(["aa"])
     )
     assert centroid.weights["aa"] == 1.0
+
+
+def test_postings_and_sims_of_a_vocabulary_wider_than_16_bits():
+    # term ids past 65,535 whose low 16 bits equal those of earlier rows'
+    # ids, so postings sorted on 16-bit keys would come out interleaved
+    n_terms = 70_000
+    rng = np.random.default_rng(7)
+    rows = []
+    for i in range(6):
+        ids = [i, i + 65_536, 3_000 + i, 65_536 + 3_000 - i, n_terms - 1 - i]
+        ids += rng.choice(n_terms, size=20, replace=False).tolist()
+        ids = list(dict.fromkeys(ids))[: 3 + 4 * i]  # row lengths 3..23
+        rows.append(dict(zip(ids, rng.random(len(ids)).tolist())))
+    vectors = DocVectors(
+        doc_ids=[f"d{i}" for i in range(len(rows))],
+        vocab=[f"t{i}" for i in range(n_terms)],
+        indptr=csr_offsets(np.array([len(r) for r in rows])),
+        terms=np.array([t for r in rows for t in r], dtype=np.int64),
+        weights=np.array([w for r in rows for w in r.values()]),
+    )
+    order = np.argsort(vectors.terms, kind="stable")
+    pointer, posting_rows, posting_weights = vectors._by_term
+    assert np.array_equal(pointer, csr_offsets(np.bincount(vectors.terms, minlength=n_terms)))
+    assert np.array_equal(posting_rows, csr_entry_rows(vectors.indptr)[order])
+    assert _bits(posting_weights.tolist()) == _bits(vectors.weights[order].tolist())
+
+    maps = [{f"t{t}": w for t, w in r.items()} for r in rows]
+    centroids = [
+        {"t65536": 0.6, "t0": 0.8},  # shorter than every row
+        {f"t{t}": 0.1 * (j + 1) for j, t in enumerate(list(rows[2])[::-1])},  # 11 terms
+    ]
+    for weights in centroids:
+        got = _sims(vectors, Centroid(cluster_index=1, weights=weights))
+        assert _bits(got.tolist()) == _bits(oracles.sparse_dot(m, weights) for m in maps)
 
 
 # --- vectorize -------------------------------------------------------------

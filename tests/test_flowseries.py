@@ -7,6 +7,7 @@ import tempfile
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from opflow.corpus import Corpus, Document, parse_timestamp
 from opflow.flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
     DEFAULT_TEMPLATE,
+    Correlogram,
     DailySeries,
     LifecycleTemplate,
     TemplateFormatError,
@@ -278,6 +280,17 @@ def test_correlogram_is_scale_free_from_1e_minus_300_to_1e300(values, power, spi
             assert got is not None and abs(got - want) <= 1e-12
 
 
+def test_correlogram_rescales_tiny_windows_of_an_ordinary_series():
+    # the largest value is ordinary, but squares of the 1e-170 window
+    # underflow; they would in the oracle too, so it reads the window
+    # times 1e170, which r does not depend on
+    values = [1, 0, 1e-170, 3e-170, 2e-170, 5e-170, 4e-170, 7e-170]
+    corr = correlogram(series(values), DEFAULT_TEMPLATE, scales=[6], shifts=[2])
+    want = oracles.pearson([1, 3, 2, 5, 4, 7], sample_template(DEFAULT_TEMPLATE, 6))
+    assert round(want, 3) == 0.585
+    assert abs(corr.cells[(2, 6)] - want) <= 1e-12
+
+
 # --- peaks -----------------------------------------------------------------
 
 
@@ -319,8 +332,8 @@ def test_detect_peaks_empty_on_flat_series():
     assert detect_peaks(corr, threshold=0.0, top_n=5) == []
 
 
-# values with flat runs, repeats, and magnitudes whose squares underflow,
-# where the kernel itself returns nan or inf for a window that is not flat
+# values with flat runs, repeats, and magnitudes whose squares underflow
+# unless the kernel rescales (nan and inf cells are tested directly below)
 _CELL_VALUES = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0, 5.0]),
     st.sampled_from([0.0, 1e-200, 3e-200]),
@@ -363,6 +376,32 @@ def test_peaks_and_csv_match_the_tuple_sort_oracle(runs, template, threshold, to
         path = Path(tmp) / "c.csv"
         write_correlogram_csv(corr, path)
         assert path.read_bytes() == oracles.correlogram_csv(cells)
+
+
+def test_peaks_and_csv_read_nan_and_inf_cells_as_the_oracle_does(tmp_path):
+    # values the kernel no longer makes, in a hand-built correlogram
+    nan, inf = float("nan"), float("inf")
+    corr = Correlogram(
+        shifts=[0, 1, 2, 3],
+        scales=[2, 3],
+        values=np.array([[nan, inf, 0.5, 0.25], [-inf, inf, 0.75, 0.0]]),
+        admissible=np.array([[True, True, True, True], [True, True, True, False]]),
+        undefined=np.array([[False, False, False, True], [False, False, False, False]]),
+        start_date=START,
+    )
+    cells = dict(corr.cells)
+    for threshold, top_n in [(-1.5, 10), (0.6, 10), (0.0, 1), (1.5, 10)]:
+        got = [(p.shift, p.scale, p.value) for p in detect_peaks(corr, threshold, top_n)]
+        assert got == oracles.detect_peaks(cells, threshold, top_n)
+    assert [(p.shift, p.scale) for p in detect_peaks(corr, -1.5, 10)] == [
+        (1, 2), (1, 3), (2, 3), (2, 2)
+    ]
+    path = tmp_path / "c.csv"
+    write_correlogram_csv(corr, path)
+    assert path.read_bytes() == oracles.correlogram_csv(cells)
+    assert path.read_text() == (
+        "l,k,c\n0,2,nan\n0,3,-inf\n1,2,inf\n1,3,inf\n2,2,0.5\n2,3,0.75\n3,2,NA\n"
+    )
 
 
 # --- csv writers -----------------------------------------------------------
