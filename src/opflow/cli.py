@@ -421,9 +421,10 @@ def cluster_events(
     table = tokenized.select(corpus)
     df = document_frequencies(table)
     vectors = vectorize(table, df, len(table))
-    vectorized = set(vectors.doc_ids)
-    omitted = [doc_id for doc_id in table if doc_id not in vectorized]
-    if omitted:
+    omitted: list[str] = []
+    if len(vectors) < len(table):
+        vectorized = set(vectors.doc_ids)
+        omitted = [doc_id for doc_id in table if doc_id not in vectorized]
         log.warning("cluster: omitted %d zero-weight docs: %s", len(omitted), omitted[:5])
     seeds = seed_centroids(terms)
     clustering = kmeans_seeded(vectors, seeds, max_iter=config.max_iter, top_t=config.top_t)

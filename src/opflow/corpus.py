@@ -15,8 +15,7 @@ every corpus passes the same validation, merge and sort rules.  A
 :class:`Corpus` is an ascending array of rows of one table, so a query
 filter is a mask, a date filter a ``searchsorted`` on day ordinals, and
 a subset of a valid corpus is never validated again.  :class:`Document`
-objects are built only when asked for, by ``Corpus.documents`` or
-iteration.
+objects are built only when asked for, one at a time, by iteration.
 
 A record's output line is its input line, newline added where missing,
 when ``_RECORD_RE`` matches that line whole, which proves it equals the
@@ -192,33 +191,37 @@ class DocumentTable:
         lines: list[str],
         vocab: list[str],
         lengths: list[int],
-        term_ids: list[int],
+        term_ids: np.ndarray,
     ) -> DocumentTable:
-        """The table of id-unique rows given in any order."""
+        """The table of id-unique rows given in any order.  Rows already
+        in order, as every saved corpus is, are kept as given.  The token
+        arrays are read-only, so a tokenized form may share them."""
         stamps = np.array(micros, dtype=np.int64)
-        steps = np.diff(stamps)
-        ties = np.flatnonzero(steps == 0).tolist()
-        if (steps >= 0).all() and all(ids[i] < ids[i + 1] for i in ties):
-            order = np.arange(len(ids))  # already in order, as every saved corpus is
-        else:
-            by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
-            order = by_id[np.argsort(stamps[by_id], kind="stable")]
         names = sorted(set(sources))
         rank = {name: i for i, name in enumerate(names)}
         source_ids = np.fromiter(map(rank.__getitem__, sources), dtype=np.int64, count=len(sources))
-        entries, indptr = csr_take(csr_offsets(np.array(lengths, dtype=np.int64)), order)
-        stamps = stamps[order]
-        listed = order.tolist()
+        indptr = csr_offsets(np.array(lengths, dtype=np.int64))
+        steps = np.diff(stamps)
+        ties = np.flatnonzero(steps == 0).tolist()
+        if not ((steps >= 0).all() and all(ids[i] < ids[i + 1] for i in ties)):
+            by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+            order = by_id[np.argsort(stamps[by_id], kind="stable")]
+            entries, indptr = csr_take(indptr, order)
+            term_ids = term_ids[entries]
+            stamps, source_ids = stamps[order], source_ids[order]
+            listed = order.tolist()
+            ids, lines = [ids[i] for i in listed], [lines[i] for i in listed]
+        indptr.flags.writeable = term_ids.flags.writeable = False
         return cls(
-            ids=[ids[i] for i in listed],
+            ids=ids,
             micros=stamps,
             days=stamps // _DAY_MICROS + _EPOCH_ORDINAL,
             sources=names,
-            source_ids=source_ids[order],
-            lines=[lines[i] for i in listed],
+            source_ids=source_ids,
+            lines=lines,
             vocab=vocab,
             indptr=indptr,
-            term_ids=np.array(term_ids, dtype=np.int64)[entries],
+            term_ids=term_ids,
         )
 
     def __len__(self) -> int:
@@ -270,7 +273,8 @@ class Corpus:
         return f"<Corpus of {len(self)} documents>"
 
     def __iter__(self):
-        return iter(self.documents)
+        # one at a time: a corpus's documents take many times its lines
+        return map(self.table.document, self.rows.tolist())
 
     def _column(self, values: list) -> list:
         if len(self.rows) == len(self.table):
@@ -290,10 +294,6 @@ class Corpus:
     def days(self) -> np.ndarray:
         """UTC day ordinal of each document, ascending."""
         return self.table.days[self.rows]
-
-    @property
-    def documents(self) -> list[Document]:
-        return [self.table.document(i) for i in self.rows.tolist()]
 
     def subset(self, keep: np.ndarray) -> Corpus:
         """The documents where ``keep`` (one bool per document) holds."""
@@ -343,9 +343,13 @@ def csr_entry_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def csr_take(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def csr_take(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray]:
     """Entry indices of ``rows``, row after row, and the row pointer of
-    the rows so taken."""
+    the rows so taken.  The entries of a run of consecutive rows are a
+    slice, so what they index is a view, not a copy."""
+    if len(rows) and (np.diff(rows) == 1).all():
+        start, end = indptr[rows[0]], indptr[rows[-1] + 1]
+        return slice(start, end), indptr[rows[0]:rows[-1] + 2] - start
     lengths = indptr[rows + 1] - indptr[rows]
     taken = csr_offsets(lengths)
     entries = np.repeat(indptr[rows] - taken[:-1], lengths) + np.arange(taken[-1])
@@ -363,7 +367,8 @@ class TermTable:
     are ``row_terms`` and ``row_counts`` over ``row_ptr[i]:row_ptr[i + 1]``.
     ``len()`` is the number of documents and iteration yields their ids.
     A table tokenized from a corpus keeps it: its rows are the corpus's
-    documents, in order.
+    documents, in order.  A table selected from another shares its
+    arrays when its rows are a run of the other's.
     """
 
     doc_ids: list[str]
@@ -407,26 +412,41 @@ class TermTable:
         # rows*V*width.  A (row, term) group starts where key // width
         # changes; its count goes to its first token's position, so the
         # nonzero counts, read in text order, give each row's distinct
-        # terms without a second sort.
+        # terms without a second sort.  The keys are built, and then
+        # overwritten with the counts, in one buffer.
         n, n_terms = len(term_ids), len(vocab)
-        width = int(np.diff(indptr).max(initial=0))
-        token_rows = csr_entry_rows(indptr)
-        keys = (token_rows * n_terms + term_ids) * width - indptr[token_rows]
+        lengths = np.diff(indptr)
+        width = int(lengths.max(initial=0))
+        keys = np.repeat(np.arange(len(lengths)) * (n_terms * width) - indptr[:-1], lengths)
         keys += np.arange(n)
+        keys += term_ids * width
         keys.sort()
         groups = keys // width
-        first = np.flatnonzero(np.diff(groups, prepend=-1))
-        counts = np.zeros(n, dtype=np.int64)
+        starts = np.ones(n, dtype=bool)
+        np.not_equal(groups[1:], groups[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        # sorting kept each row's tokens in its own span of keys
+        row_ptr = np.searchsorted(first, indptr)
         at = groups[first]
-        counts[indptr[at // n_terms] + keys[first] - at * width] = np.diff(first, append=n)
+        del groups
+        at //= n_terms
+        at = indptr[at]
+        offsets = keys[first]
+        offsets %= width
+        at += offsets  # each group's first token
+        del offsets
+        counts = keys  # the keys are spent: reuse their buffer
+        counts.fill(0)
+        counts[at[:-1]] = np.diff(first)  # a group runs to the next one
+        counts[at[-1:]] = n - first[-1:]  # and the last to the end
+        del at, first
         distinct = np.flatnonzero(counts)
         return cls(
             doc_ids=doc_ids,
             vocab=vocab,
             indptr=indptr,
             term_ids=term_ids,
-            # sorting kept each row's tokens in its own span of keys
-            row_ptr=np.searchsorted(first, indptr),
+            row_ptr=row_ptr,
             row_terms=term_ids[distinct],
             row_counts=counts[distinct],
             corpus=corpus,
@@ -505,10 +525,17 @@ def tokenize_corpus(
     corpus: Corpus, stopwords: frozenset[str] | set[str] = frozenset()
 ) -> TermTable:
     """Tokenized form of every document, one row each, in corpus order:
-    the table's token streams with the stopwords' ids dropped."""
+    the table's token streams with the stopwords' ids dropped.  The
+    streams of a corpus of every row, with no stopwords, are the
+    table's own read-only arrays."""
     table = corpus.table
-    entries, indptr = csr_take(table.indptr, corpus.rows)
-    term_ids = table.term_ids[entries]
+    if len(corpus) == len(table):
+        # every row, in table order: share the table's read-only arrays
+        indptr, term_ids = table.indptr, table.term_ids
+    else:
+        entries, indptr = csr_take(table.indptr, corpus.rows)
+        term_ids = table.term_ids[entries]
+        del entries
     if stopwords:
         dropped = np.array([term in stopwords for term in table.vocab], dtype=bool)
         kept = ~dropped[term_ids]
@@ -661,7 +688,9 @@ def _read_lines(numbered: Iterable[tuple[int, str]]) -> Corpus:
         lines.append(out)
         lengths.append(len(terms))
         term_ids.extend(terms)
-    table = DocumentTable.build(ids, micros, sources, lines, list(vocab), lengths, term_ids)
+    tokens = np.array(term_ids, dtype=np.int64)
+    del term_ids  # the array holds the stream now
+    table = DocumentTable.build(ids, micros, sources, lines, list(vocab), lengths, tokens)
     return Corpus(table, np.arange(len(table), dtype=np.int64))
 
 

@@ -39,6 +39,12 @@ from .corpus import TermTable, csr_entry_rows, csr_offsets, csr_take
 from .termbase import inverse_document_frequencies
 
 UNASSIGNED = 0
+# one member of the cluster report, and the text between two members
+_MEMBER = '{\n          "doc_id": %s,\n          "sim": %r\n        }'
+_MEMBER_GLUE = ",\n        "
+# members formatted per write of the cluster report, which bounds the
+# memory the report takes whatever the clusters' sizes
+_MEMBERS_CHUNK = 1024
 
 
 class SimCounter:
@@ -74,7 +80,7 @@ class DocVectors:
         return len(self.doc_ids)
 
     @cached_property
-    def _columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _columns(self) -> np.ndarray:
         return _columns_of(self.indptr)
 
     @cached_property
@@ -88,8 +94,10 @@ class DocVectors:
         # permutation of equal ids does not depend on the key width
         keys = self.terms.astype(np.uint16) if len(self.vocab) <= 1 << 16 else self.terms
         order = np.argsort(keys, kind="stable")
+        del keys
         pointer = csr_offsets(np.bincount(self.terms, minlength=len(self.vocab)))
-        return pointer, csr_entry_rows(self.indptr)[order], self.weights[order]
+        rows = np.repeat(np.arange(len(self), dtype=_index_dtype(len(self))), np.diff(self.indptr))
+        return pointer, rows[order], self.weights[order]
 
     @cached_property
     def _id_order(self) -> np.ndarray:
@@ -127,22 +135,32 @@ class Clustering:
     iterations: int
 
 
-def _columns_of(indptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Column ``j`` of the rows padded to equal length: the rows that
-    have a ``j``-th entry, and those entries' indices."""
+def _index_dtype(top: int) -> type:
+    """The narrower integer type that holds indices up to ``top``."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
+def _columns_of(indptr: np.ndarray) -> np.ndarray:
+    """The rows padded to equal length, as a (width x rows) matrix of
+    entry indices: row ``i``'s ``j``-th entry index at ``[j, i]``, and
+    ``indptr[-1]``, one past the last entry, where the row is shorter."""
     lengths = np.diff(indptr)
-    columns = []
-    for j in range(int(lengths.max(initial=0))):
-        rows = np.flatnonzero(lengths > j)
-        columns.append((rows, indptr[rows] + j))
+    starts, end = indptr[:-1], int(indptr[-1])
+    columns = np.empty((int(lengths.max(initial=0)), len(lengths)), dtype=_index_dtype(end))
+    for j, column in enumerate(columns):
+        column[:] = np.where(lengths > j, starts + j, end)
     return columns
 
 
-def _row_sums(values: np.ndarray, columns: list, n_rows: int) -> np.ndarray:
-    """Sum of each row's values, added left to right from 0.0."""
-    total = np.zeros(n_rows)
-    for rows, entries in columns:
-        total[rows] += values[entries]
+def _row_sums(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Sum of each row's values, added left to right from 0.0, where
+    ``values`` holds the entries and then one 0.0, at which
+    :func:`_columns_of` points a row's padding.  A sum that starts at
+    +0.0 is never -0.0, and adding +0.0 changes no other value, so the
+    padding changes no bit of any sum."""
+    total = np.zeros(columns.shape[1])
+    for column in columns:
+        total += values[column]
     return total
 
 
@@ -156,19 +174,27 @@ def vectorize(tokenized: TermTable, df: np.ndarray, n_docs: int) -> DocVectors:
     if n_docs < 1:
         raise ValueError("corpus size must be >= 1")
     idf = inverse_document_frequencies(df, n_docs)
-    raw = tokenized.row_counts * idf[tokenized.row_terms]
+    raw = idf[tokenized.row_terms]
+    raw *= tokenized.row_counts
+    rows = csr_entry_rows(tokenized.row_ptr)
+    terms = tokenized.row_terms
     kept = raw > 0.0
-    raw = raw[kept]
-    rows = csr_entry_rows(tokenized.row_ptr)[kept]
+    if not kept.all():
+        raw, rows, terms = raw[kept], rows[kept], terms[kept]
     indptr = csr_offsets(np.bincount(rows, minlength=len(tokenized)))
-    norms = np.sqrt(_row_sums(raw * raw, _columns_of(indptr), len(tokenized)))
+    squares = np.empty(len(raw) + 1)
+    np.multiply(raw, raw, out=squares[:-1])
+    squares[-1] = 0.0
+    norms = np.sqrt(_row_sums(squares, _columns_of(indptr)))
+    del squares
+    raw /= norms[rows]
     nonempty = np.flatnonzero(np.diff(indptr))
     return DocVectors(
         doc_ids=[tokenized.doc_ids[i] for i in nonempty.tolist()],
         vocab=tokenized.vocab,
         indptr=csr_offsets(np.diff(indptr)[nonempty]),
-        terms=tokenized.row_terms[kept],
-        weights=raw / norms[rows],
+        terms=terms,
+        weights=raw,
     )
 
 
@@ -207,8 +233,12 @@ def _sims(vectors: DocVectors, centroid: Centroid) -> np.ndarray:
         for term_id, w in known:
             dense[term_id] = w
         # a row no longer than the centroid has no entry past column ``size``
-        products = vectors.weights * dense[vectors.terms]
-        sims = _row_sums(products, vectors._columns[:size], len(vectors))
+        products = np.empty(len(vectors.terms) + 1)
+        # every id is in range; "clip" writes into ``out`` without a buffer
+        np.take(dense, vectors.terms, out=products[:-1], mode="clip")
+        products[:-1] *= vectors.weights
+        products[-1] = 0.0
+        sims = _row_sums(products, vectors._columns[:size])
     if longer.any():
         pointer, rows, doc_weights = vectors._by_term
         in_centroid_order = np.zeros(len(vectors))
@@ -323,18 +353,15 @@ def kmeans_seeded(
     )
 
 
-def _members_block(doc_ids: list[str], sims: list[float]) -> str:
-    """The "members" list of one cluster, laid out as ``json.dump`` with
-    ``indent=2`` lays it out at that depth of the report: one ``%``
-    format over the interleaved (encoded id, sim) values."""
-    if not doc_ids:
-        return "[]"
-    member = '{\n          "doc_id": %s,\n          "sim": %r\n        }'
-    values = [None] * (2 * len(doc_ids))
-    values[::2] = map(encode_basestring_ascii, doc_ids)
-    values[1::2] = sims
-    members = ",\n        ".join([member] * len(doc_ids)) % tuple(values)
-    return "[\n        " + members + "\n      ]"
+def _members_chunk(doc_ids: list[str], sims: np.ndarray, rows: list[int]) -> str:
+    """Members of the given rows, laid out and joined as ``json.dump``
+    with ``indent=2`` lays out a "members" list at that depth of the
+    report: one ``%`` format over the interleaved (encoded id, sim)
+    values."""
+    values = [None] * (2 * len(rows))
+    values[::2] = map(encode_basestring_ascii, map(doc_ids.__getitem__, rows))
+    values[1::2] = sims[rows].tolist()
+    return _MEMBER_GLUE.join([_MEMBER] * len(rows)) % tuple(values)
 
 
 def write_cluster_report(
@@ -342,18 +369,20 @@ def write_cluster_report(
 ) -> None:
     """One JSON document describing clusters, members (in doc-id order), and the Q trace.
 
-    ``json.dumps(indent=2, sort_keys=True)`` writes the report with every
-    member list empty, and each ``"members": []`` is then replaced by the
-    list written directly.  The text ``"members": []`` can only be such a
-    key: a string's own quotes are escaped.
+    ``json.dumps(indent=2, sort_keys=True)`` lays the report out with
+    every member list empty.  It is written piece by piece, with each
+    ``"members": []`` replaced by its cluster's list, written directly
+    a chunk of members at a time, so the report is never held whole.
+    The text ``"members": []`` can only be such a key: a string's own
+    quotes are escaped.
     """
     order = clustering.vectors._id_order
     labels = clustering.labels[order]
     doc_ids = clustering.vectors.doc_ids
-    members = {}
-    for j in [c.cluster_index for c in clustering.centroids] + [UNASSIGNED]:
-        rows = order[labels == j].tolist()
-        members[j] = ([doc_ids[i] for i in rows], clustering.sims[rows].tolist())
+    rows_of = {
+        j: order[labels == j]
+        for j in [c.cluster_index for c in clustering.centroids] + [UNASSIGNED]
+    }
     clusters = [
         {
             "index": c.cluster_index,
@@ -362,7 +391,7 @@ def write_cluster_report(
                 {"term": t, "weight": w}
                 for t, w in sorted(c.weights.items(), key=lambda item: (-item[1], item[0]))
             ],
-            "member_count": len(members[c.cluster_index][0]),
+            "member_count": len(rows_of[c.cluster_index]),
             "members": [],
         }
         for c in clustering.centroids
@@ -371,13 +400,18 @@ def write_cluster_report(
         "iterations": clustering.iterations,
         "q_history": clustering.q_history,
         "clusters": clusters,
-        "unassigned_doc_ids": members[UNASSIGNED][0],
+        "unassigned_doc_ids": [doc_ids[i] for i in rows_of[UNASSIGNED].tolist()],
         "omitted_doc_ids": sorted(omitted_doc_ids),
     }
     pieces = json.dumps(report, indent=2, sort_keys=True).split('"members": []')
-    blocks = [_members_block(*members[c.cluster_index]) for c in clustering.centroids]
-    text = pieces[0] + "".join(
-        '"members": ' + block + piece for block, piece in zip(blocks, pieces[1:])
-    )
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.write(pieces[0])
+        for c, piece in zip(clustering.centroids, pieces[1:]):
+            rows = rows_of[c.cluster_index]
+            handle.write('"members": [')
+            for start in range(0, len(rows), _MEMBERS_CHUNK):
+                part = rows[start:start + _MEMBERS_CHUNK].tolist()
+                handle.write(_MEMBER_GLUE if start else "\n        ")
+                handle.write(_members_chunk(doc_ids, clustering.sims, part))
+            handle.write(("\n      ]" if len(rows) else "]") + piece)
+        handle.write("\n")

@@ -190,43 +190,44 @@ def generate_cluster_corpus(
     cumulative = np.cumsum(weights)
     root = np.random.SeedSequence(spec.rng_seed)
     streams = root.spawn(len(spec.clusters))
-    documents: list[Document] = []
     truth: dict[str, int] = {}
-    for j, (cdef, stream) in enumerate(zip(spec.clusters, streams), start=1):
-        rng = np.random.Generator(np.random.PCG64(stream))
-        for i in range(cdef.doc_count):
-            day_index = _draw_day(rng, cumulative)
-            second = int(rng.random() * _SECONDS_PER_DAY)
-            published = datetime.combine(
-                series.start_date + timedelta(days=day_index),
-                datetime.min.time(),
-                tzinfo=timezone.utc,
-            ) + timedelta(seconds=second)
-            body_terms = [
-                cdef.topical_vocab[int(rng.integers(0, len(cdef.topical_vocab)))]
-                for _ in range(spec.topical_terms_per_doc)
-            ]
-            body_terms += [
-                spec.shared_vocab[int(rng.integers(0, len(spec.shared_vocab)))]
-                for _ in range(spec.shared_terms_per_doc)
-            ]
-            # keyword goes in as an adjacent token run so phrase
-            # keywords survive tokenization
-            slot = int(rng.integers(0, len(body_terms) + 1))
-            body_terms[slot:slot] = cdef.keyword.split(" ")
-            source = spec.sources[int(rng.integers(0, len(spec.sources)))]
-            doc_id = f"c{j:02d}d{i:04d}"
-            documents.append(
-                Document(
+
+    def documents():
+        # made one at a time, so the corpus reads each and holds only its line
+        for j, (cdef, stream) in enumerate(zip(spec.clusters, streams), start=1):
+            rng = np.random.Generator(np.random.PCG64(stream))
+            for i in range(cdef.doc_count):
+                day_index = _draw_day(rng, cumulative)
+                second = int(rng.random() * _SECONDS_PER_DAY)
+                published = datetime.combine(
+                    series.start_date + timedelta(days=day_index),
+                    datetime.min.time(),
+                    tzinfo=timezone.utc,
+                ) + timedelta(seconds=second)
+                body_terms = [
+                    cdef.topical_vocab[int(rng.integers(0, len(cdef.topical_vocab)))]
+                    for _ in range(spec.topical_terms_per_doc)
+                ]
+                body_terms += [
+                    spec.shared_vocab[int(rng.integers(0, len(spec.shared_vocab)))]
+                    for _ in range(spec.shared_terms_per_doc)
+                ]
+                # keyword goes in as an adjacent token run so phrase
+                # keywords survive tokenization
+                slot = int(rng.integers(0, len(body_terms) + 1))
+                body_terms[slot:slot] = cdef.keyword.split(" ")
+                source = spec.sources[int(rng.integers(0, len(spec.sources)))]
+                doc_id = f"c{j:02d}d{i:04d}"
+                truth[doc_id] = j
+                yield Document(
                     id=doc_id,
                     published_at=published,
                     source=source,
                     title=cdef.keyword,
                     body=" ".join(body_terms),
                 )
-            )
-            truth[doc_id] = j
-    return Corpus.from_documents(documents), truth
+
+    return Corpus.from_documents(documents()), truth
 
 
 def write_ground_truth(truth: dict[str, int], path) -> None:

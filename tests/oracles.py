@@ -144,6 +144,18 @@ def sparse_dot(vector, centroid):
     return _left_to_right(w * large[t] for t, w in small.items() if t in large)
 
 
+def row_sums_by_column(values, indptr, size):
+    """Each CSR row's first ``size`` values (all of a shorter row's)
+    summed left to right from 0.0, one column of the rows at a time:
+    column ``j`` is scattered onto the rows that have a ``j``-th entry."""
+    lengths = np.diff(indptr)
+    total = np.zeros(len(lengths))
+    for j in range(size):
+        rows = np.flatnonzero(lengths > j)
+        total[rows] += values[indptr[rows] + j]
+    return total
+
+
 def seeded_kmeans(docs, seed_terms, max_iter, top_t):
     """Keyword-seeded k-means on plain dicts, step by step.
 

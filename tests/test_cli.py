@@ -20,15 +20,20 @@ from opflow.cli import (
     PIPELINE_ARTIFACTS,
     PipelineConfig,
     build_config,
+    cluster_events,
     main,
     parse_grid,
     parse_query,
     resolve_grids,
 )
-from opflow.corpus import Corpus, Document, load_corpus, save_corpus
+import numpy as np
+
+from opflow.corpus import Corpus, Document, load_corpus, save_corpus, tokenize_corpus
+from opflow.eventcluster import vectorize
 from opflow.errors import ConfigError, DataError
 from opflow.flowseries import smooth
 from opflow.synthflow import load_burst_spec, load_cluster_spec, read_kv_file
+from opflow.termbase import document_frequencies
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -474,6 +479,30 @@ def test_cluster_term_file_skips_comments_and_repeats(fx, tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / CLUSTERS_JSON).read_text())
     assert [c["seed_terms"] for c in report["clusters"]] == [["protest"], ["referendum"]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(["protest", "march", "vote"]), max_size=3),
+                          st.sampled_from(["shared words", "protest", "march vote"])),
+                min_size=1, max_size=8))
+def test_cluster_omits_exactly_the_docs_left_without_a_vector(texts):
+    # a word in every document has df == N and zero weight; ids run
+    # against time order
+    docs = [
+        Document(id=f"d{len(texts) - i}", published_at=datetime(2016, 6, 1, 9, i, tzinfo=timezone.utc),
+                 source="wire", title=" ".join(words), body=body)
+        for i, (words, body) in enumerate(texts)
+    ]
+    corpus = Corpus.from_documents(docs)
+    tokenized = tokenize_corpus(corpus)
+    vectors = vectorize(tokenized, document_frequencies(tokenized), len(tokenized))
+    vectorized = set(vectors.doc_ids)
+    omitted, clustering = cluster_events(corpus, tokenized, ["protest"], PipelineConfig())
+    assert omitted == [doc_id for doc_id in tokenized if doc_id not in vectorized]
+    assert clustering.vectors.doc_ids == vectors.doc_ids
+    # a weight is copied out only when some term has zero weight
+    dropped = len(vectors.terms) < len(tokenized.row_terms)
+    assert np.shares_memory(vectors.terms, tokenized.row_terms) == (not dropped)
 
 
 def test_cluster_reports_docs_without_a_vector(tmp_path, caplog):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import re
 import time
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from opflow.corpus import (
     _RECORD_RE,
     _extract_tokens,
     _term_ids,
+    csr_offsets,
+    csr_take,
     filter_by_dates,
     filter_by_query,
     format_timestamp,
@@ -121,7 +125,7 @@ def test_document_day_agrees_with_corpus_days_for_any_offset():
     assert c.days.tolist() == [d.day().toordinal()]
     assert len(filter_by_dates(c, date(2016, 6, 24), date(2016, 6, 24))) == 1
     assert len(filter_by_dates(c, date(2016, 6, 25), date(2016, 6, 25))) == 0
-    assert c.documents == [d] and c.documents[0].day() == d.day()
+    assert list(c) == [d] and next(iter(c)).day() == d.day()
 
 
 def test_corpus_equality_compares_records(tmp_path):
@@ -171,7 +175,7 @@ def test_corpus_days_are_utc_day_ordinals():
 
 def test_from_documents_of_no_documents_is_empty():
     c = Corpus.from_documents([])
-    assert len(c) == 0 and c.days.tolist() == [] and c.documents == []
+    assert len(c) == 0 and c.days.tolist() == [] and list(c) == []
 
 
 # --- tokenization ----------------------------------------------------------
@@ -215,6 +219,55 @@ def test_contains_phrase_needs_adjacency():
     assert table(["big", "terrorist"], ["act"]).contains_any(["terrorist act"]).tolist() == [
         False, False
     ]
+
+
+def test_tokenizing_a_whole_loaded_corpus_shares_the_tables_read_only_arrays(fixtures_dir):
+    corpus = load_corpus(fixtures_dir / "corpus.jsonl")
+    tokenized = tokenize_corpus(corpus)
+    assert np.shares_memory(tokenized.term_ids, corpus.table.term_ids)
+    assert np.shares_memory(tokenized.indptr, corpus.table.indptr)
+    for array in (tokenized.term_ids, tokenized.indptr, corpus.table.term_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # stopwords give the table a stream of its own
+    assert not np.shares_memory(tokenize_corpus(corpus, {"protest"}).term_ids, corpus.table.term_ids)
+
+
+def test_term_table_peak_memory_is_a_few_token_arrays():
+    # numpy reports its buffers to tracemalloc, so the bound holds on
+    # every platform; 8 bytes per token is one int64 array of the stream
+    rng = np.random.default_rng(3)
+    indptr = csr_offsets(rng.integers(0, 30, 20_000))
+    term_ids = rng.integers(0, 2_000, int(indptr[-1]))
+    doc_ids = [f"d{i}" for i in range(len(indptr) - 1)]
+    vocab = [f"t{i}" for i in range(2_000)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        TermTable.from_stream(doc_ids, vocab, indptr, term_ids)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * len(term_ids), peak / (8 * len(term_ids))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(0, 4), max_size=10), data=st.data())
+def test_csr_take_of_a_run_of_rows_is_a_slice(lengths, data):
+    indptr = csr_offsets(np.array(lengths, dtype=np.int64))
+    rows = np.array(data.draw(st.one_of(
+        st.integers(0, len(lengths)).flatmap(
+            lambda lo: st.integers(lo, len(lengths)).map(lambda hi: list(range(lo, hi)))
+        ),
+        st.permutations(range(len(lengths))),
+    )), dtype=np.int64)
+    entries, taken = csr_take(indptr, rows)
+    want = [e for r in rows.tolist() for e in range(indptr[r], indptr[r + 1])]
+    assert np.arange(indptr[-1])[entries].tolist() == want
+    assert taken.tolist() == csr_offsets(np.diff(indptr)[rows]).tolist()
+    run = len(rows) > 0 and rows.tolist() == list(range(rows[0], rows[0] + len(rows)))
+    assert isinstance(entries, slice) == run
 
 
 # --- queries ---------------------------------------------------------------
@@ -267,7 +320,7 @@ GOOD_LINE = (
 def test_load_corpus_happy_path(tmp_path):
     p = _write(tmp_path, "c.jsonl", GOOD_LINE + "\n")
     c = load_corpus(p)
-    assert len(c) == 1 and c.documents[0].id == "a"
+    assert len(c) == 1 and next(iter(c)).id == "a"
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):
@@ -301,7 +354,7 @@ def test_load_corpus_token_check_agrees_with_the_tokenizer(tmp_path, title, has_
     line = GOOD_LINE.replace("Referendum", title).replace("words here", "")
     p = _write(tmp_path, "c.jsonl", line + "\n")
     if has_tokens:
-        assert load_corpus(p).documents[0].title == title
+        assert next(iter(load_corpus(p))).title == title
     else:
         with pytest.raises(CorpusFormatError, match="line 1: .* has no tokens"):
             load_corpus(p)
@@ -673,6 +726,34 @@ def documents(draw):
     return docs
 
 
+@settings(max_examples=150, deadline=None)
+@given(documents(), st.data())
+def test_tokenized_subsets_equal_their_documents_tokens(docs, data):
+    # a run of rows (a date range) is taken by views, any other subset
+    # by copies; both must give the rows of the documents' own tokens
+    c = Corpus.from_documents(docs)
+    days = sorted(set(c.days.tolist()))
+    lo = data.draw(st.sampled_from(days))
+    hi = data.draw(st.sampled_from([d for d in days if d >= lo]))
+    ranged = filter_by_dates(c, date.fromordinal(lo), date.fromordinal(hi))
+    masked = c.subset(np.array(data.draw(st.lists(st.booleans(), min_size=len(c), max_size=len(c)))))
+    whole = tokenize_corpus(c)
+    for sub in (ranged, masked):
+        want = [_extract_tokens(d.title + " " + d.body) for d in sub]
+        oracle = table(*want)
+        for got in (tokenize_corpus(sub), whole.select(sub)):
+            assert list(got) == sub.ids
+            assert _csr_terms(got.indptr, got.term_ids, got.vocab) == want
+            assert _csr_terms(got.row_ptr, got.row_terms, got.vocab) == _csr_terms(
+                oracle.row_ptr, oracle.row_terms, oracle.vocab
+            )
+            assert got.row_counts.tolist() == oracle.row_counts.tolist()
+
+
+def _csr_terms(indptr, term_ids, vocab):
+    return [[vocab[t] for t in term_ids[a:b].tolist()] for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 @given(documents())
 def test_from_documents_always_sorted(docs):
     c = Corpus.from_documents(docs)
@@ -685,7 +766,7 @@ def test_round_trip_preserves_documents(docs, tmp_path_factory):
     c = Corpus.from_documents(docs)
     p = tmp_path_factory.mktemp("rt") / "c.jsonl"
     save_corpus(c, p)
-    assert load_corpus(p).documents == c.documents
+    assert list(load_corpus(p)) == list(c)
 
 
 @given(st.text())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from opflow.eventcluster import (
     Centroid,
     Clustering,
     DocVectors,
+    _columns_of,
+    _row_sums,
     _sims,
     assign,
     kmeans_seeded,
@@ -131,6 +134,34 @@ def test_postings_and_sims_of_a_vocabulary_wider_than_16_bits():
     for weights in centroids:
         got = _sims(vectors, Centroid(cluster_index=1, weights=weights))
         assert _bits(got.tolist()) == _bits(oracles.sparse_dot(m, weights) for m in maps)
+
+
+@st.composite
+def csr_layouts(draw):
+    """Row lengths with empty rows, all rows empty (width 0) or one long
+    row; finite values of either sign; and a column cut up to the width."""
+    lengths = draw(st.one_of(
+        st.lists(st.integers(0, 6), max_size=12),
+        st.lists(st.just(0), min_size=1, max_size=4),
+        st.integers(20, 60).map(lambda n: [0, n, 1, 0]),
+    ))
+    n = sum(lengths)
+    values = draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n))
+    return lengths, values, draw(st.integers(0, max(lengths, default=0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_layouts())
+def test_padded_row_sums_equal_the_column_scatter_bit_for_bit(layout):
+    # the padding adds +0.0, which changes no sum that starts at +0.0
+    lengths, values, size = layout
+    indptr = csr_offsets(np.array(lengths, dtype=np.int64))
+    values = np.array(values, dtype=float)
+    columns = _columns_of(indptr)
+    assert columns.shape == (max(lengths, default=0), len(lengths))
+    got = _row_sums(np.append(values, 0.0), columns[:size])
+    want = oracles.row_sums_by_column(values, indptr, size)
+    assert _bits(got.tolist()) == _bits(want.tolist())
 
 
 # --- vectorize -------------------------------------------------------------
@@ -421,6 +452,38 @@ def test_cluster_report_equals_json_dump_of_the_whole_report(case, tmp_path_fact
 
 # rows of 8 or more terms tell a pairwise sum (np.sum) from a left-to-right one
 WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "terrorist", "act"]
+
+
+def test_cluster_report_is_written_a_chunk_of_members_at_a_time(tmp_path):
+    # six clusters of about 3,300 members each, several chunks apiece,
+    # and a few unassigned docs; the id order is cached beforehand, as
+    # the k-means passes leave it, so only the writer is measured
+    rng = np.random.default_rng(5)
+    n = 20_000
+    ids = [f"doc-{i:06d}" for i in rng.permutation(n).tolist()]
+    vectors = DocVectors(ids, ["aa"], np.zeros(n + 1, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64), np.zeros(0))
+    clustering = Clustering(
+        vectors=vectors,
+        labels=rng.choice(7, size=n, p=[0.04] + [0.16] * 6),
+        sims=rng.random(n),
+        centroids=[Centroid(j, {"aa": 1.0}, [f"s{j}"]) for j in range(1, 7)],
+        q_history=[1.0],
+        iterations=1,
+    )
+    vectors._id_order
+    path = tmp_path / "clusters.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_cluster_report(clustering, path, [])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.6 * size, (peak, size)
+    assert path.read_text(encoding="utf-8") == oracles.cluster_report(clustering, [])
 
 
 @st.composite

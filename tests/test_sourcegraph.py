@@ -142,7 +142,7 @@ def test_source_link_graph_skips_empty_days():
 def test_source_link_graph_ignores_document_order():
     days = [["B", "A", "A"], ["C"], ["A"], ["B", "B"]]
     corpus = mkcorpus(days)
-    shuffled = Corpus.from_documents(list(reversed(corpus.documents)))
+    shuffled = Corpus.from_documents(list(corpus)[::-1])
     a = source_link_graph(corpus)
     b = source_link_graph(shuffled)
     assert a.edges == b.edges
