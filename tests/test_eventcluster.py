@@ -471,7 +471,7 @@ def test_cluster_report_is_written_a_chunk_of_members_at_a_time(tmp_path):
         q_history=[1.0],
         iterations=1,
     )
-    vectors._id_order
+    assert len(vectors._id_order) == n
     path = tmp_path / "clusters.json"
     tracemalloc.start()
     try:
