@@ -8,6 +8,7 @@ import json
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,11 +27,9 @@ from opflow.cli import (
     parse_query,
     resolve_grids,
 )
-import numpy as np
-
 from opflow.corpus import Corpus, Document, load_corpus, save_corpus, tokenize_corpus
-from opflow.eventcluster import vectorize
 from opflow.errors import ConfigError, DataError
+from opflow.eventcluster import vectorize
 from opflow.flowseries import smooth
 from opflow.synthflow import load_burst_spec, load_cluster_spec, read_kv_file
 from opflow.termbase import document_frequencies
