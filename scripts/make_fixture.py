@@ -2,9 +2,9 @@
 """Regenerate the bundled test fixture under tests/fixtures.
 
 The fixture is fully determined by the two spec files this script
-writes first; the corpus, series, and truth files are derived from them
-with fixed seeds, so reruns on the same platform reproduce identical
-bytes.
+writes first; `opflow synth` derives the series, corpus, and truth
+files from them with fixed seeds, so reruns on the same platform
+reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -12,15 +12,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from opflow.corpus import save_corpus
-from opflow.flowseries import DEFAULT_TEMPLATE, write_series_csv
-from opflow.synthflow import (
-    generate_burst_series,
-    generate_cluster_corpus,
-    load_burst_spec,
-    load_cluster_spec,
-    write_ground_truth,
-)
+from opflow.cli import main as opflow_main
+from opflow.flowseries import DEFAULT_TEMPLATE
 
 BURST_SPEC = """\
 # one lifecycle-shaped bump in a two-month window
@@ -100,14 +93,15 @@ def main() -> int:
     (out / "lexicon.txt").write_text(LEXICON, encoding="utf-8")
     (out / "template.txt").write_text(template_lines(), encoding="utf-8")
 
-    burst = load_burst_spec(out / "burst.spec")
-    spec = load_cluster_spec(out / "clusters.spec")
-    series = generate_burst_series(DEFAULT_TEMPLATE, burst)
-    write_series_csv(series, out / "series.csv")
-    corpus, truth = generate_cluster_corpus(spec, DEFAULT_TEMPLATE, burst)
-    save_corpus(corpus, out / "corpus.jsonl")
-    write_ground_truth(truth, out / "truth.tsv")
-    print(f"fixture: {len(corpus)} docs over {len(series.values)} days -> {out}")
+    status = opflow_main([
+        "synth", "--burst-spec", str(out / "burst.spec"),
+        "--cluster-spec", str(out / "clusters.spec"), "--out-dir", str(out),
+    ])
+    if status:
+        return status
+    for name in ("series.csv", "corpus.jsonl", "truth.tsv"):
+        (out / f"synth_{name}").replace(out / name)
+    print(f"fixture written to {out}")
     return 0
 
 

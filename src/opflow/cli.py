@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -184,6 +185,8 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     ):
         if path is not None and not Path(path).is_file():
             raise ConfigError(f"{label} file not found: {path}")
+    if math.isnan(config.threshold):
+        raise ConfigError("peak threshold must be a number, got nan")
     if config.window < 1 or config.window % 2 == 0:
         raise ConfigError(
             f"smoothing window must be odd and positive, got {config.window}"
@@ -238,24 +241,28 @@ def parse_query(query_text: str, exclude_text: str = "") -> FlowQuery | None:
         raise ConfigError(str(exc)) from None
 
 
-def parse_grid(text: str, name: str) -> list[int]:
-    """"a..b" for an inclusive range, or a comma list of integers."""
+def parse_grid(text: str, name: str, valid: range | None = None) -> list[int]:
+    """"a..b" for an inclusive range, or a comma list of integers; sorted,
+    without repeats.  With ``valid``, the grid's two ends must lie in it,
+    which is checked before a range is expanded."""
     text = text.strip()
     try:
         if ".." in text:
             lo_text, _, hi_text = text.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        values = sorted({int(piece) for piece in text.split(",") if piece.strip()})
-        if not values:
+            grid = range(int(lo_text), int(hi_text) + 1)
+        else:
+            grid = sorted({int(piece) for piece in text.split(",") if piece.strip()})
+        if not grid:
             raise ValueError
-        return values
     except ValueError:
         raise ConfigError(
             f"bad {name} grid {text!r}: use 'a..b' or a comma list of integers"
         ) from None
+    if valid is not None and not (grid[0] in valid and grid[-1] in valid):
+        raise ConfigError(
+            f"{name}s {text!r} outside the valid range [{valid[0]}, {valid[-1]}]"
+        )
+    return list(grid)
 
 
 def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]:
@@ -263,17 +270,11 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
     if n < 2:
         raise DataError(f"series of {n} day(s) is too short for correlation")
     if config.scales:
-        scales = parse_grid(config.scales, "scale")
-        bad = [k for k in scales if k < 2 or k > n]
-        if bad:
-            raise ConfigError(f"scales {bad} outside the valid range [2, {n}]")
+        scales = parse_grid(config.scales, "scale", range(2, n + 1))
     else:
         scales = list(range(min(7, n), n + 1)) if n >= 7 else list(range(2, n + 1))
     if config.shifts:
-        shifts = parse_grid(config.shifts, "shift")
-        bad = [l for l in shifts if l < 0 or l > n - 2]
-        if bad:
-            raise ConfigError(f"shifts {bad} outside the valid range [0, {n - 2}]")
+        shifts = parse_grid(config.shifts, "shift", range(0, n - 1))
     else:
         shifts = list(range(0, n - min(scales) + 1))
     return scales, shifts

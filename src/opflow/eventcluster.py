@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,17 +48,9 @@ _MEMBER_GLUE = ",\n        "
 _MEMBERS_CHUNK = 1024
 
 
-class SimCounter:
-    """Counts similarity evaluations; lets tests audit the per-pass work."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def reset(self) -> None:
-        self.count = 0
-
-
-SIM_EVALUATIONS = SimCounter()
+# similarity evaluations so far, in ``.count``: the difference of two
+# readings audits the per-pass work
+SIM_EVALUATIONS = SimpleNamespace(count=0)
 
 
 @dataclass

@@ -11,16 +11,16 @@ The correlogram is dense: one (scale x shift) float array, filled one
 scale at a time, with boolean masks for the admissible cells
 (l + k <= n) and the undefined ones.  Zero-variance windows (or a
 constant template) have no defined correlation; they are marked in the
-``undefined`` mask, never by a value, and read as `None` through the
-``cells`` view and as "NA" in CSV exports, so they can never masquerade
-as real peaks.
+``undefined`` mask, never by a value, and written as "NA" in CSV
+exports, so they can never masquerade as real peaks.  The arrays are
+the interface; ``Correlogram.cells`` serves only the cell count and the
+values that the benchmark harness reads.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -53,9 +53,6 @@ class DailySeries:
             raise ValueError("series values must be finite")
         if any(v < 0 for v in self.values):
             raise ValueError("series values must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def dates(self) -> list[date]:
         return [self.start_date + timedelta(days=i) for i in range(len(self.values))]
@@ -116,10 +113,10 @@ class Peak:
     window_end: date
 
 
-class _Cells(Mapping):
-    """Read-only ``(l, k) -> float | None`` view over a correlogram's
-    arrays: the admissible cells only, in (l, k) order, None where the
-    correlation is undefined."""
+class _Cells:
+    """The admissible cells, as the benchmark harness reads them:
+    ``len()``, counted once, and ``values()``, each cell's float in
+    (l, k) order, or None where the correlation is undefined."""
 
     def __init__(self, corr: Correlogram) -> None:
         self._corr = corr
@@ -128,44 +125,9 @@ class _Cells(Mapping):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, key: tuple[int, int]) -> float | None:
-        l, k = key
-        corr = self._corr
-        j = bisect_left(corr.shifts, l)
-        i = bisect_left(corr.scales, k)
-        if (
-            j == len(corr.shifts) or corr.shifts[j] != l
-            or i == len(corr.scales) or corr.scales[i] != k
-            or not corr.admissible[i, j]
-        ):
-            raise KeyError(key)
-        return None if corr.undefined[i, j] else float(corr.values[i, j])
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        shifts, scales, _, _ = _admissible_cells(self._corr)
-        return zip(shifts, scales)
-
-    def items(self) -> ItemsView:
-        return _CellItems(self)
-
-    def values(self) -> ValuesView:
-        return _CellValues(self)
-
-
-class _CellItems(ItemsView):
-    def __iter__(self):
-        shifts, scales, values, undefined = _admissible_cells(self._mapping._corr)
-        return zip(zip(shifts, scales), _none_where(undefined, values))
-
-
-class _CellValues(ValuesView):
-    def __iter__(self):
-        _, _, values, undefined = _admissible_cells(self._mapping._corr)
-        return _none_where(undefined, values)
-
-
-def _none_where(undefined: list[bool], values: list[float]) -> Iterator[float | None]:
-    return (None if flat else v for v, flat in zip(values, undefined))
+    def values(self) -> Iterator[float | None]:
+        _, _, values, undefined = _admissible_cells(self._corr)
+        return (None if flat else v for v, flat in zip(values, undefined))
 
 
 @dataclass(eq=False)  # arrays have no single truth value to compare by
@@ -176,9 +138,8 @@ class Correlogram:
     x[shifts[j] : shifts[j] + scales[i]] with the template resampled to
     scales[i] points.  It is meaningful only where ``admissible`` (the
     window fits: l + k <= series length) and not ``undefined`` (the
-    window or the template has zero variance).  ``cells`` reads the same
-    arrays as a mapping from (l, k) to a float, or None where undefined,
-    over the admissible cells only.
+    window or the template has zero variance).  ``cells`` gives the
+    benchmark harness the count of admissible cells and their values.
     """
 
     shifts: list[int]

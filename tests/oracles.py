@@ -4,7 +4,8 @@ Each oracle is written in the most direct way available (fsum loops,
 literal O(n^3) scans) with no code shared with the package, so
 agreement between the two is evidence and not tautology.
 ``correlation_cell`` is no oracle: it is the package's correlogram read
-at one cell, the side the correlation oracle checks.
+at one cell, the side the correlation oracle checks.  ``cells`` reads a
+correlogram's arrays cell by cell, so tests can compare them as a dict.
 """
 
 from __future__ import annotations
@@ -34,13 +35,25 @@ def pearson(xs, ps):
     return num / math.sqrt(den_x * den_p)
 
 
+def cells(corr):
+    """``(l, k) -> value`` dict of a correlogram's admissible cells, in
+    (l, k) order, with None where the correlation is undefined; read from
+    its arrays one scale and shift at a time."""
+    out = {}
+    for i, k in enumerate(corr.scales):
+        for j, l in enumerate(corr.shifts):
+            if corr.admissible[i, j]:
+                out[(l, k)] = None if corr.undefined[i, j] else float(corr.values[i, j])
+    return dict(sorted(out.items()))
+
+
 def correlation_cell(series, l, k, samples):
     """Cell (l, k) of the correlogram of the series against the template
     whose knots are the k samples at positions i/(k-1), which
     ``sample_template`` gives back exactly; None where undefined.  An
     inadmissible window has no cell (KeyError)."""
     template = LifecycleTemplate(list(zip(np.arange(k) / (k - 1), samples)))
-    return correlogram(series, template, scales=[k], shifts=[l]).cells[(l, k)]
+    return cells(correlogram(series, template, scales=[k], shifts=[l]))[(l, k)]
 
 
 def detect_peaks(cells, threshold, top_n):

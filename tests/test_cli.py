@@ -26,6 +26,7 @@ from opflow.cli import (
     parse_grid,
     parse_query,
     resolve_grids,
+    validate_config,
 )
 from opflow.corpus import Corpus, Document, load_corpus, save_corpus, tokenize_corpus
 from opflow.errors import ConfigError, DataError
@@ -118,6 +119,12 @@ def test_resolve_grids_bounds():
         resolve_grids(PipelineConfig(scales="2..25"), 20)
     with pytest.raises(ConfigError, match="shifts"):
         resolve_grids(PipelineConfig(shifts="0..19"), 20)
+    # the ends are checked before the range is expanded, so a range of
+    # 10**12 values fails at once, and the message names it
+    with pytest.raises(ConfigError, match=r"scales '2\.\.1000000000000' outside .*\[2, 20\]"):
+        resolve_grids(PipelineConfig(scales="2..1000000000000"), 20)
+    with pytest.raises(ConfigError, match=r"shifts '0\.\.1000000000000' outside .*\[0, 18\]"):
+        resolve_grids(PipelineConfig(shifts="0..1000000000000"), 20)
 
 
 # --- config assembly -------------------------------------------------------
@@ -225,6 +232,24 @@ def test_exit_1_on_even_smoothing_window(fx, tmp_path):
     rc = main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
                "--window", "4"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_exit_1_on_a_nan_threshold(fx, tmp_path, caplog, form):
+    # nan would match no cell and skip narrowing; inf and -inf keep their meaning
+    conf = tmp_path / "c.conf"
+    conf.write_text("threshold = nan\n")
+    given = ["--threshold", "nan"] if form == "flag" else ["--config", str(conf)]
+    with caplog.at_level("ERROR"):
+        rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                   *given])
+    assert rc == 1
+    assert "peak threshold must be a number, got nan" in caplog.text
+    assert not (tmp_path / "out" / "manifest.txt").exists()
+    for threshold in (float("inf"), float("-inf")):
+        config = PipelineConfig(corpus=Path(fx["corpus"]), out_dir=tmp_path / "out",
+                                threshold=threshold)
+        assert validate_config(config).threshold == threshold
 
 
 def test_exit_1_on_usage_errors(tmp_path):

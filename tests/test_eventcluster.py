@@ -74,7 +74,7 @@ def test_sim_is_sparse_dot_product():
 
 
 def test_sim_counter_counts():
-    SIM_EVALUATIONS.reset()
+    SIM_EVALUATIONS.count = 0
     vectors = vectors_of({"d": {"aa": 1.0}})
     c = Centroid(cluster_index=1, weights={"aa": 1.0})
     assign(vectors, [c])
@@ -330,10 +330,10 @@ def test_kmeans_that_assigns_nothing_is_a_single_pass(rows):
 def test_kmeans_exact_sim_budget_per_iteration():
     vectors = _planted_vectors()
     seeds = seed_centroids(["aa", "bb"])
-    SIM_EVALUATIONS.reset()
+    SIM_EVALUATIONS.count = 0
     result = kmeans_seeded(vectors, seeds, max_iter=1)
     assert SIM_EVALUATIONS.count == len(seeds) * len(vectors)
-    SIM_EVALUATIONS.reset()
+    SIM_EVALUATIONS.count = 0
     result = kmeans_seeded(vectors, seeds)
     assert SIM_EVALUATIONS.count == result.iterations * len(seeds) * len(vectors)
 
@@ -381,7 +381,7 @@ def test_cluster_report_layout_and_determinism(tmp_path):
     vectors = vectors_of({**_planted_rows(), "stray": unit("zz")})
     result = kmeans_seeded(vectors, seed_centroids(["aa", "bb"]))
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    SIM_EVALUATIONS.reset()
+    SIM_EVALUATIONS.count = 0
     write_cluster_report(result, p1, ["skipped"])
     write_cluster_report(result, p2, ["skipped"])
     assert SIM_EVALUATIONS.count == 0  # the member sims come from the clustering
@@ -513,7 +513,7 @@ def test_kmeans_equals_the_dict_oracle_bit_for_bit(corpus, max_iter, top_t):
     table = TermTable.from_terms(docs)
     vectors = vectorize(table, document_frequencies(table), len(table))
     seeds = seed_centroids(seed_terms)
-    SIM_EVALUATIONS.reset()
+    SIM_EVALUATIONS.count = 0
     result = kmeans_seeded(vectors, seeds, max_iter=max_iter, top_t=top_t)
     want = oracles.seeded_kmeans(docs, seed_terms, max_iter=max_iter, top_t=top_t)
 

@@ -222,7 +222,7 @@ def test_correlation_affine_invariance_spot():
 def test_correlogram_grid_and_admissibility():
     s = series(range(10))
     corr = correlogram(s, DEFAULT_TEMPLATE, scales=[3, 8], shifts=[0, 4, 7])
-    assert set(corr.cells) == {(0, 3), (4, 3), (7, 3), (0, 8)}
+    assert set(oracles.cells(corr)) == {(0, 3), (4, 3), (7, 3), (0, 8)}
     assert corr.start_date == START
 
 
@@ -231,7 +231,7 @@ def test_correlogram_cells_equal_scalar_calls():
     scales = [2, 3, 5, 8]
     shifts = list(range(0, 10))
     corr = correlogram(s, DEFAULT_TEMPLATE, scales=scales, shifts=shifts)
-    for (l, k), got in corr.cells.items():
+    for (l, k), got in oracles.cells(corr).items():
         want = oracles.correlation_cell(s, l, k, sample_template(DEFAULT_TEMPLATE, k))
         assert got == want  # bit-identical shared path
 
@@ -251,7 +251,7 @@ def test_correlogram_input_validation():
 def test_correlogram_flat_series_all_undefined():
     corr = correlogram(series([5] * 9), DEFAULT_TEMPLATE, scales=[3, 4], shifts=[0, 2])
     assert corr.undefined[corr.admissible].all()
-    assert dict(corr.cells) == {(0, 3): None, (2, 3): None, (0, 4): None, (2, 4): None}
+    assert oracles.cells(corr) == {(0, 3): None, (2, 3): None, (0, 4): None, (2, 4): None}
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,7 +268,7 @@ def test_correlogram_is_scale_free_from_1e_minus_300_to_1e300(values, power, spi
     scales = data.draw(st.lists(st.integers(2, len(values)), min_size=1, max_size=4))
     scaled = series(spike + [v * 10.0**power for v in values])
     corr = correlogram(scaled, DEFAULT_TEMPLATE, scales=scales, shifts=list(range(n)))
-    for (l, k), got in corr.cells.items():
+    for (l, k), got in oracles.cells(corr).items():
         assert got is None or (math.isfinite(got) and abs(got) <= 1 + 1e-12)
         if l < len(spike):
             continue
@@ -288,7 +288,7 @@ def test_correlogram_rescales_tiny_windows_of_an_ordinary_series():
     corr = correlogram(series(values), DEFAULT_TEMPLATE, scales=[6], shifts=[2])
     want = oracles.pearson([1, 3, 2, 5, 4, 7], sample_template(DEFAULT_TEMPLATE, 6))
     assert round(want, 3) == 0.585
-    assert abs(corr.cells[(2, 6)] - want) <= 1e-12
+    assert abs(oracles.cells(corr)[(2, 6)] - want) <= 1e-12
 
 
 # --- peaks -----------------------------------------------------------------
@@ -363,8 +363,11 @@ def test_peaks_and_csv_match_the_tuple_sort_oracle(runs, template, threshold, to
     corr = correlogram(series(values), template, scales=scales, shifts=shifts)
 
     pairs = {(l, k) for l in shifts for k in scales if l + k <= n}
-    assert len(corr.cells) == len(pairs)
-    cells = {pair: corr.cells[pair] for pair in pairs}
+    cells = oracles.cells(corr)
+    assert set(cells) == pairs
+    # the two reads the benchmark harness makes of the correlogram
+    assert len(corr.cells) == len(cells)
+    assert list(map(repr, corr.cells.values())) == list(map(repr, cells.values()))
     for (l, k), v in cells.items():
         flat = len(set(values[l:l + k])) == 1 or len(set(sample_template(template, k))) == 1
         assert (v is None) == flat
@@ -389,7 +392,10 @@ def test_peaks_and_csv_read_nan_and_inf_cells_as_the_oracle_does(tmp_path):
         undefined=np.array([[False, False, False, True], [False, False, False, False]]),
         start_date=START,
     )
-    cells = dict(corr.cells)
+    cells = oracles.cells(corr)
+    assert len(corr.cells) == len(cells) == 7
+    # repr, since nan equals no other nan
+    assert list(map(repr, corr.cells.values())) == list(map(repr, cells.values()))
     for threshold, top_n in [(-1.5, 10), (0.6, 10), (0.0, 1), (1.5, 10)]:
         got = [(p.shift, p.scale, p.value) for p in detect_peaks(corr, threshold, top_n)]
         assert got == oracles.detect_peaks(cells, threshold, top_n)
