@@ -476,16 +476,14 @@ def _write_manifest(out_dir: Path, notes: list[str]) -> None:
 
 @contextmanager
 def _stage(name: str):
-    """Prefix the error a pipeline stage raises with the stage name; a
-    ValueError from library validation counts as bad data."""
+    """Prefix the stage name to a ConfigError or DataError a pipeline stage
+    raises; any other exception passes through, to exit 3."""
     try:
         yield
     except ConfigError as exc:
         raise ConfigError(f"stage {name}: {exc}") from exc
     except DataError as exc:
         raise type(exc)(f"stage {name}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"stage {name}: {exc}") from exc
 
 
 def cmd_pipeline(config: PipelineConfig) -> int:
@@ -616,10 +614,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 1
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, OSError) as exc:
         log.error("%s", exc)
         return 2
-    except Exception:  # pragma: no cover - defensive
+    except Exception:
         log.exception("internal error")
         return 3
 

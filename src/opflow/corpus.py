@@ -607,7 +607,7 @@ def _parse_line(
         raise CorpusFormatError(f"line {line_no}: empty id")
     try:
         instant = parse_timestamp(str(stamp))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: a range end moved to UTC
         raise CorpusFormatError(f"line {line_no}: bad published_at: {exc}") from None
     micros = (instant - _EPOCH) // _MICROSECOND
     language = obj.get("language")

@@ -1,9 +1,8 @@
-"""Shared exception bases, mapped to CLI exit codes.
+"""Shared exception bases; ``cli.main`` picks the exit status by class alone.
 
-ConfigError -> exit 1 (usage/config), DataError -> exit 2 (bad input
-data).  ``cli.main`` also maps a ValueError or an OSError to exit 2, so
-an internal ValueError reads as bad input (the ROADMAP plans exit 3 for
-it); anything else escaping a subcommand is an internal failure (exit 3).
+ConfigError -> exit 1 (usage/config); DataError or OSError -> exit 2
+(bad input data, or a file that cannot be read or written); anything
+else, a bare ValueError included, is an internal failure -> exit 3.
 """
 
 
@@ -11,5 +10,5 @@ class ConfigError(Exception):
     """Invalid configuration, flags, or missing prerequisites."""
 
 
-class DataError(Exception):
-    """Input data violates a format or content contract."""
+class DataError(ValueError):
+    """Input data violates a format or content contract (a bad value, too)."""

@@ -50,7 +50,7 @@ class DailySeries:
             raise ValueError("series must have at least one day")
         self.values = [float(v) for v in self.values]
         if not all(map(math.isfinite, self.values)):
-            raise ValueError("series values must be finite")
+            raise DataError("series values must be finite")
         if any(v < 0 for v in self.values):
             raise ValueError("series values must be non-negative")
 
@@ -284,10 +284,12 @@ def detect_peaks(corr: Correlogram, threshold: float, top_n: int) -> list[Peak]:
     """Defined cells at or above the threshold, best first.
 
     Ordering is total: value descending, then smaller shift, then
-    smaller scale.  Thresholds above 1 are clamped to 1.
+    smaller scale.  Thresholds above 1 are clamped to 1; nan is refused.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be nan")
     threshold = min(float(threshold), 1.0)
     hit = corr.admissible & ~corr.undefined & (corr.values >= threshold)
     scale_at, shift_at = np.nonzero(hit)

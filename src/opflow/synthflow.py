@@ -186,7 +186,7 @@ def generate_cluster_corpus(
     series = generate_burst_series(template, burst)
     weights = np.asarray(series.values, dtype=float)
     if weights.sum() <= 0.0:
-        raise ValueError("planted series has no mass to sample dates from")
+        raise DataError("planted series has no mass to sample dates from")
     cumulative = np.cumsum(weights)
     root = np.random.SeedSequence(spec.rng_seed)
     streams = root.spawn(len(spec.clusters))

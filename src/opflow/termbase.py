@@ -75,7 +75,7 @@ def compute_tfidf(tokenized: TermTable) -> list[TermWeight]:
     """
     n_docs = len(tokenized)
     if n_docs == 0 or len(tokenized.term_ids) == 0:
-        raise ValueError("tf-idf needs at least one non-empty document")
+        raise DataError("tf-idf needs at least one non-empty document")
     df = document_frequencies(tokenized)
     idf = inverse_document_frequencies(df, n_docs)
     present = np.flatnonzero(df)

@@ -19,6 +19,7 @@ from opflow.cli import (
     EVENT_TERMS_TXT,
     MANIFEST_TXT,
     PIPELINE_ARTIFACTS,
+    SERIES_RAW,
     PipelineConfig,
     build_config,
     cluster_events,
@@ -325,6 +326,51 @@ def test_exit_2_on_a_non_finite_template_point(fx, tmp_path, caplog, command):
                    "--template", str(bad)])
     assert rc == 2
     assert "line 2: non-finite control point '0.5 nan'" in caplog.text
+
+
+# each input fault a stage meets, with the message it exits 2 with
+INPUT_FAULTS = {
+    "pipeline": "stage terms: tf-idf needs at least one non-empty document",
+    "events": "tf-idf needs at least one non-empty document",
+    "infinite amplitude": "series values must be finite",
+    "zero template": "planted series has no mass to sample dates from",
+    "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
+    "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
+}
+
+
+@pytest.mark.parametrize("fault", INPUT_FAULTS)
+def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplog, fault):
+    monkeypatch.chdir(tmp_path)
+    if fault in ("pipeline", "events"):
+        # every title and body a stopword, so no document keeps a token
+        with open("corpus.jsonl", "w", encoding="utf-8") as handle:
+            for line in fx["corpus_path"].read_text(encoding="utf-8").splitlines():
+                record = {**json.loads(line), "title": "the", "body": "and the"}
+                handle.write(json.dumps(record) + "\n")
+        Path("stopwords.txt").write_text("the\nand\n")
+        argv = [fault, "--corpus", "corpus.jsonl", "--stopwords", "stopwords.txt"]
+    elif fault == "infinite amplitude":
+        Path("burst.spec").write_text(Path(fx["burst"]).read_text() + "amplitude = inf\n")
+        argv = ["synth", "--burst-spec", "burst.spec"]
+    elif fault == "zero template":
+        flat = "baseline = 0\nnoise_sigma = 0\n"
+        Path("burst.spec").write_text(Path(fx["burst"]).read_text() + flat)
+        Path("template.txt").write_text("0 0\n1 0\n")
+        argv = ["synth", "--burst-spec", "burst.spec", "--cluster-spec", fx["clusters"],
+                "--template", "template.txt"]
+    elif fault == "artifact is a directory":
+        Path("out", SERIES_RAW).mkdir(parents=True)
+        argv = ["series", "--corpus", fx["corpus"]]
+    else:
+        line = {"id": "a", "published_at": "0001-01-01T00:00:00+01:00", "source": "s",
+                "title": "protest", "body": "march"}
+        Path("corpus.jsonl").write_text(json.dumps(line) + "\n")
+        argv = ["series", "--corpus", "corpus.jsonl"]
+    with caplog.at_level("ERROR"):
+        assert main([*argv, "--out-dir", "out"]) == 2
+    assert INPUT_FAULTS[fault] in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 # --- series ----------------------------------------------------------------
@@ -654,6 +700,25 @@ def test_pipeline_clears_stale_artifacts(fx, tmp_path):
     assert unrelated.read_text() == "mine"
 
 
+def test_pipeline_exits_3_on_an_internal_fault_and_leaves_no_stale_artifact(
+    fx, tmp_path, monkeypatch, caplog
+):
+    import opflow.cli as cli
+
+    assert run_pipeline(fx, tmp_path) == 0
+
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "kmeans_seeded", fail)
+    with caplog.at_level("ERROR"):
+        assert run_pipeline(fx, tmp_path) == 3
+    assert "internal error" in caplog.text and "ValueError: boom" in caplog.text
+    assert not (tmp_path / MANIFEST_TXT).exists()
+    assert not (tmp_path / CLUSTERS_JSON).exists()  # the first run's is gone
+    assert (tmp_path / EVENT_CORPUS).is_file()  # the stages before it ran
+
+
 # every library name perfbench/spans.py wraps in opflow.cli, with the calls
 # one fixture pipeline makes of it
 TRACED_CALLS = {
@@ -844,7 +909,8 @@ WORDS = ("protest", "referendum", "terrorist", "act", "petition", "common") + ST
 def small_corpora(draw):
     """JSONL lines of a few documents within one to a dozen days, with
     UTC offsets that move them across midnight, some made only of
-    stopwords and some only of a word every document holds."""
+    stopwords and some only of their title, "common" or the stopword
+    "the"."""
     span_days = draw(st.sampled_from([1, 2, 12]))
     lines = []
     for i in range(draw(st.integers(1, 25))):
@@ -858,7 +924,8 @@ def small_corpora(draw):
             body = list(STOPWORDS) if kind == "stopwords" else []
         lines.append(json.dumps({
             "id": f"d{i}", "published_at": published.astimezone(zone).isoformat(),
-            "source": draw(st.sampled_from(["s1", "s2"])), "title": "common",
+            "source": draw(st.sampled_from(["s1", "s2"])),
+            "title": draw(st.sampled_from(["common", "the"])),
             "body": " ".join(body),
         }))
     return lines
@@ -898,3 +965,5 @@ def test_pipeline_exits_0_1_or_2_on_small_corpora(
         assert listed == set(PIPELINE_ARTIFACTS) - skipped
         for name in PIPELINE_ARTIFACTS:
             assert (out / name).is_file() == (name not in skipped), name
+    else:
+        assert not (out / MANIFEST_TXT).exists()  # a failed run looks incomplete

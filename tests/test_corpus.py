@@ -581,6 +581,17 @@ def test_lines_in_saved_layout_keep_the_errors_of_their_fields(tmp_path):
     assert _load_error(tmp_path, control) == f"line 1: invalid JSON: {decode.value.msg}"
 
 
+@pytest.mark.parametrize("stamp", [
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"
+], ids=["before-year-1-in-utc", "after-year-9999-in-utc"])
+def test_load_corpus_names_a_timestamp_beyond_the_datetime_range(tmp_path, stamp):
+    # each parses, then leaves datetime's range on the way to UTC
+    with pytest.raises(OverflowError) as fault:
+        parse_timestamp(stamp)
+    line = GOOD_LINE.replace("2016-06-24T08:00:00Z", stamp)
+    assert _load_error(tmp_path, line) == f"line 1: bad published_at: {fault.value}"
+
+
 def _columns(table):
     return (
         table.ids, table.micros.tolist(), table.days.tolist(), table.sources,

@@ -327,6 +327,18 @@ def test_detect_peaks_threshold_and_top_n():
         detect_peaks(corr, threshold=0.5, top_n=0)
 
 
+def test_detect_peaks_refuses_a_nan_threshold():
+    corr = _burst_corr()
+    with pytest.raises(ValueError, match="threshold must not be nan"):
+        detect_peaks(corr, threshold=math.nan, top_n=5)
+    # the infinities keep their meaning: every defined cell, or the clamp to 1
+    every = corr.values.size
+    assert len(detect_peaks(corr, -math.inf, every)) == int(np.count_nonzero(
+        corr.admissible & ~corr.undefined
+    ))
+    assert detect_peaks(corr, math.inf, every) == detect_peaks(corr, 1.0, every)
+
+
 def test_detect_peaks_empty_on_flat_series():
     corr = correlogram(series([2] * 8), DEFAULT_TEMPLATE, scales=[3], shifts=[0, 1])
     assert detect_peaks(corr, threshold=0.0, top_n=5) == []
