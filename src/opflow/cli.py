@@ -6,7 +6,9 @@ over shifts and scales, peak report), ``events`` (tf-idf term ranking,
 event-lexicon match, query augmentation, event corpus, source graph),
 ``cluster`` (seeded k-means report), ``pipeline`` (all of the above in
 order, with date narrowing to the best peak window and a digest
-manifest), and ``synth`` (fixture generation).
+manifest), and ``synth`` (fixture generation).  Before a handler runs,
+``run_command`` removes the files ``COMMANDS`` lists for its subcommand;
+a handler writes only what it has computed (``pipeline`` stage by stage).
 
 Each ``PipelineConfig`` field is an option, set by a flat ``key = value``
 config file or by its flag; flags override file values.  Exit status: 0 success (warnings allowed),
@@ -95,22 +97,27 @@ SOURCE_EDGES_TSV = "source_edges.tsv"
 SOURCE_NODES_TSV = "source_nodes.tsv"
 CLUSTERS_JSON = "clusters.json"
 MANIFEST_TXT = "manifest.txt"
+SYNTH_SERIES = "synth_series.csv"
+SYNTH_CORPUS = "synth_corpus.jsonl"
+SYNTH_TRUTH = "synth_truth.tsv"
 
-PIPELINE_ARTIFACTS = (
-    FLOW_CORPUS,
-    SERIES_RAW,
-    SERIES_SMOOTHED,
-    CORRELOGRAM_CSV,
-    PEAKS_CSV,
-    NARROWED_CORPUS,
-    TERMS_TSV,
-    EVENT_TERMS_TXT,
-    AUGMENTED_QUERY_JSON,
-    EVENT_CORPUS,
-    SOURCE_EDGES_TSV,
-    SOURCE_NODES_TSV,
-    CLUSTERS_JSON,
-)
+# each subcommand's help and the files it writes into --out-dir
+_STAGES = {
+    "series": ("write raw and smoothed daily dynamics", (SERIES_RAW, SERIES_SMOOTHED)),
+    "correlogram": ("correlate the flow with the lifecycle template", (CORRELOGRAM_CSV, PEAKS_CSV)),
+    "events": ("rank terms, match the event lexicon, build the source graph", (
+        TERMS_TSV, EVENT_TERMS_TXT, AUGMENTED_QUERY_JSON, EVENT_CORPUS, SOURCE_EDGES_TSV,
+        SOURCE_NODES_TSV)),
+    "cluster": ("seeded k-means over event documents", (CLUSTERS_JSON,)),
+}
+PIPELINE_ARTIFACTS = (FLOW_CORPUS, NARROWED_CORPUS) + sum(
+    (names for _, names in _STAGES.values()), ())
+COMMANDS = {
+    **_STAGES,
+    "pipeline": ("run every stage in order and write a manifest",
+                 PIPELINE_ARTIFACTS + (MANIFEST_TXT,)),
+    "synth": ("generate planted fixtures", (SYNTH_SERIES, SYNTH_CORPUS, SYNTH_TRUTH)),
+}
 
 
 def _option(default, help_text: str):
@@ -199,16 +206,7 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     ):
         if value < 1:
             raise ConfigError(f"{label} must be >= 1, got {value}")
-    _make_out_dir(config.out_dir)
     return config
-
-
-def _make_out_dir(out: Path) -> Path:
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-    return out
 
 
 def _comma_terms(text: str, label: str) -> frozenset[str]:
@@ -488,11 +486,9 @@ def _stage(name: str):
 
 def cmd_pipeline(config: PipelineConfig) -> int:
     """All stages in order on one load and one tokenization of the corpus,
-    ending with a digest manifest.  A stage failure aborts with the stage
-    name; files already written stay in place."""
+    then a digest manifest.  A failed stage aborts with its name and no
+    manifest; the files the stages before it wrote stay in place."""
     out = Path(config.out_dir)
-    for name in PIPELINE_ARTIFACTS + (MANIFEST_TXT,):
-        (out / name).unlink(missing_ok=True)
     notes: list[str] = []
 
     with _stage("flow"):
@@ -538,40 +534,25 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    """Generate a planted series (and optionally a planted corpus).  Both
-    spec files are read before any output is written."""
+    """Generate a planted series (and, with a cluster spec, a planted
+    corpus and its truth).  Both specs are read and everything is
+    generated before any file is written."""
     burst = load_burst_spec(args.burst_spec, args.seed)
     spec = None
     if args.cluster_spec is not None:
         spec = load_cluster_spec(args.cluster_spec, args.seed)
     template = load_template(args.template) if args.template else DEFAULT_TEMPLATE
-    out = _make_out_dir(args.out_dir)
     series = generate_burst_series(template, burst)
-    write_series_csv(series, out / "synth_series.csv")
-    log.info("synth: series of %d days written", len(series.values))
     if spec is not None:
         corpus, truth = generate_cluster_corpus(spec, template, burst)
-        save_corpus(corpus, out / "synth_corpus.jsonl")
-        write_ground_truth(truth, out / "synth_truth.tsv")
+    write_series_csv(series, args.out_dir / SYNTH_SERIES)
+    log.info("synth: series of %d days written", len(series.values))
+    if spec is not None:
+        save_corpus(corpus, args.out_dir / SYNTH_CORPUS)
+        write_ground_truth(truth, args.out_dir / SYNTH_TRUTH)
         log.info("synth: corpus of %d docs in %d clusters written",
                  len(corpus), len(spec.clusters))
     return 0
-
-
-def _add_common_options(sub: argparse.ArgumentParser, with_terms: bool) -> None:
-    """--config, then one flag per PipelineConfig field; --terms only
-    where ``with_terms``."""
-    sub.add_argument("--config", type=Path, help="flat key = value config file")
-    for option in fields(PipelineConfig):
-        if option.name == "terms" and not with_terms:
-            continue
-        help_text = option.metadata["help"]
-        if option.default not in (None, ""):
-            help_text += f" (default {option.default})"
-        sub.add_argument(
-            "--" + option.name.replace("_", "-"), dest=option.name,
-            type=_CONFIG_TYPES[option.name], help=help_text,
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,27 +561,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect the event basis of information operations in news flows.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    handlers = {
-        "series": (cmd_series, "write raw and smoothed daily dynamics"),
-        "correlogram": (cmd_correlogram, "correlate the flow with the lifecycle template"),
-        "events": (cmd_events, "rank terms, match the event lexicon, build the source graph"),
-        "cluster": (cmd_cluster, "seeded k-means over event documents"),
-        "pipeline": (cmd_pipeline, "run every stage in order and write a manifest"),
-    }
-    for name, (handler, description) in handlers.items():
+    for name, (description, _) in COMMANDS.items():
         sub = commands.add_parser(name, help=description)
-        _add_common_options(sub, with_terms=(name == "cluster"))
-        sub.set_defaults(func=lambda args, h=handler: h(validate_config(build_config(args))))
-
-    synth = commands.add_parser("synth", help="generate planted fixtures")
-    synth.add_argument("--burst-spec", type=Path, required=True, dest="burst_spec")
-    synth.add_argument("--cluster-spec", type=Path, dest="cluster_spec")
-    synth.add_argument("--template", type=Path, help="lifecycle template file (default: built-in)")
-    synth.add_argument("--out-dir", type=Path, dest="out_dir", required=True)
-    synth.add_argument("--seed", type=int, help="override the seeds in the spec files")
-    synth.set_defaults(func=cmd_synth)
+        # looked up when the parser is built, not at import, so a rebound cmd_<name> is called
+        sub.set_defaults(handler=globals()[f"cmd_{name}"])
+        if name == "synth":
+            sub.add_argument("--burst-spec", type=Path, required=True, dest="burst_spec")
+            sub.add_argument("--cluster-spec", type=Path, dest="cluster_spec")
+            sub.add_argument("--template", type=Path,
+                             help="lifecycle template file (default: built-in)")
+            sub.add_argument("--out-dir", type=Path, dest="out_dir", required=True)
+            sub.add_argument("--seed", type=int, help="override the seeds in the spec files")
+            continue
+        sub.add_argument("--config", type=Path, help="flat key = value config file")
+        for option in fields(PipelineConfig):
+            if option.name == "terms" and name != "cluster":
+                continue
+            help_text = option.metadata["help"]
+            if option.default not in (None, ""):
+                help_text += f" (default {option.default})"
+            sub.add_argument(
+                "--" + option.name.replace("_", "-"), dest=option.name,
+                type=_CONFIG_TYPES[option.name], help=help_text,
+            )
     return parser
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Read the options, make the output directory, remove the files the
+    subcommand writes there but does not read, then call its handler."""
+    options = args if args.command == "synth" else validate_config(build_config(args))
+    out = Path(options.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    inputs = {value.resolve() for value in vars(options).values() if isinstance(value, Path)}
+    for name in COMMANDS[args.command][1]:
+        if (out / name).resolve() not in inputs:
+            (out / name).unlink(missing_ok=True)
+    return args.handler(options)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -609,8 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return run_command(parser.parse_args(argv))
     except ConfigError as exc:
         log.error("%s", exc)
         return 1

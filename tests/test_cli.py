@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from opflow.cli import (
     CLUSTERS_JSON,
+    COMMANDS,
     EVENT_CORPUS,
     EVENT_TERMS_TXT,
     MANIFEST_TXT,
@@ -276,14 +277,14 @@ def test_exit_1_on_terms_config_key_outside_cluster(fx, tmp_path, caplog):
     assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["series", "synth"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_exit_1_when_the_output_directory_cannot_be_made(fx, tmp_path, caplog, command):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "out"
-    inputs = {"series": ["--corpus", fx["corpus"]], "synth": ["--burst-spec", fx["burst"]]}
+    inputs = ["--burst-spec", fx["burst"]] if command == "synth" else ["--corpus", fx["corpus"]]
     with caplog.at_level("ERROR"):
-        rc = main([command, *inputs[command], "--out-dir", str(out)])
+        rc = main([command, *inputs, "--out-dir", str(out)])
     assert rc == 1
     assert f"cannot create output directory {out}: " in caplog.text
 
@@ -328,6 +329,17 @@ def test_exit_2_on_a_non_finite_template_point(fx, tmp_path, caplog, command):
     assert "line 2: non-finite control point '0.5 nan'" in caplog.text
 
 
+def write_stopword_corpus(fx) -> list[str]:
+    """The fixture corpus with every title and body a stopword, so no
+    document keeps a token; returns the flags that read it."""
+    with open("corpus.jsonl", "w", encoding="utf-8") as handle:
+        for line in fx["corpus_path"].read_text(encoding="utf-8").splitlines():
+            record = {**json.loads(line), "title": "the", "body": "and the"}
+            handle.write(json.dumps(record) + "\n")
+    Path("stopwords.txt").write_text("the\nand\n")
+    return ["--corpus", "corpus.jsonl", "--stopwords", "stopwords.txt"]
+
+
 # each input fault a stage meets, with the message it exits 2 with
 INPUT_FAULTS = {
     "pipeline": "stage terms: tf-idf needs at least one non-empty document",
@@ -343,13 +355,7 @@ INPUT_FAULTS = {
 def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplog, fault):
     monkeypatch.chdir(tmp_path)
     if fault in ("pipeline", "events"):
-        # every title and body a stopword, so no document keeps a token
-        with open("corpus.jsonl", "w", encoding="utf-8") as handle:
-            for line in fx["corpus_path"].read_text(encoding="utf-8").splitlines():
-                record = {**json.loads(line), "title": "the", "body": "and the"}
-                handle.write(json.dumps(record) + "\n")
-        Path("stopwords.txt").write_text("the\nand\n")
-        argv = [fault, "--corpus", "corpus.jsonl", "--stopwords", "stopwords.txt"]
+        argv = [fault, *write_stopword_corpus(fx)]
     elif fault == "infinite amplitude":
         Path("burst.spec").write_text(Path(fx["burst"]).read_text() + "amplitude = inf\n")
         argv = ["synth", "--burst-spec", "burst.spec"]
@@ -371,6 +377,40 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         assert main([*argv, "--out-dir", "out"]) == 2
     assert INPUT_FAULTS[fault] in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_failed_run_leaves_none_of_the_files_its_subcommand_writes(
+    fx, tmp_path, monkeypatch, caplog, command
+):
+    monkeypatch.chdir(tmp_path)
+    fixture = ["--corpus", fx["corpus"]]
+    Path("nan_template.txt").write_text("0 0.1\n0.5 nan\n1 0.3\n")
+    Path("no_terms.txt").write_text("# none\n")
+    Path("flat.spec").write_text(Path(fx["burst"]).read_text() + "baseline = 0\nnoise_sigma = 0\n")
+    Path("zero_template.txt").write_text("0 0\n1 0\n")
+    planted = ["--burst-spec", fx["burst"], "--cluster-spec", fx["clusters"]]
+    # the arguments of a good run, of a run that then fails, and its exit status
+    good, failing, status = {
+        "series": (fixture, [*fixture, "--query", "unicorn"], 2),
+        "correlogram": (fixture, [*fixture, "--template", "nan_template.txt"], 2),
+        "events": (fixture, write_stopword_corpus(fx), 2),
+        "cluster": ([*fixture, "--terms", fx["lexicon"]], [*fixture, "--terms", "no_terms.txt"], 1),
+        "pipeline": ([*fixture, "--threshold", "0.6"], [*fixture, "--query", "unicorn"], 2),
+        # the planted corpus fails after the series is generated
+        "synth": (planted, ["--burst-spec", "flat.spec", "--cluster-spec", fx["clusters"],
+                            "--template", "zero_template.txt"], 2),
+    }[command]
+    out = Path("out")
+    assert main([command, *good, "--out-dir", "out"]) == 0
+    assert {path.name for path in out.iterdir()} == set(COMMANDS[command][1])
+    assert main([command, *failing, "--out-dir", "out"]) == status
+    assert not any(out.iterdir())
+    if command == "events":
+        # so cluster finds no stale event terms to seed from
+        with caplog.at_level("ERROR"):
+            assert main(["cluster", *fixture, "--out-dir", "out"]) == 1
+        assert f"no event terms at {out / EVENT_TERMS_TXT}" in caplog.text
 
 
 # --- series ----------------------------------------------------------------
@@ -698,6 +738,14 @@ def test_pipeline_clears_stale_artifacts(fx, tmp_path):
     assert run_pipeline(fx, tmp_path) == 0
     assert json.loads(stale.read_text())["clusters"]  # regenerated, not stale
     assert unrelated.read_text() == "mine"
+
+
+def test_pipeline_keeps_an_artifact_it_reads_as_input(fx, tmp_path):
+    assert run_pipeline(fx, tmp_path) == 0
+    manifest = (tmp_path / MANIFEST_TXT).read_bytes()
+    flow = {"corpus": str(tmp_path / "flow_corpus.jsonl"), "stopwords": fx["stopwords"]}
+    assert run_pipeline(flow, tmp_path) == 0
+    assert (tmp_path / MANIFEST_TXT).read_bytes() == manifest
 
 
 def test_pipeline_exits_3_on_an_internal_fault_and_leaves_no_stale_artifact(
