@@ -75,6 +75,15 @@ _RECORD_RE = re.compile(
         r' "body": "(S*)"(?:, "language": "S*")?\}\n'
     ).replace("S", r'[^"\\\x00-\x1f]')
 )
+# the instants datetime.fromisoformat reads on Python 3.10, which 3.11
+# widened to basic and week forms: YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]]
+# [+HH:MM[:SS[.ffffff]]]], any one character for *
+_ISO_INSTANT_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?",
+    re.DOTALL,
+)
 # one encoder for every line: json.dumps would build one per record
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -111,6 +120,8 @@ def parse_timestamp(raw: str) -> datetime:
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
+    if _ISO_INSTANT_RE.fullmatch(text) is None:
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
@@ -599,14 +610,14 @@ def _parse_line(
     for key in _REQUIRED_KEYS:
         if key not in obj:
             raise CorpusFormatError(f"line {line_no}: missing key {key!r}")
-        if key != "published_at" and not isinstance(obj[key], str):
+        if not isinstance(obj[key], str):
             raise CorpusFormatError(f"line {line_no}: key {key!r} must be a string")
     doc_id, stamp, source = obj["id"], obj["published_at"], obj["source"]
     title, body = obj["title"], obj["body"]
     if not doc_id:
         raise CorpusFormatError(f"line {line_no}: empty id")
     try:
-        instant = parse_timestamp(str(stamp))
+        instant = parse_timestamp(stamp)
     except (ValueError, OverflowError) as exc:  # overflow: a range end moved to UTC
         raise CorpusFormatError(f"line {line_no}: bad published_at: {exc}") from None
     micros = (instant - _EPOCH) // _MICROSECOND

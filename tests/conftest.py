@@ -9,5 +9,5 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
-    assert FIXTURES.is_dir(), "run scripts/make_fixture.py first"
+    assert FIXTURES.is_dir(), "tests/fixtures is missing: restore it from git"
     return FIXTURES

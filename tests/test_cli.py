@@ -348,6 +348,7 @@ INPUT_FAULTS = {
     "zero template": "planted series has no mass to sample dates from",
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
+    "stamp is a number": "line 1: key 'published_at' must be a string",
 }
 
 
@@ -369,8 +370,9 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         Path("out", SERIES_RAW).mkdir(parents=True)
         argv = ["series", "--corpus", fx["corpus"]]
     else:
-        line = {"id": "a", "published_at": "0001-01-01T00:00:00+01:00", "source": "s",
-                "title": "protest", "body": "march"}
+        stamp = 20160601 if fault == "stamp is a number" else "0001-01-01T00:00:00+01:00"
+        line = {"id": "a", "published_at": stamp, "source": "s", "title": "protest",
+                "body": "march"}
         Path("corpus.jsonl").write_text(json.dumps(line) + "\n")
         argv = ["series", "--corpus", "corpus.jsonl"]
     with caplog.at_level("ERROR"):
@@ -446,7 +448,7 @@ def test_correlogram_finds_the_planted_burst(fx, tmp_path):
                "--threshold", "0.6"])
     assert rc == 0
     assert (tmp_path / "correlogram.csv").is_file()
-    rows = list(csv.DictReader(open(tmp_path / "peaks.csv")))
+    rows = list(csv.DictReader((tmp_path / "peaks.csv").read_text().splitlines()))
     assert rows, "expected at least one peak on the planted corpus"
     top = rows[0]
     # the fixture plants the bump at shift 8, scale 40
@@ -659,7 +661,7 @@ def test_pipeline_writes_every_artifact_and_manifest(fx, tmp_path):
 
 def test_pipeline_narrows_to_the_peak_window(fx, tmp_path):
     assert run_pipeline(fx, tmp_path) == 0
-    top = list(csv.DictReader(open(tmp_path / "peaks.csv")))[0]
+    top = list(csv.DictReader((tmp_path / "peaks.csv").read_text().splitlines()))[0]
     window_start = date.fromisoformat(top["window_start"])
     window_end = date.fromisoformat(top["window_end"])
     narrowed = load_corpus(tmp_path / "narrowed_corpus.jsonl")
@@ -821,8 +823,8 @@ def test_pipeline_equals_manual_stage_composition(fx, tmp_path):
                  "--out-dir", str(manual), "--terms", str(pipe / EVENT_TERMS_TXT)]
                 + common) == 0
     for name in ("series_raw.csv", "series_smoothed.csv", "correlogram.csv",
-                 "peaks.csv", "terms.tsv", "event_terms.txt", "event_corpus.jsonl",
-                 "source_edges.tsv", "source_nodes.tsv", CLUSTERS_JSON):
+                 "peaks.csv", "terms.tsv", "event_terms.txt", "augmented_query.json",
+                 "event_corpus.jsonl", "source_edges.tsv", "source_nodes.tsv", CLUSTERS_JSON):
         assert (pipe / name).read_bytes() == (manual / name).read_bytes(), name
 
 

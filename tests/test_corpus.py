@@ -592,6 +592,23 @@ def test_load_corpus_names_a_timestamp_beyond_the_datetime_range(tmp_path, stamp
     assert _load_error(tmp_path, line) == f"line 1: bad published_at: {fault.value}"
 
 
+# Python 3.11 widened datetime.fromisoformat to basic and week forms; the
+# loader keeps to the grammar that 3.10 documents on every version
+@pytest.mark.parametrize("stamp, utc", [
+    ("20160601T080000Z", None),
+    ("2016-W22-3", None),
+    ("2016-06-01T10:00:00.250+02:00:00.250000", "2016-06-01T08:00:00Z"),
+], ids=["basic-form", "week-form", "fractional-second-offset"])
+def test_load_corpus_reads_one_timestamp_grammar(tmp_path, stamp, utc):
+    line = GOOD_LINE.replace("2016-06-24T08:00:00Z", stamp)
+    if utc is None:
+        message = f"line 1: bad published_at: Invalid isoformat string: {stamp!r}"
+        assert _load_error(tmp_path, line) == message
+    else:
+        [doc] = load_corpus(_write(tmp_path, "c.jsonl", line + "\n"))
+        assert format_timestamp(doc.published_at) == utc
+
+
 def _columns(table):
     return (
         table.ids, table.micros.tolist(), table.days.tolist(), table.sources,

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from datetime import timedelta
-from pathlib import Path
 
 import pytest
 
@@ -251,17 +248,3 @@ def test_write_ground_truth_layout(tmp_path):
     write_ground_truth({"b": 2, "a": 1}, path)
     assert path.read_text() == "doc_id\tcluster\na\t1\nb\t2\n"
 
-
-def test_make_fixture_script_reproduces_the_bundled_fixture(tmp_path, monkeypatch, fixtures_dir):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixture.py"
-    module_spec = importlib.util.spec_from_file_location("make_fixture", script)
-    make_fixture = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(make_fixture)
-    monkeypatch.setattr(sys, "argv", ["make_fixture.py", "--out-dir", str(tmp_path)])
-    assert make_fixture.main() == 0
-    made = sorted(p.name for p in tmp_path.iterdir())
-    # the golden pipeline manifests are recorded from `opflow pipeline`, not made here
-    bundled = [p.name for p in fixtures_dir.iterdir() if not p.name.startswith("pipeline_manifest")]
-    assert made == sorted(bundled)
-    for name in made:
-        assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name

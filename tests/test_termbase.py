@@ -91,6 +91,10 @@ def test_default_lexicon_is_the_six_event_terms():
     )
 
 
+def test_bundled_lexicon_file_is_the_default_lexicon(fixtures_dir):
+    assert load_lexicon(fixtures_dir / "lexicon.txt") == DEFAULT_EVENT_LEXICON
+
+
 def test_load_lexicon_normalizes_and_dedupes(tmp_path):
     p = tmp_path / "lex.txt"
     p.write_text("Protest\nPROTEST  # dup\nTerrorist Act\n# note\n", encoding="utf-8")
