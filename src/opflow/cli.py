@@ -7,8 +7,11 @@ event-lexicon match, query augmentation, event corpus, source graph),
 ``cluster`` (seeded k-means report), ``pipeline`` (all of the above in
 order, with date narrowing to the best peak window and a digest
 manifest), and ``synth`` (fixture generation).  Before a handler runs,
-``run_command`` removes the files ``COMMANDS`` lists for its subcommand;
-a handler writes only what it has computed (``pipeline`` stage by stage).
+``run_command`` removes the files ``COMMANDS`` lists for its subcommand.
+Each stage is one function that computes, then writes its files
+(``dynamics_series``, ``dynamics_correlogram``, ``find_events``,
+``cluster_events``); the stage subcommands and ``pipeline`` call the
+same ones, on a corpus loaded and filtered by ``_flow``.
 
 Each ``PipelineConfig`` field is an option, set by a flat ``key = value``
 config file or by its flag; flags override file values.  Exit status: 0 success (warnings allowed),
@@ -47,7 +50,6 @@ from .eventcluster import (
 from .flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
     DEFAULT_TEMPLATE,
-    Correlogram,
     DailySeries,
     Peak,
     build_daily_series,
@@ -72,7 +74,6 @@ from .synthflow import (
 from .termbase import (
     DEFAULT_EVENT_LEXICON,
     DEFAULT_TOP_M,
-    TermWeight,
     augment_query,
     compute_tfidf,
     document_frequencies,
@@ -278,14 +279,11 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
     return scales, shifts
 
 
-def _load_inputs(config: PipelineConfig) -> tuple[Corpus, TermTable]:
+def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
+    """Load and tokenize the corpus, and keep the documents the query matches."""
     corpus = load_corpus(config.corpus)
     stopwords = load_stopwords(config.stopwords) if config.stopwords else frozenset()
-    return corpus, tokenize_corpus(corpus, stopwords)
-
-
-def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
-    corpus, tokenized = _load_inputs(config)
+    tokenized = tokenize_corpus(corpus, stopwords)
     query = parse_query(config.query, config.exclude)
     flow = filter_by_query(corpus, query, tokenized) if query is not None else corpus
     if len(flow) == 0:
@@ -293,17 +291,19 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     return flow, tokenized, query
 
 
-def dynamics_series(flow: Corpus, config: PipelineConfig) -> tuple[DailySeries, DailySeries]:
-    """Raw and smoothed daily counts of the flow."""
+def dynamics_series(flow: Corpus, config: PipelineConfig, out: Path) -> DailySeries:
+    """Write the raw and smoothed daily counts of the flow; return the raw."""
     series = build_daily_series(flow)
+    smoothed = smooth(series, config.window)
     log.info("series: %d docs over %d days", len(flow), len(series.values))
-    return series, smooth(series, config.window)
+    write_series_csv(series, out / SERIES_RAW)
+    write_series_csv(smoothed, out / SERIES_SMOOTHED)
+    return series
 
 
-def dynamics_correlogram(
-    series: DailySeries, config: PipelineConfig
-) -> tuple[Correlogram, list[Peak]]:
-    """Template correlation over the scale/shift grid, and its peaks."""
+def dynamics_correlogram(series: DailySeries, config: PipelineConfig, out: Path) -> list[Peak]:
+    """Write the template correlation over the scale/shift grid and its
+    peaks; return the peaks."""
     template = load_template(config.template) if config.template else DEFAULT_TEMPLATE
     scales, shifts = resolve_grids(config, len(series.values))
     corr = correlogram(series, template, scales=scales, shifts=shifts)
@@ -318,51 +318,44 @@ def dynamics_correlogram(
             "correlogram: best peak l=%d k=%d c=%.4f (%s..%s)",
             best.shift, best.scale, best.value, best.window_start, best.window_end,
         )
-    return corr, peaks
-
-
-def _write_series(series: DailySeries, smoothed: DailySeries, out: Path) -> None:
-    write_series_csv(series, out / SERIES_RAW)
-    write_series_csv(smoothed, out / SERIES_SMOOTHED)
-
-
-def _write_correlogram(corr: Correlogram, peaks: list[Peak], out: Path) -> None:
     write_correlogram_csv(corr, out / CORRELOGRAM_CSV)
     write_peaks_csv(peaks, out / PEAKS_CSV)
+    return peaks
 
 
 def cmd_series(config: PipelineConfig) -> int:
     """Write raw and smoothed daily dynamics of the filtered flow."""
     flow, _, _ = _flow(config)
-    _write_series(*dynamics_series(flow, config), Path(config.out_dir))
+    dynamics_series(flow, config, Path(config.out_dir))
     return 0
 
 
 def cmd_correlogram(config: PipelineConfig) -> int:
     """Write template correlation over the grid, plus the peak report."""
     flow, _, _ = _flow(config)
-    series = build_daily_series(flow)
-    _write_correlogram(*dynamics_correlogram(series, config), Path(config.out_dir))
+    dynamics_correlogram(build_daily_series(flow), config, Path(config.out_dir))
     return 0
 
 
-@dataclass
-class Events:
-    """What the events stage finds in one stage corpus; ``table`` is the
-    stage corpus's tokenized rows, which hold the event corpus's."""
-
-    ranked: list[TermWeight]
-    matched: list[str]
-    corpus: Corpus
-    graph: SourceGraph
-    table: TermTable
+def _augmented_query(query: FlowQuery | None, event_terms: list[str]) -> dict:
+    """The flow query narrowed by one OR-group of the event terms."""
+    if event_terms:
+        query = augment_query(query, event_terms) if query else FlowQuery([frozenset(event_terms)])
+    return {
+        "required_groups": [sorted(g) for g in query.required_groups] if query else [],
+        "excluded_terms": sorted(query.excluded_terms) if query else [],
+        "event_terms": list(event_terms),
+    }
 
 
 def find_events(
-    corpus: Corpus, tokenized: TermTable, config: PipelineConfig
-) -> Events:
+    corpus: Corpus, tokenized: TermTable, query: FlowQuery | None, config: PipelineConfig,
+    out: Path,
+) -> tuple[list[str], Corpus, TermTable]:
     """Rank terms, match the event lexicon, keep the documents carrying
-    an event term, and project them onto sources."""
+    an event term, project them onto sources, and write all of it.
+    Returns the matched terms, the event corpus and the stage corpus's
+    tokenized rows, which hold the event corpus's."""
     lexicon = load_lexicon(config.lexicon) if config.lexicon else DEFAULT_EVENT_LEXICON
     table = tokenized.select(corpus)
     ranked = compute_tfidf(table)
@@ -374,49 +367,35 @@ def find_events(
         log.warning("events: no lexicon term among the top %d ranked terms", config.top_m)
         event_corpus = Corpus(corpus.table, corpus.rows[:0])
     graph = source_link_graph(event_corpus) if len(event_corpus) else SourceGraph({}, {})
+    augmented = _augmented_query(query, matched)
     log.info(
         "events: %d matched terms, %d event docs, %d source links",
         len(matched), len(event_corpus), len(graph.edges),
     )
-    return Events(ranked, matched, event_corpus, graph, table)
-
-
-def _write_augmented_query(query: FlowQuery | None, event_terms: list[str], path: Path) -> None:
-    """The flow query narrowed by one OR-group of the event terms."""
-    if event_terms:
-        query = augment_query(query, event_terms) if query else FlowQuery([frozenset(event_terms)])
-    payload = {
-        "required_groups": [sorted(g) for g in query.required_groups] if query else [],
-        "excluded_terms": sorted(query.excluded_terms) if query else [],
-        "event_terms": list(event_terms),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_events(events: Events, query: FlowQuery | None, out: Path) -> None:
-    write_term_report(events.ranked, out / TERMS_TSV)
-    (out / EVENT_TERMS_TXT).write_text("".join(t + "\n" for t in events.matched), encoding="utf-8")
-    _write_augmented_query(query, events.matched, out / AUGMENTED_QUERY_JSON)
-    save_corpus(events.corpus, out / EVENT_CORPUS)
-    write_source_graph(events.graph, out / SOURCE_EDGES_TSV, out / SOURCE_NODES_TSV)
+    write_term_report(ranked, out / TERMS_TSV)
+    (out / EVENT_TERMS_TXT).write_text("".join(t + "\n" for t in matched), encoding="utf-8")
+    (out / AUGMENTED_QUERY_JSON).write_text(
+        json.dumps(augmented, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    save_corpus(event_corpus, out / EVENT_CORPUS)
+    write_source_graph(graph, out / SOURCE_EDGES_TSV, out / SOURCE_NODES_TSV)
+    return matched, event_corpus, table
 
 
 def cmd_events(config: PipelineConfig) -> int:
     """Rank terms, match the event lexicon, narrow to event documents,
     and project the event flow onto sources."""
     flow, tokenized, query = _flow(config)
-    _write_events(find_events(flow, tokenized, config), query, Path(config.out_dir))
+    find_events(flow, tokenized, query, config, Path(config.out_dir))
     return 0
 
 
 def cluster_events(
-    corpus: Corpus, tokenized: TermTable, terms: list[str], config: PipelineConfig
+    corpus: Corpus, tokenized: TermTable, terms: list[str], config: PipelineConfig, out: Path
 ) -> tuple[list[str], Clustering]:
     """Seeded k-means over the corpus, one cluster per seed term; idf
-    comes from this corpus alone.  Returns the ids of the documents left
-    without a vector (every term in every document) and the clustering."""
+    comes from this corpus alone.  Writes the cluster report and returns
+    the ids of the documents left without a vector (every term in every
+    document) and the clustering."""
     table = tokenized.select(corpus)
     df = document_frequencies(table)
     vectors = vectorize(table, df, len(table))
@@ -431,11 +410,12 @@ def cluster_events(
         "cluster: k=%d, %d docs, %d iterations, Q=%.4f",
         len(seeds), len(vectors), clustering.iterations, clustering.q_history[-1],
     )
+    write_cluster_report(clustering, out / CLUSTERS_JSON, omitted)
     return omitted, clustering
 
 
 def cmd_cluster(config: PipelineConfig) -> int:
-    """Seeded k-means over the given corpus; one cluster per event term."""
+    """Seeded k-means over the filtered flow; one cluster per event term."""
     terms_path = Path(config.terms) if config.terms else Path(config.out_dir) / EVENT_TERMS_TXT
     if not terms_path.is_file():
         raise ConfigError(
@@ -448,9 +428,8 @@ def cmd_cluster(config: PipelineConfig) -> int:
             f"event term file {terms_path} is empty: run the events subcommand"
             " on a corpus that matches the lexicon, or pass --terms"
         )
-    corpus, tokenized = _load_inputs(config)
-    omitted, clustering = cluster_events(corpus, tokenized, seed_terms, config)
-    write_cluster_report(clustering, Path(config.out_dir) / CLUSTERS_JSON, omitted)
+    flow, tokenized, _ = _flow(config)
+    cluster_events(flow, tokenized, seed_terms, config, Path(config.out_dir))
     return 0
 
 
@@ -496,10 +475,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     save_corpus(flow, out / FLOW_CORPUS)
 
     with _stage("dynamics"):
-        series, smoothed = dynamics_series(flow, config)
-        _write_series(series, smoothed, out)
-        corr, peaks = dynamics_correlogram(series, config)
-        _write_correlogram(corr, peaks, out)
+        peaks = dynamics_correlogram(dynamics_series(flow, config, out), config, out)
 
     with _stage("narrowing"):
         if not peaks:
@@ -516,16 +492,12 @@ def cmd_pipeline(config: PipelineConfig) -> int:
             )
 
     with _stage("terms"):
-        events = find_events(stage_corpus, tokenized, config)
-        del tokenized  # free the full table: clustering reads events.table
-        _write_events(events, query, out)
+        matched, event_corpus, table = find_events(stage_corpus, tokenized, query, config, out)
+        del tokenized  # free the full table: clustering reads the stage table
 
     with _stage("clustering"):
-        if events.matched:
-            omitted, clustering = cluster_events(
-                events.corpus, events.table, events.matched, config
-            )
-            write_cluster_report(clustering, out / CLUSTERS_JSON, omitted)
+        if matched:
+            cluster_events(event_corpus, table, matched, config, out)
         else:
             notes.append("clustering: skipped (no event terms matched)")
     _write_manifest(out, notes)

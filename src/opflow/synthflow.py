@@ -22,6 +22,7 @@ uses for its config files.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 
@@ -259,6 +260,14 @@ def read_kv_file(path) -> list[tuple[str, str]]:
     return pairs
 
 
+def _iso_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` date.  Python 3.11 and later also read basic and
+    week forms (``20160601``, ``2016-W22-3``) that 3.10 rejects."""
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text) is None:
+        raise ValueError(text)
+    return date.fromisoformat(text)
+
+
 def typed_values(pairs: list[tuple[str, str]], types: dict[str, type], where) -> dict:
     """Each key's value coerced to its type in ``types``; a repeated key
     keeps its last value.  Unknown keys and unparsable values are
@@ -269,7 +278,7 @@ def typed_values(pairs: list[tuple[str, str]], types: dict[str, type], where) ->
             raise ConfigError(f"{where}: unknown key {key!r}")
         kind = types[key]
         try:
-            values[key] = date.fromisoformat(raw) if kind is date else kind(raw)
+            values[key] = _iso_date(raw) if kind is date else kind(raw)
         except ValueError:
             wanted = "an ISO date" if kind is date else "a number"
             raise ConfigError(f"{where}: key {key!r} needs {wanted}, got {raw!r}") from None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -572,6 +573,20 @@ def test_cluster_accepts_an_external_term_file(fx, tmp_path):
     assert report["clusters"][0]["seed_terms"] == ["petition"]
 
 
+def test_cluster_applies_the_query(fx, tmp_path):
+    # the fixture's protest docs are c01*, its petition docs c03*
+    terms = tmp_path / "terms.txt"
+    terms.write_text("petition\nprotest\n")
+    rc = main(["cluster", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
+               "--terms", str(terms), "--query", "petition,protest"])
+    assert rc == 0
+    report = json.loads((tmp_path / CLUSTERS_JSON).read_text())
+    members = [m["doc_id"] for c in report["clusters"] for m in c["members"]]
+    members += report["unassigned_doc_ids"] + report["omitted_doc_ids"]
+    assert members and all(doc_id[:3] in ("c01", "c03") for doc_id in members)
+    assert [c["member_count"] for c in report["clusters"]] == [40, 60]
+
+
 def test_cluster_report_is_byte_stable(fx, tmp_path):
     terms = tmp_path / "terms.txt"
     terms.write_text("protest\nreferendum\n")
@@ -609,7 +624,9 @@ def test_cluster_omits_exactly_the_docs_left_without_a_vector(texts):
     tokenized = tokenize_corpus(corpus)
     vectors = vectorize(tokenized, document_frequencies(tokenized), len(tokenized))
     vectorized = set(vectors.doc_ids)
-    omitted, clustering = cluster_events(corpus, tokenized, ["protest"], PipelineConfig())
+    with tempfile.TemporaryDirectory() as out:
+        omitted, clustering = cluster_events(
+            corpus, tokenized, ["protest"], PipelineConfig(), Path(out))
     assert omitted == [doc_id for doc_id in tokenized if doc_id not in vectorized]
     assert clustering.vectors.doc_ids == vectors.doc_ids
     # a weight is copied out only when some term has zero weight
@@ -769,9 +786,11 @@ def test_pipeline_exits_3_on_an_internal_fault_and_leaves_no_stale_artifact(
     assert (tmp_path / EVENT_CORPUS).is_file()  # the stages before it ran
 
 
-# every library name perfbench/spans.py wraps in opflow.cli, with the calls
-# one fixture pipeline makes of it
+# every name perfbench/spans.py wraps in opflow.cli, with the calls one
+# fixture pipeline makes of it
 TRACED_CALLS = {
+    "cmd_pipeline": 1, "cmd_series": 0, "cmd_correlogram": 0, "cmd_events": 0,
+    "cmd_cluster": 0,
     "load_corpus": 1, "tokenize_corpus": 1, "filter_by_query": 1, "filter_by_dates": 1,
     "save_corpus": 3, "build_daily_series": 1, "smooth": 1, "correlogram": 1,
     "detect_peaks": 1, "write_series_csv": 2, "write_correlogram_csv": 1,
@@ -808,11 +827,13 @@ def test_pipeline_calls_each_traced_name_as_often_as_measured(fx, tmp_path, monk
     assert calls == TRACED_CALLS
 
 
-def test_pipeline_equals_manual_stage_composition(fx, tmp_path):
+@pytest.mark.parametrize("query", [[], ["--query", "protest", "--exclude", "common29"]],
+                         ids=["no-query", "selective"])
+def test_pipeline_equals_manual_stage_composition(fx, tmp_path, query):
     pipe = tmp_path / "pipe"
     manual = tmp_path / "manual"
-    assert run_pipeline(fx, pipe) == 0
-    common = ["--stopwords", fx["stopwords"], "--threshold", "0.6"]
+    common = ["--stopwords", fx["stopwords"], "--threshold", "0.6"] + query
+    assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(pipe)] + common) == 0
     assert main(["series", "--corpus", str(pipe / "flow_corpus.jsonl"),
                  "--out-dir", str(manual)] + common) == 0
     assert main(["correlogram", "--corpus", str(pipe / "flow_corpus.jsonl"),
@@ -921,6 +942,12 @@ def test_load_burst_spec_validates(tmp_path):
     path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\namplitude = 5\n")
     with pytest.raises(ConfigError, match="seed"):
         load_burst_spec(path, seed_override=-1)
+    # the one date form every supported Python reads
+    for start_date in ("20160601", "2016-W22-3"):
+        path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
+                        f"amplitude = 5\nstart_date = {start_date}\n")
+        with pytest.raises(ConfigError, match="needs an ISO date"):
+            load_burst_spec(path)
 
 
 def test_load_cluster_spec_reads_the_fixture(fx):
