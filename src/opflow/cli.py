@@ -280,11 +280,12 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
 
 
 def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
-    """Load and tokenize the corpus, and keep the documents the query matches."""
-    corpus = load_corpus(config.corpus)
-    stopwords = load_stopwords(config.stopwords) if config.stopwords else frozenset()
-    tokenized = tokenize_corpus(corpus, stopwords)
+    """Parse the query and read the stopwords, then load and tokenize the
+    corpus, and keep the documents the query matches."""
     query = parse_query(config.query, config.exclude)
+    stopwords = load_stopwords(config.stopwords) if config.stopwords else frozenset()
+    corpus = load_corpus(config.corpus)
+    tokenized = tokenize_corpus(corpus, stopwords)
     flow = filter_by_query(corpus, query, tokenized) if query is not None else corpus
     if len(flow) == 0:
         raise DataError("empty flow: the query matched no documents")
@@ -337,17 +338,6 @@ def cmd_correlogram(config: PipelineConfig) -> int:
     return 0
 
 
-def _augmented_query(query: FlowQuery | None, event_terms: list[str]) -> dict:
-    """The flow query narrowed by one OR-group of the event terms."""
-    if event_terms:
-        query = augment_query(query, event_terms) if query else FlowQuery([frozenset(event_terms)])
-    return {
-        "required_groups": [sorted(g) for g in query.required_groups] if query else [],
-        "excluded_terms": sorted(query.excluded_terms) if query else [],
-        "event_terms": list(event_terms),
-    }
-
-
 def find_events(
     corpus: Corpus, tokenized: TermTable, query: FlowQuery | None, config: PipelineConfig,
     out: Path,
@@ -361,21 +351,23 @@ def find_events(
     ranked = compute_tfidf(table)
     matched = match_event_terms(ranked, lexicon, table, top_m=config.top_m)
     if matched:
-        event_query = FlowQuery(required_groups=[frozenset(matched)])
-        event_corpus = filter_by_query(corpus, event_query, table)
+        event_corpus = filter_by_query(corpus, augment_query(None, matched), table)
     else:
         log.warning("events: no lexicon term among the top %d ranked terms", config.top_m)
         event_corpus = Corpus(corpus.table, corpus.rows[:0])
     graph = source_link_graph(event_corpus) if len(event_corpus) else SourceGraph({}, {})
-    augmented = _augmented_query(query, matched)
+    augmented = augment_query(query, matched)
     log.info(
         "events: %d matched terms, %d event docs, %d source links",
         len(matched), len(event_corpus), len(graph.edges),
     )
     write_term_report(ranked, out / TERMS_TSV)
     (out / EVENT_TERMS_TXT).write_text("".join(t + "\n" for t in matched), encoding="utf-8")
-    (out / AUGMENTED_QUERY_JSON).write_text(
-        json.dumps(augmented, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / AUGMENTED_QUERY_JSON).write_text(json.dumps({
+        "required_groups": [sorted(g) for g in augmented.required_groups] if augmented else [],
+        "excluded_terms": sorted(augmented.excluded_terms) if augmented else [],
+        "event_terms": matched,
+    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     save_corpus(event_corpus, out / EVENT_CORPUS)
     write_source_graph(graph, out / SOURCE_EDGES_TSV, out / SOURCE_NODES_TSV)
     return matched, event_corpus, table
@@ -457,9 +449,7 @@ def _stage(name: str):
     raises; any other exception passes through, to exit 3."""
     try:
         yield
-    except ConfigError as exc:
-        raise ConfigError(f"stage {name}: {exc}") from exc
-    except DataError as exc:
+    except (ConfigError, DataError) as exc:
         raise type(exc)(f"stage {name}: {exc}") from exc
 
 

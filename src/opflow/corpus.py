@@ -93,10 +93,6 @@ _DAY_MICROS = 86_400_000_000
 _EPOCH_ORDINAL = _EPOCH.toordinal()
 
 
-class CorpusFormatError(DataError):
-    """A corpus file or record violates the expected JSONL format."""
-
-
 def _extract_tokens(text: str) -> list[str]:
     """Case-folded letter/digit runs of length >= 2, in order of appearance."""
     return _ANY_TOKEN_RE.findall(text.casefold())
@@ -536,17 +532,14 @@ def tokenize_corpus(
     corpus: Corpus, stopwords: frozenset[str] | set[str] = frozenset()
 ) -> TermTable:
     """Tokenized form of every document, one row each, in corpus order:
-    the table's token streams with the stopwords' ids dropped.  The
-    streams of a corpus of every row, with no stopwords, are the
-    table's own read-only arrays."""
+    the table's token streams with the stopwords' ids dropped.  A corpus
+    of every row, with no stopwords, shares the table's own read-only
+    arrays; a subset is its whole table tokenized, then selected."""
     table = corpus.table
-    if len(corpus) == len(table):
-        # every row, in table order: share the table's read-only arrays
-        indptr, term_ids = table.indptr, table.term_ids
-    else:
-        entries, indptr = csr_take(table.indptr, corpus.rows)
-        term_ids = table.term_ids[entries]
-        del entries
+    if len(corpus) < len(table):
+        whole = Corpus(table, np.arange(len(table), dtype=np.int64))
+        return tokenize_corpus(whole, stopwords).select(corpus)
+    indptr, term_ids = table.indptr, table.term_ids
     if stopwords:
         dropped = np.array([term in stopwords for term in table.vocab], dtype=bool)
         kept = ~dropped[term_ids]
@@ -604,29 +597,29 @@ def _parse_line(
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+        raise DataError(f"line {line_no}: invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
-        raise CorpusFormatError(f"line {line_no}: record must be a JSON object")
+        raise DataError(f"line {line_no}: record must be a JSON object")
     for key in _REQUIRED_KEYS:
         if key not in obj:
-            raise CorpusFormatError(f"line {line_no}: missing key {key!r}")
+            raise DataError(f"line {line_no}: missing key {key!r}")
         if not isinstance(obj[key], str):
-            raise CorpusFormatError(f"line {line_no}: key {key!r} must be a string")
+            raise DataError(f"line {line_no}: key {key!r} must be a string")
     doc_id, stamp, source = obj["id"], obj["published_at"], obj["source"]
     title, body = obj["title"], obj["body"]
     if not doc_id:
-        raise CorpusFormatError(f"line {line_no}: empty id")
+        raise DataError(f"line {line_no}: empty id")
     try:
         instant = parse_timestamp(stamp)
     except (ValueError, OverflowError) as exc:  # overflow: a range end moved to UTC
-        raise CorpusFormatError(f"line {line_no}: bad published_at: {exc}") from None
+        raise DataError(f"line {line_no}: bad published_at: {exc}") from None
     micros = (instant - _EPOCH) // _MICROSECOND
     language = obj.get("language")
     if language is not None and not isinstance(language, str):
-        raise CorpusFormatError(f"line {line_no}: language must be a string")
+        raise DataError(f"line {line_no}: language must be a string")
     terms = _term_ids(title + " " + body, vocab, words)
     if not terms:
-        raise CorpusFormatError(f"line {line_no}: document {doc_id!r} has no tokens")
+        raise DataError(f"line {line_no}: document {doc_id!r} has no tokens")
     return doc_id, micros, source, terms, _encode_line(
         doc_id, format_timestamp(instant), source, title, body, language
     )
@@ -688,9 +681,7 @@ def _read_lines(numbered: Iterable[tuple[int, str]]) -> Corpus:
         if prior is not None:
             # equal output lines are equal records
             if lines[prior] != out:
-                raise CorpusFormatError(
-                    f"line {line_no}: duplicate id {doc_id!r} with differing content"
-                )
+                raise DataError(f"line {line_no}: duplicate id {doc_id!r} with differing content")
             continue
         row_of[doc_id] = len(ids)
         ids.append(doc_id)
@@ -712,9 +703,9 @@ def load_corpus(path: str | Path) -> Corpus:
         with open(path, "r", encoding="utf-8-sig") as handle:
             corpus = _read_lines(enumerate(handle, start=1))
     except UnicodeDecodeError:
-        raise CorpusFormatError(_decode_error_message(path)) from None
+        raise DataError(_decode_error_message(path)) from None
     if not len(corpus):
-        raise CorpusFormatError(f"corpus file {path} contains no records")
+        raise DataError(f"corpus file {path} contains no records")
     return corpus
 
 

@@ -1,4 +1,4 @@
-"""Shared exception bases; ``cli.main`` picks the exit status by class alone.
+"""One class per exit status, subclassed nowhere; ``cli.main`` picks by class.
 
 ConfigError -> exit 1 (usage/config); DataError or OSError -> exit 2
 (bad input data, or a file that cannot be read or written); anything

@@ -34,10 +34,6 @@ from .errors import DataError
 DEFAULT_SMOOTHING_WINDOW = 7
 
 
-class TemplateFormatError(DataError):
-    """A template file line does not parse as "position amplitude"."""
-
-
 @dataclass
 class DailySeries:
     """Per-day values over a contiguous date range (no gaps)."""
@@ -316,24 +312,20 @@ def load_template(path: str | Path) -> LifecycleTemplate:
     for line_no, data, _ in read_line_file(path):
         parts = data.split()
         if len(parts) != 2:
-            raise TemplateFormatError(
-                f"line {line_no}: expected 'position amplitude', got {data!r}"
-            )
+            raise DataError(f"line {line_no}: expected 'position amplitude', got {data!r}")
         try:
             point = (float(parts[0]), float(parts[1]))
         except ValueError:
-            raise TemplateFormatError(
-                f"line {line_no}: non-numeric control point {data!r}"
-            ) from None
+            raise DataError(f"line {line_no}: non-numeric control point {data!r}") from None
         if not all(map(math.isfinite, point)):
-            raise TemplateFormatError(f"line {line_no}: non-finite control point {data!r}")
+            raise DataError(f"line {line_no}: non-finite control point {data!r}")
         points.append(point)
     if not points:
-        raise TemplateFormatError(f"template file {path} has no control points")
+        raise DataError(f"template file {path} has no control points")
     try:
         return LifecycleTemplate(points)
     except ValueError as exc:
-        raise TemplateFormatError(str(exc)) from None
+        raise DataError(str(exc)) from None
 
 
 def _format_value(v: float) -> str:

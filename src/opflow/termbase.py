@@ -25,10 +25,6 @@ from .errors import DataError
 DEFAULT_TOP_M = 200
 
 
-class LexiconError(DataError):
-    """The event lexicon file is missing, empty, or unusable."""
-
-
 @dataclass
 class TermWeight:
     """Corpus-level significance of one term."""
@@ -99,7 +95,7 @@ def load_lexicon(path: str | Path) -> frozenset[str]:
     """Lexicon file: the terms :func:`read_terms` reads, as a set."""
     entries = frozenset(read_terms(path))
     if not entries:
-        raise LexiconError(f"lexicon file {path} has no usable entries")
+        raise DataError(f"lexicon file {path} has no usable entries")
     return entries
 
 
@@ -136,13 +132,16 @@ def match_event_terms(
     return [term for _, term in matched]
 
 
-def augment_query(base: FlowQuery, event_terms: list[str]) -> FlowQuery:
-    """Narrow the base query with one extra OR-group of event terms."""
+def augment_query(base: FlowQuery | None, event_terms: list[str]) -> FlowQuery | None:
+    """Narrow the base query with one extra OR-group of event terms: the
+    base itself when there are none, the event terms' group alone when
+    there is no base."""
     if not event_terms:
-        raise ValueError("cannot augment a query with an empty event-term list")
+        return base
+    groups = base.required_groups if base else []
     return FlowQuery(
-        required_groups=list(base.required_groups) + [frozenset(event_terms)],
-        excluded_terms=base.excluded_terms,
+        required_groups=[*groups, frozenset(event_terms)],
+        excluded_terms=base.excluded_terms if base else frozenset(),
     )
 
 

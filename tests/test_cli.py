@@ -278,6 +278,34 @@ def test_exit_1_on_terms_config_key_outside_cluster(fx, tmp_path, caplog):
     assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
+# each malformed filter, with the message it exits 1 with
+BAD_FILTERS = {
+    "query": (["--query", "!!!"], "query term '!!!' contains no usable tokens"),
+    "exclude without query": (["--exclude", "sport"], "excluded terms need a base query"),
+}
+
+
+@pytest.mark.parametrize("bad_filter", BAD_FILTERS)
+@pytest.mark.parametrize("command", ["series", "correlogram", "events", "cluster", "pipeline"])
+def test_exit_1_on_a_bad_filter_before_the_corpus_is_read(
+    fx, tmp_path, monkeypatch, caplog, command, bad_filter
+):
+    import opflow.cli as cli
+
+    loads = []
+    monkeypatch.setattr(cli, "load_corpus", lambda path: loads.append(path) or load_corpus(path))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("{not json\n")
+    flags, message = BAD_FILTERS[bad_filter]
+    terms = ["--terms", fx["lexicon"]] if command == "cluster" else []
+    with caplog.at_level("ERROR"):
+        rc = main([command, "--corpus", str(corpus), "--out-dir", str(tmp_path / "out"),
+                   *terms, *flags])
+    assert rc == 1
+    assert message in caplog.text
+    assert loads == []
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_exit_1_when_the_output_directory_cannot_be_made(fx, tmp_path, caplog, command):
     blocker = tmp_path / "file"

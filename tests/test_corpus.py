@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import oracles
 from opflow.corpus import (
     Corpus,
-    CorpusFormatError,
     Document,
     FlowQuery,
     TermTable,
@@ -36,6 +35,7 @@ from opflow.corpus import (
     save_corpus,
     tokenize_corpus,
 )
+from opflow.errors import DataError
 
 
 def doc(id="d1", ts="2016-06-24T08:00:00Z", source="wire", title="tt", body="bb"):
@@ -140,7 +140,7 @@ def test_corpus_equality_compares_records(tmp_path):
 
 
 def test_corpus_rejects_duplicate_ids():
-    with pytest.raises(CorpusFormatError, match="line 2: duplicate id 'x' with differing content"):
+    with pytest.raises(DataError, match="line 2: duplicate id 'x' with differing content"):
         Corpus.from_documents([doc(id="x"), doc(id="x", ts="2016-06-25T08:00:00Z")])
 
 
@@ -151,10 +151,10 @@ def test_from_documents_merges_identical_duplicates():
 
 def test_from_documents_rejects_a_tokenless_document_as_load_corpus_does(tmp_path):
     docs = [doc(id="a"), doc(id="b", title="!", body="? !")]
-    with pytest.raises(CorpusFormatError) as from_documents:
+    with pytest.raises(DataError) as from_documents:
         Corpus.from_documents(docs)
     p = _write(tmp_path, "c.jsonl", "".join(d.json_line for d in docs))
-    with pytest.raises(CorpusFormatError) as loaded:
+    with pytest.raises(DataError) as loaded:
         load_corpus(p)
     assert str(from_documents.value) == str(loaded.value) == "line 2: document 'b' has no tokens"
 
@@ -325,24 +325,24 @@ def test_load_corpus_happy_path(tmp_path):
 
 def test_load_corpus_reports_line_numbers(tmp_path):
     p = _write(tmp_path, "c.jsonl", GOOD_LINE + "\n{broken\n")
-    with pytest.raises(CorpusFormatError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         load_corpus(p)
     bad = tmp_path / "latin1.jsonl"
     bad.write_bytes((GOOD_LINE + "\n\n" + GOOD_LINE.replace("Referendum", "Caf\xe9")).encode("latin-1"))
-    with pytest.raises(CorpusFormatError, match=r"line 3: invalid UTF-8.*0xe9"):
+    with pytest.raises(DataError, match=r"line 3: invalid UTF-8.*0xe9"):
         load_corpus(bad)
 
 
 def test_load_corpus_missing_key(tmp_path):
     p = _write(tmp_path, "c.jsonl", '{"id": "a"}\n')
-    with pytest.raises(CorpusFormatError, match="missing key"):
+    with pytest.raises(DataError, match="missing key"):
         load_corpus(p)
 
 
 def test_load_corpus_zero_token_document(tmp_path):
     line = GOOD_LINE.replace("Referendum", "!").replace("words here", "? !")
     p = _write(tmp_path, "c.jsonl", line + "\n")
-    with pytest.raises(CorpusFormatError, match="no tokens"):
+    with pytest.raises(DataError, match="no tokens"):
         load_corpus(p)
 
 
@@ -356,7 +356,7 @@ def test_load_corpus_token_check_agrees_with_the_tokenizer(tmp_path, title, has_
     if has_tokens:
         assert next(iter(load_corpus(p))).title == title
     else:
-        with pytest.raises(CorpusFormatError, match="line 1: .* has no tokens"):
+        with pytest.raises(DataError, match="line 1: .* has no tokens"):
             load_corpus(p)
 
 
@@ -368,13 +368,13 @@ def test_load_corpus_merges_identical_duplicates(tmp_path):
 def test_load_corpus_rejects_conflicting_duplicates(tmp_path):
     other = GOOD_LINE.replace("words here", "different words")
     p = _write(tmp_path, "c.jsonl", GOOD_LINE + "\n" + other + "\n")
-    with pytest.raises(CorpusFormatError, match="differing content"):
+    with pytest.raises(DataError, match="differing content"):
         load_corpus(p)
 
 
 def test_load_corpus_empty_file(tmp_path):
     p = _write(tmp_path, "c.jsonl", "\n\n")
-    with pytest.raises(CorpusFormatError, match="no records"):
+    with pytest.raises(DataError, match="no records"):
         load_corpus(p)
 
 
@@ -415,7 +415,7 @@ def test_load_corpus_merges_one_instant_written_two_ways(tmp_path):
 def test_load_corpus_names_the_line_of_a_conflicting_duplicate(tmp_path):
     other = GOOD_LINE.replace('"source": "s"', '"source": "t"')
     p = _write(tmp_path, "c.jsonl", GOOD_LINE + "\n\n" + other + "\n")
-    with pytest.raises(CorpusFormatError, match="line 3: duplicate id 'a' with differing content"):
+    with pytest.raises(DataError, match="line 3: duplicate id 'a' with differing content"):
         load_corpus(p)
 
 
@@ -439,7 +439,7 @@ def test_bom_is_dropped_at_the_start_and_an_error_later(tmp_path):
     save_corpus(load_corpus(p), tmp_path / "out.jsonl")
     assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == GOOD_LINE + "\n"
     stray = _write(tmp_path, "s.jsonl", GOOD_LINE + "\n\ufeff" + GOOD_LINE.replace('"a"', '"b"') + "\n")
-    with pytest.raises(CorpusFormatError, match="line 2: invalid JSON"):
+    with pytest.raises(DataError, match="line 2: invalid JSON"):
         load_corpus(stray)
     words = tmp_path / "w.txt"
     words.write_bytes(b"\xef\xbb\xbfthe # first\nand\n")
@@ -558,7 +558,7 @@ def test_loaded_columns_equal_the_decoded_records(raw, tmp_path_factory):
 
 
 def _load_error(tmp_path, line):
-    with pytest.raises(CorpusFormatError) as info:
+    with pytest.raises(DataError) as info:
         load_corpus(_write(tmp_path, "c.jsonl", line + "\n"))
     return str(info.value)
 

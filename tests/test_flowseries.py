@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 import oracles
 from opflow.corpus import Corpus, Document, parse_timestamp
+from opflow.errors import DataError
 from opflow.flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
     DEFAULT_TEMPLATE,
     Correlogram,
     DailySeries,
     LifecycleTemplate,
-    TemplateFormatError,
     build_daily_series,
     correlogram,
     detect_peaks,
@@ -158,14 +158,14 @@ def test_load_template_round_trip(tmp_path, fixtures_dir):
 def test_load_template_rejects_garbage(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("0 1 extra\n", encoding="utf-8")
-    with pytest.raises(TemplateFormatError, match="line 1"):
+    with pytest.raises(DataError, match="line 1"):
         load_template(p)
     p.write_text("# only comments\n", encoding="utf-8")
-    with pytest.raises(TemplateFormatError, match="no control points"):
+    with pytest.raises(DataError, match="no control points"):
         load_template(p)
     for bad in ("nan 0.5", "0.5 inf", "0.5 -Infinity"):
         p.write_text(f"0 0.1\n{bad}\n1 0.3\n", encoding="utf-8")
-        with pytest.raises(TemplateFormatError, match="line 2: non-finite"):
+        with pytest.raises(DataError, match="line 2: non-finite"):
             load_template(p)
 
 

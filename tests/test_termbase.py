@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from opflow.corpus import FlowQuery, TermTable
+from opflow.errors import DataError
 from opflow.termbase import (
     DEFAULT_EVENT_LEXICON,
     DEFAULT_TOP_M,
-    LexiconError,
     augment_query,
     compute_tfidf,
     document_frequencies,
@@ -105,7 +105,7 @@ def test_load_lexicon_normalizes_and_dedupes(tmp_path):
 def test_load_lexicon_rejects_empty(tmp_path):
     p = tmp_path / "lex.txt"
     p.write_text("# nothing\n", encoding="utf-8")
-    with pytest.raises(LexiconError):
+    with pytest.raises(DataError, match="no usable entries"):
         load_lexicon(p)
 
 
@@ -161,9 +161,13 @@ def test_augment_query_adds_one_group():
     assert frozenset({"protest", "petition"}) in aug.required_groups
 
 
-def test_augment_query_rejects_empty_terms():
-    with pytest.raises(ValueError):
-        augment_query(FlowQuery(required_groups=[{"brexit"}]), [])
+def test_augment_query_without_terms_or_base():
+    base = FlowQuery(required_groups=[{"brexit"}], excluded_terms={"sport"})
+    assert augment_query(base, []) is base
+    assert augment_query(None, []) is None
+    alone = augment_query(None, ["protest"])
+    assert alone.required_groups == [frozenset({"protest"})]
+    assert alone.excluded_terms == frozenset()
 
 
 # --- report ----------------------------------------------------------------
