@@ -51,6 +51,7 @@ from .flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
     DEFAULT_TEMPLATE,
     DailySeries,
+    LifecycleTemplate,
     Peak,
     build_daily_series,
     correlogram,
@@ -279,6 +280,16 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
     return scales, shifts
 
 
+# the template and the lexicon are read before the corpus, so a fault in
+# either is reported before a long load and before pipeline writes a file
+def _template(options: PipelineConfig | argparse.Namespace) -> LifecycleTemplate:
+    return load_template(options.template) if options.template else DEFAULT_TEMPLATE
+
+
+def _lexicon(config: PipelineConfig) -> frozenset[str]:
+    return load_lexicon(config.lexicon) if config.lexicon else DEFAULT_EVENT_LEXICON
+
+
 def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     """Parse the query and read the stopwords, then load and tokenize the
     corpus, and keep the documents the query matches."""
@@ -302,10 +313,11 @@ def dynamics_series(flow: Corpus, config: PipelineConfig, out: Path) -> DailySer
     return series
 
 
-def dynamics_correlogram(series: DailySeries, config: PipelineConfig, out: Path) -> list[Peak]:
+def dynamics_correlogram(
+    series: DailySeries, template: LifecycleTemplate, config: PipelineConfig, out: Path
+) -> list[Peak]:
     """Write the template correlation over the scale/shift grid and its
     peaks; return the peaks."""
-    template = load_template(config.template) if config.template else DEFAULT_TEMPLATE
     scales, shifts = resolve_grids(config, len(series.values))
     corr = correlogram(series, template, scales=scales, shifts=shifts)
     peaks = detect_peaks(corr, config.threshold, config.top_n)
@@ -333,20 +345,20 @@ def cmd_series(config: PipelineConfig) -> int:
 
 def cmd_correlogram(config: PipelineConfig) -> int:
     """Write template correlation over the grid, plus the peak report."""
+    template = _template(config)
     flow, _, _ = _flow(config)
-    dynamics_correlogram(build_daily_series(flow), config, Path(config.out_dir))
+    dynamics_correlogram(build_daily_series(flow), template, config, Path(config.out_dir))
     return 0
 
 
 def find_events(
-    corpus: Corpus, tokenized: TermTable, query: FlowQuery | None, config: PipelineConfig,
-    out: Path,
+    corpus: Corpus, tokenized: TermTable, query: FlowQuery | None, lexicon: frozenset[str],
+    config: PipelineConfig, out: Path,
 ) -> tuple[list[str], Corpus, TermTable]:
     """Rank terms, match the event lexicon, keep the documents carrying
     an event term, project them onto sources, and write all of it.
     Returns the matched terms, the event corpus and the stage corpus's
     tokenized rows, which hold the event corpus's."""
-    lexicon = load_lexicon(config.lexicon) if config.lexicon else DEFAULT_EVENT_LEXICON
     table = tokenized.select(corpus)
     ranked = compute_tfidf(table)
     matched = match_event_terms(ranked, lexicon, table, top_m=config.top_m)
@@ -376,8 +388,9 @@ def find_events(
 def cmd_events(config: PipelineConfig) -> int:
     """Rank terms, match the event lexicon, narrow to event documents,
     and project the event flow onto sources."""
+    lexicon = _lexicon(config)
     flow, tokenized, query = _flow(config)
-    find_events(flow, tokenized, query, config, Path(config.out_dir))
+    find_events(flow, tokenized, query, lexicon, config, Path(config.out_dir))
     return 0
 
 
@@ -461,11 +474,12 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     notes: list[str] = []
 
     with _stage("flow"):
+        template, lexicon = _template(config), _lexicon(config)
         flow, tokenized, query = _flow(config)
     save_corpus(flow, out / FLOW_CORPUS)
 
     with _stage("dynamics"):
-        peaks = dynamics_correlogram(dynamics_series(flow, config, out), config, out)
+        peaks = dynamics_correlogram(dynamics_series(flow, config, out), template, config, out)
 
     with _stage("narrowing"):
         if not peaks:
@@ -482,7 +496,9 @@ def cmd_pipeline(config: PipelineConfig) -> int:
             )
 
     with _stage("terms"):
-        matched, event_corpus, table = find_events(stage_corpus, tokenized, query, config, out)
+        matched, event_corpus, table = find_events(
+            stage_corpus, tokenized, query, lexicon, config, out
+        )
         del tokenized  # free the full table: clustering reads the stage table
 
     with _stage("clustering"):
@@ -503,7 +519,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = None
     if args.cluster_spec is not None:
         spec = load_cluster_spec(args.cluster_spec, args.seed)
-    template = load_template(args.template) if args.template else DEFAULT_TEMPLATE
+    template = _template(args)
     series = generate_burst_series(template, burst)
     if spec is not None:
         corpus, truth = generate_cluster_corpus(spec, template, burst)

@@ -7,14 +7,24 @@ window x[l:l+k] is Pearson-correlated with the template resampled to k
 points.  The resulting correlogram localizes operation-like bursts; its
 peaks map back to calendar date windows.
 
-The correlogram is dense: one (scale x shift) float array, filled one
-scale at a time, with boolean masks for the admissible cells
-(l + k <= n) and the undefined ones.  Zero-variance windows (or a
-constant template) have no defined correlation; they are marked in the
-``undefined`` mask, never by a value, and written as "NA" in CSV
-exports, so they can never masquerade as real peaks.  The arrays are
-the interface; ``Correlogram.cells`` serves only the cell count and the
-values that the benchmark harness reads.
+The correlogram is dense: one (scale x shift) float array, with boolean
+masks for the admissible cells (l + k <= n) and the undefined ones.
+Zero-variance windows (or a constant template) have no defined
+correlation; they are marked in the ``undefined`` mask, never by a
+value, and written as "NA" in CSV exports, so they can never masquerade
+as real peaks.  The arrays are the interface; ``Correlogram.cells``
+serves only the cell count and the values that the benchmark harness
+reads.
+
+Every scale shares one set-up: one read-only window view of the
+zero-padded series, as wide as the widest fitting scale, whose first k
+columns are the length-k windows; one interpolation that samples the
+template at every fitting scale; and the masks and the final division
+over the whole grid.  Only the window arithmetic runs one scale at a
+time, with the same numpy operations as when each scale had its own
+view and sampling, so every cell keeps its bits (a test pins them).
+``detect_peaks`` keeps, by partition, only the cells at or above the
+top_n-th largest value before it sorts them.
 """
 
 from __future__ import annotations
@@ -185,44 +195,20 @@ def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> Daily
     return DailySeries(series.start_date, out)
 
 
+def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarray:
+    """The template resampled to k points on the grid i/(k-1), for each
+    scale k in turn, concatenated: one interpolation serves every scale."""
+    ends = np.cumsum(scales)
+    index = np.arange(ends[-1]) - np.repeat(ends - scales, scales)
+    xs, ys = np.array(template.control_points).T
+    return np.interp(index / np.repeat(scales - 1, scales), xs, ys)
+
+
 def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
     """Resample the template to k points on the uniform grid (i-1)/(k-1)."""
     if k < 2:
         raise ValueError(f"template must be sampled at k >= 2 points, got {k}")
-    xs = np.array([p for p, _ in template.control_points])
-    ys = np.array([a for _, a in template.control_points])
-    positions = np.arange(k, dtype=float) / (k - 1)
-    return [float(v) for v in np.interp(positions, xs, ys)]
-
-
-def _corr_block(
-    values: np.ndarray, changes: np.ndarray, k: int, samples: np.ndarray, rescale: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Correlations of every length-k window against the template samples.
-
-    ``changes[i]`` counts the indices j < i with values[j + 1] != values[j].
-    With ``rescale``, each window is first scaled to bring its max into [0.5, 1).
-    Returns (corr, undefined) arrays indexed by shift l = 0..n-k.
-    """
-    windows = sliding_window_view(values, k)
-    if rescale:  # r is scale-free and a power-of-two scale is exact
-        windows = np.ldexp(windows, -np.frexp(windows.max(axis=1))[1][:, None])
-    p_mean = samples.mean()
-    p_centered = samples - p_mean
-    p_ss = np.sum(p_centered * p_centered)
-    x_mean = windows.mean(axis=1)
-    x_centered = windows - x_mean[:, None]
-    numerator = np.sum(x_centered * p_centered, axis=1)
-    x_ss = np.sum(x_centered * x_centered, axis=1)
-    # A window (or template) of identical values has zero variance; the
-    # correlation is undefined there, not zero.  A window is flat exactly
-    # when no value changes inside it.
-    undefined = changes[k - 1:] == changes[:len(values) - k + 1]
-    if bool(np.all(samples == samples[0])):
-        undefined = np.ones_like(undefined)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = numerator / np.sqrt(x_ss * p_ss)
-    return corr, undefined
+    return _sample_scales(template, np.array([k])).tolist()
 
 
 def correlogram(
@@ -247,25 +233,56 @@ def correlogram(
     shifts = sorted(set(int(l) for l in shifts))
     values = np.asarray(series.values, dtype=float)
     n = len(values)
-    changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
     # squares overflow past a binary exponent of 500, or underflow below -500
     largest = np.frexp(values.max(initial=0.0))[1]
     smallest = np.frexp(values[values > 0.0].min(initial=1.0))[1]
     rescale = largest > 500 or smallest < -500
-    shift_grid = np.asarray(shifts)
-    grid = np.zeros((len(scales), len(shifts)))
-    admissible = np.zeros(grid.shape, dtype=bool)
-    undefined = np.zeros(grid.shape, dtype=bool)
-    for i, k in enumerate(scales):
-        # shifts are sorted, so the admissible ones (l <= n - k) lead
-        fit = int(np.searchsorted(shift_grid, n - k, side="right"))
-        if not fit:
-            continue
-        samples = np.asarray(sample_template(template, k), dtype=float)
-        corr, flat = _corr_block(values, changes, k, samples, rescale)
-        grid[i, :fit] = corr[shift_grid[:fit]]
-        undefined[i, :fit] = flat[shift_grid[:fit]]
-        admissible[i, :fit] = True
+    scale_grid = np.asarray(scales, dtype=np.int64)
+    shift_grid = np.asarray(shifts, dtype=np.int64)
+    ends = shift_grid + scale_grid[:, None]
+    admissible = ends <= n
+    # A window of identical values has zero variance; the correlation is
+    # undefined there, not zero.  A window is flat exactly when no value
+    # changes inside it: changes[i] counts the j < i with values[j + 1] != values[j].
+    changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+    undefined = admissible & (
+        changes.take(ends - 1, mode="clip") == changes.take(shift_grid, mode="clip")
+    )
+    numerators = np.zeros(admissible.shape)
+    sums_of_squares = np.zeros(admissible.shape)
+    template_ss = np.zeros((len(scales), 1))
+    # shifts are sorted, so the admissible ones (l <= n - k) lead; scales
+    # are too, so the scales with an admissible shift lead
+    fits = np.count_nonzero(admissible, axis=1)
+    fitting = scale_grid[fits > 0]
+    if len(fitting):
+        # row l holds values[l:l + k] in its first k columns, for every fitting k
+        widest = int(fitting[-1])
+        padded = np.zeros(n + widest - 1)
+        padded[:n] = values
+        rows = sliding_window_view(padded, widest)
+        samples = _sample_scales(template, fitting)
+        starts = np.cumsum(fitting) - fitting
+        # the template, too, has no variance at a scale where its samples are equal
+        flat = np.minimum.reduceat(samples, starts) == np.maximum.reduceat(samples, starts)
+        undefined[:len(fitting)] |= flat[:, None] & admissible[:len(fitting)]
+        per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist())
+        for i, (k, start, fit) in enumerate(per_scale):
+            windows = rows[:n - k + 1, :k]
+            if rescale:  # r is scale-free and a power-of-two scale is exact
+                windows = np.ldexp(windows, -np.frexp(windows.max(axis=1))[1][:, None])
+            p = samples[start:start + k]
+            p_centered = p - p.mean()
+            template_ss[i] = np.sum(p_centered * p_centered)
+            x_centered = windows - windows.mean(axis=1)[:, None]
+            at = shift_grid[:fit]
+            numerators[i, :fit] = np.sum(x_centered * p_centered, axis=1)[at]
+            sums_of_squares[i, :fit] = np.sum(x_centered * x_centered, axis=1)[at]
+    grid = np.zeros(admissible.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(
+            numerators, np.sqrt(sums_of_squares * template_ss), out=grid, where=admissible
+        )
     return Correlogram(
         shifts=shifts,
         scales=scales,
@@ -288,6 +305,11 @@ def detect_peaks(corr: Correlogram, threshold: float, top_n: int) -> list[Peak]:
         raise ValueError("threshold must not be nan")
     threshold = min(float(threshold), 1.0)
     hit = corr.admissible & ~corr.undefined & (corr.values >= threshold)
+    hits = int(np.count_nonzero(hit))
+    if hits > top_n:
+        # no cell below the top_n-th largest value makes the cut; ties at it stay
+        cut = np.partition(corr.values[hit], hits - top_n)[hits - top_n]
+        hit &= corr.values >= cut
     scale_at, shift_at = np.nonzero(hit)
     scale = np.asarray(corr.scales)[scale_at]
     shift = np.asarray(corr.shifts)[shift_at]

@@ -19,6 +19,7 @@ from opflow.cli import (
     COMMANDS,
     EVENT_CORPUS,
     EVENT_TERMS_TXT,
+    FLOW_CORPUS,
     MANIFEST_TXT,
     PIPELINE_ARTIFACTS,
     SERIES_RAW,
@@ -356,6 +357,44 @@ def test_exit_2_on_a_non_finite_template_point(fx, tmp_path, caplog, command):
                    "--template", str(bad)])
     assert rc == 2
     assert "line 2: non-finite control point '0.5 nan'" in caplog.text
+
+
+# a template or lexicon file its reader refuses, and the message it exits 2 with
+BAD_INPUT_FILES = {
+    "--template": ("0 0.1\n0.5 nan\n1 0.3\n", "line 2: non-finite control point '0.5 nan'"),
+    "--lexicon": ("# comments only\n", "has no usable entries"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [("correlogram", "--template"), ("events", "--lexicon")])
+def test_a_bad_template_or_lexicon_is_reported_before_the_corpus_is_read(
+    tmp_path, caplog, command, flag
+):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("{not json\n")
+    text, message = BAD_INPUT_FILES[flag]
+    bad = tmp_path / "input.txt"
+    bad.write_text(text)
+    with caplog.at_level("ERROR"):
+        rc = main([command, "--corpus", str(corpus), "--out-dir", str(tmp_path / "out"),
+                   flag, str(bad)])
+    assert rc == 2
+    assert message in caplog.text
+    assert "invalid JSON" not in caplog.text
+
+
+@pytest.mark.parametrize("flag", BAD_INPUT_FILES)
+def test_a_pipeline_with_a_bad_template_or_lexicon_writes_no_file(fx, tmp_path, caplog, flag):
+    text, message = BAD_INPUT_FILES[flag]
+    bad = tmp_path / "input.txt"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    with caplog.at_level("ERROR"):
+        rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(out), flag, str(bad)])
+    assert rc == 2
+    assert message in caplog.text
+    assert not (out / FLOW_CORPUS).exists()
+    assert not any(out.iterdir())
 
 
 def write_stopword_corpus(fx) -> list[str]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from opflow.corpus import Corpus, Document, parse_timestamp
@@ -21,6 +22,7 @@ from opflow.flowseries import (
     Correlogram,
     DailySeries,
     LifecycleTemplate,
+    _sample_scales,
     build_daily_series,
     correlogram,
     detect_peaks,
@@ -31,6 +33,7 @@ from opflow.flowseries import (
     write_peaks_csv,
     write_series_csv,
 )
+from opflow.synthflow import BurstSpec, generate_burst_series
 
 START = date(2016, 6, 1)
 
@@ -143,6 +146,24 @@ def test_sample_template_matches_piecewise_oracle():
         assert len(got) == k
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12
+
+
+@pytest.mark.parametrize("template", [
+    DEFAULT_TEMPLATE,
+    LifecycleTemplate([(0.0, 0.0), (1 / 3, 2.5), (0.7, 0.1), (1.0, 1.0)]),
+], ids=["default", "four-point"])
+def test_one_sampling_of_every_scale_equals_each_scale_sampled_alone(template):
+    scales = np.arange(2, 401)
+    batched = _sample_scales(template, scales)
+    xs, ys = (np.array(column) for column in zip(*template.control_points))
+    start = 0
+    for k in scales.tolist():
+        got = [v.hex() for v in batched[start:start + k].tolist()]
+        alone = np.interp(np.arange(k, dtype=float) / (k - 1), xs, ys)
+        assert got == [v.hex() for v in alone.tolist()], k
+        assert got == [v.hex() for v in sample_template(template, k)], k
+        start += k
+    assert start == len(batched)
 
 
 def test_sample_template_rejects_tiny_k():
@@ -391,6 +412,119 @@ def test_peaks_and_csv_match_the_tuple_sort_oracle(runs, template, threshold, to
         path = Path(tmp) / "c.csv"
         write_correlogram_csv(corr, path)
         assert path.read_bytes() == oracles.correlogram_csv(cells)
+
+
+def _pinned_correlogram(values, template, scales, shifts):
+    """A regression pin, not an oracle: the arithmetic of the correlogram
+    when each scale made its own window view and template sampling,
+    frozen here, so that any cell whose bits move shows.  Returns the
+    values, admissible and undefined arrays."""
+    scales = sorted(set(scales))
+    shifts = sorted(set(shifts))
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+    largest = np.frexp(values.max(initial=0.0))[1]
+    smallest = np.frexp(values[values > 0.0].min(initial=1.0))[1]
+    rescale = largest > 500 or smallest < -500
+    xs, ys = (np.array(column) for column in zip(*template.control_points))
+    shift_grid = np.asarray(shifts)
+    grid = np.zeros((len(scales), len(shifts)))
+    admissible = np.zeros(grid.shape, dtype=bool)
+    undefined = np.zeros(grid.shape, dtype=bool)
+    for i, k in enumerate(scales):
+        fit = int(np.searchsorted(shift_grid, n - k, side="right"))
+        if not fit:
+            continue
+        samples = np.interp(np.arange(k, dtype=float) / (k - 1), xs, ys)
+        windows = sliding_window_view(values, k)
+        if rescale:
+            windows = np.ldexp(windows, -np.frexp(windows.max(axis=1))[1][:, None])
+        p_mean = samples.mean()
+        p_centered = samples - p_mean
+        p_ss = np.sum(p_centered * p_centered)
+        x_mean = windows.mean(axis=1)
+        x_centered = windows - x_mean[:, None]
+        numerator = np.sum(x_centered * p_centered, axis=1)
+        x_ss = np.sum(x_centered * x_centered, axis=1)
+        flat = changes[k - 1:] == changes[:n - k + 1]
+        if bool(np.all(samples == samples[0])):
+            flat = np.ones_like(flat)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = numerator / np.sqrt(x_ss * p_ss)
+        grid[i, :fit] = corr[shift_grid[:fit]]
+        undefined[i, :fit] = flat[shift_grid[:fit]]
+        admissible[i, :fit] = True
+    return grid, admissible, undefined
+
+
+def assert_pinned(values, template, scales, shifts):
+    corr = correlogram(series(values), template, scales=scales, shifts=shifts)
+    grid, admissible, undefined = _pinned_correlogram(values, template, scales, shifts)
+    assert np.array_equal(corr.values.view(np.int64), grid.view(np.int64))
+    assert np.array_equal(corr.admissible, admissible)
+    assert np.array_equal(corr.undefined, undefined)
+
+
+# flat runs, magnitudes on both sides of the rescale path, and runs long
+# enough for windows past numpy's 8- and 128-wide summation blocks
+_PIN_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+    st.sampled_from([1e-200, 3e-200, 1e200, 4e200]),
+    st.floats(0, 50, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(st.tuples(_PIN_VALUES, st.integers(1, 12)), min_size=1, max_size=16),
+    template=_TEMPLATES,
+    data=st.data(),
+)
+def test_correlogram_keeps_the_bits_of_the_per_scale_kernel(runs, template, data):
+    values = [v for v, length in runs for _ in range(length)]
+    n = len(values)
+    # unsorted and repeated, with scales and shifts past the series end
+    scales = data.draw(st.lists(st.integers(2, n + 3), min_size=1, max_size=12))
+    shifts = data.draw(st.one_of(
+        st.lists(st.integers(0, n + 2), min_size=1, max_size=24), st.just(list(range(n)))
+    ))
+    assert_pinned(values, template, scales, shifts)
+
+
+def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_planted_year():
+    spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
+                     baseline=5.0, noise_sigma=5.0, rng_seed=7)
+    values = generate_burst_series(DEFAULT_TEMPLATE, spec).values
+    assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(range(356)))
+
+
+def test_detect_peaks_keeps_every_tie_at_the_top_n_cut():
+    # five cells share 0.5 and five share a zero of either sign, so most
+    # top_n cut inside a tie; a nan sits in a defined cell, and an
+    # undefined and an inadmissible cell hold values that must not count
+    nan, inf = float("nan"), float("inf")
+    corr = Correlogram(
+        shifts=[0, 1, 2, 3, 4],
+        scales=[2, 3, 4],
+        values=np.array([
+            [0.5, 0.0, 0.5, inf, 0.0],
+            [-0.0, 0.5, nan, 0.5, -0.0],
+            [0.5, 0.0, 0.25, 0.5, 0.9],
+        ]),
+        admissible=np.array([[True] * 5, [True] * 5, [True] * 4 + [False]]),
+        undefined=np.array([[False] * 5, [False] * 5, [False] * 3 + [True, False]]),
+        start_date=START,
+    )
+    cells = oracles.cells(corr)
+    for threshold in (-inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0):
+        for top_n in range(1, 16):  # 12 cells are defined, so the last top_n keep all
+            got = [(p.shift, p.scale, p.value.hex()) for p in detect_peaks(corr, threshold, top_n)]
+            want = [(l, k, v.hex()) for l, k, v in oracles.detect_peaks(cells, threshold, top_n)]
+            assert got == want, (threshold, top_n)
+    assert [(p.shift, p.scale) for p in detect_peaks(corr, 0.0, 2)] == [(3, 2), (0, 2)]
+    eighth = detect_peaks(corr, 0.0, 8)[-1]
+    assert (eighth.shift, eighth.scale, eighth.value.hex()) == (0, 3, "-0x0.0p+0")
 
 
 def test_peaks_and_csv_read_nan_and_inf_cells_as_the_oracle_does(tmp_path):
