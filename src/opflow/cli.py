@@ -321,7 +321,12 @@ def dynamics_correlogram(
     scales, shifts = resolve_grids(config, len(series.values))
     corr = correlogram(series, template, scales=scales, shifts=shifts)
     peaks = detect_peaks(corr, config.threshold, config.top_n)
-    if not (corr.admissible & ~corr.undefined).any():
+    if not corr.admissible.any():
+        log.warning(
+            "correlogram: no (shift, scale) window of the grid fits the %d-day series",
+            len(series.values),
+        )
+    elif not (corr.admissible & ~corr.undefined).any():
         log.warning("correlogram: every window is flat, no defined cells")
     elif not peaks:
         log.warning("correlogram: no peak at or above threshold %g", config.threshold)

@@ -26,8 +26,9 @@ backslashes and control characters, so ``json.dumps(...,
 ensure_ascii=False)`` would write it as it stands, and published_at as
 ``YYYY-MM-DDTHH:MM:SSZ``, which formats back to itself.  Such a line is
 read without ``json.loads``.  Every other line, and a matched one whose
-date does not exist or whose text has no token, is decoded, validated
-field by field and encoded, so its error reads the same either way.
+date does not exist, is decoded, validated field by field and encoded.
+Either way the record's text is then tokenized once, by one shared
+tail, so a text with no token is the same error on both paths.
 
 Text is tokenized word by word: a whitespace-separated word's term ids
 are computed once per load and looked up for every later occurrence.
@@ -38,8 +39,9 @@ its words in order.
 A tokenized corpus is one :class:`TermTable`: every term is interned
 once into a vocabulary, and each document is a row of CSR arrays (its
 token stream of term ids, and its distinct terms with their counts in
-order of first appearance).  Queries, tf-idf and document vectors all
-work on these arrays.
+order of first appearance).  A corpus is tokenized from its own rows of
+the table's streams.  Queries, tf-idf and document vectors all work on
+these arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -353,10 +354,12 @@ def csr_entry_rows(indptr: np.ndarray) -> np.ndarray:
 def csr_take(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray]:
     """Entry indices of ``rows``, row after row, and the row pointer of
     the rows so taken.  The entries of a run of consecutive rows are a
-    slice, so what they index is a view, not a copy."""
+    slice, so what they index is a view, not a copy; the row pointer of
+    a run whose entries start at 0 is a view of ``indptr``."""
     if len(rows) and (np.diff(rows) == 1).all():
         start, end = indptr[rows[0]], indptr[rows[-1] + 1]
-        return slice(start, end), indptr[rows[0]:rows[-1] + 2] - start
+        taken = indptr[rows[0]:rows[-1] + 2]
+        return slice(start, end), taken - start if start else taken
     lengths = indptr[rows + 1] - indptr[rows]
     taken = csr_offsets(lengths)
     entries = np.repeat(indptr[rows] - taken[:-1], lengths) + np.arange(taken[-1])
@@ -532,14 +535,13 @@ def tokenize_corpus(
     corpus: Corpus, stopwords: frozenset[str] | set[str] = frozenset()
 ) -> TermTable:
     """Tokenized form of every document, one row each, in corpus order:
-    the table's token streams with the stopwords' ids dropped.  A corpus
-    of every row, with no stopwords, shares the table's own read-only
-    arrays; a subset is its whole table tokenized, then selected."""
+    the corpus's own token streams with the stopwords' ids dropped.  A
+    run of rows from row 0, with no stopwords, shares the table's own
+    read-only arrays."""
     table = corpus.table
-    if len(corpus) < len(table):
-        whole = Corpus(table, np.arange(len(table), dtype=np.int64))
-        return tokenize_corpus(whole, stopwords).select(corpus)
-    indptr, term_ids = table.indptr, table.term_ids
+    entries, indptr = csr_take(table.indptr, corpus.rows)
+    term_ids = table.term_ids[entries]
+    del entries
     if stopwords:
         dropped = np.array([term in stopwords for term in table.vocab], dtype=bool)
         kept = ~dropped[term_ids]
@@ -556,13 +558,8 @@ def _term_ids(text: str, vocab: dict[str, int], words: dict[str, tuple[int, ...]
     """Term ids of the text's tokens, a new term interned at the next
     free id.  ``words`` maps each whitespace-separated word seen so far
     to the ids of its tokens; a new word is tokenized and entered."""
-    split = text.split()
-    try:
-        return list(chain.from_iterable(map(words.__getitem__, split)))
-    except KeyError:
-        pass
     ids: list[int] = []
-    for word in split:
+    for word in text.split():
         known = words.get(word)
         if known is None:
             folded = word.casefold()
@@ -584,45 +581,42 @@ def _parse_line(
     UTC microseconds, source, term ids (by :func:`_term_ids`) and output
     line."""
     match = _RECORD_RE.fullmatch(line)
+    micros = None
     if match is not None:
         doc_id, stamp, source, title, body = match.groups()
         try:
             micros = (datetime.fromisoformat(stamp) - _NAIVE_EPOCH) // _MICROSECOND
         except ValueError:
             pass  # decoded below, which reports the error
-        else:
-            terms = _term_ids(title + " " + body, vocab, words)
-            if terms:
-                return doc_id, micros, source, terms, line
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"line {line_no}: invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise DataError(f"line {line_no}: record must be a JSON object")
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise DataError(f"line {line_no}: missing key {key!r}")
-        if not isinstance(obj[key], str):
-            raise DataError(f"line {line_no}: key {key!r} must be a string")
-    doc_id, stamp, source = obj["id"], obj["published_at"], obj["source"]
-    title, body = obj["title"], obj["body"]
-    if not doc_id:
-        raise DataError(f"line {line_no}: empty id")
-    try:
-        instant = parse_timestamp(stamp)
-    except (ValueError, OverflowError) as exc:  # overflow: a range end moved to UTC
-        raise DataError(f"line {line_no}: bad published_at: {exc}") from None
-    micros = (instant - _EPOCH) // _MICROSECOND
-    language = obj.get("language")
-    if language is not None and not isinstance(language, str):
-        raise DataError(f"line {line_no}: language must be a string")
+    if micros is None:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"line {line_no}: record must be a JSON object")
+        for key in _REQUIRED_KEYS:
+            if key not in obj:
+                raise DataError(f"line {line_no}: missing key {key!r}")
+            if not isinstance(obj[key], str):
+                raise DataError(f"line {line_no}: key {key!r} must be a string")
+        doc_id, stamp, source = obj["id"], obj["published_at"], obj["source"]
+        title, body = obj["title"], obj["body"]
+        if not doc_id:
+            raise DataError(f"line {line_no}: empty id")
+        try:
+            instant = parse_timestamp(stamp)
+        except (ValueError, OverflowError) as exc:  # overflow: a range end moved to UTC
+            raise DataError(f"line {line_no}: bad published_at: {exc}") from None
+        micros = (instant - _EPOCH) // _MICROSECOND
+        language = obj.get("language")
+        if language is not None and not isinstance(language, str):
+            raise DataError(f"line {line_no}: language must be a string")
+        line = _encode_line(doc_id, format_timestamp(instant), source, title, body, language)
     terms = _term_ids(title + " " + body, vocab, words)
     if not terms:
         raise DataError(f"line {line_no}: document {doc_id!r} has no tokens")
-    return doc_id, micros, source, terms, _encode_line(
-        doc_id, format_timestamp(instant), source, title, body, language
-    )
+    return doc_id, micros, source, terms, line
 
 
 def _decode_error_message(path: str | Path) -> str:

@@ -21,8 +21,9 @@ zero-padded series, as wide as the widest fitting scale, whose first k
 columns are the length-k windows; one interpolation that samples the
 template at every fitting scale; and the masks and the final division
 over the whole grid.  Only the window arithmetic runs one scale at a
-time, with the same numpy operations as when each scale had its own
-view and sampling, so every cell keeps its bits (a test pins them).
+time, on the rows of the requested shifts that fit, with the same numpy
+operations as when each scale had its own view and sampling, so every
+cell keeps its bits (a test pins them) and the work follows the grid.
 ``detect_peaks`` keeps, by partition, only the cells at or above the
 top_n-th largest value before it sorts them.
 """
@@ -268,16 +269,15 @@ def correlogram(
         undefined[:len(fitting)] |= flat[:, None] & admissible[:len(fitting)]
         per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist())
         for i, (k, start, fit) in enumerate(per_scale):
-            windows = rows[:n - k + 1, :k]
+            windows = rows[shift_grid[:fit], :k]
             if rescale:  # r is scale-free and a power-of-two scale is exact
                 windows = np.ldexp(windows, -np.frexp(windows.max(axis=1))[1][:, None])
             p = samples[start:start + k]
             p_centered = p - p.mean()
             template_ss[i] = np.sum(p_centered * p_centered)
             x_centered = windows - windows.mean(axis=1)[:, None]
-            at = shift_grid[:fit]
-            numerators[i, :fit] = np.sum(x_centered * p_centered, axis=1)[at]
-            sums_of_squares[i, :fit] = np.sum(x_centered * x_centered, axis=1)[at]
+            numerators[i, :fit] = np.sum(x_centered * p_centered, axis=1)
+            sums_of_squares[i, :fit] = np.sum(x_centered * x_centered, axis=1)
     grid = np.zeros(admissible.shape)
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(

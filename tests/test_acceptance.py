@@ -314,7 +314,7 @@ def test_tfidf_matches_independent_recomputation():
     )
 
 
-def test_default_parameters_and_large_corpus_pipeline(tmp_path):
+def test_default_parameters_and_large_corpus_pipeline(tmp_path, fixtures_dir):
     six_terms = frozenset(
         {"protest", "referendum", "petition", "signatures", "demonstration", "terrorist act"}
     )
@@ -360,13 +360,19 @@ def test_default_parameters_and_large_corpus_pipeline(tmp_path):
     first_day = date.fromisoformat(rows[0][0])
     last_day = date.fromisoformat(rows[-1][0])
     span_ok = first_day == date(2016, 6, 1) and last_day == date(2016, 7, 31)
-    ok = defaults_ok and rc == 0 and elapsed <= 120.0 and total == 43697.0 and span_ok
+    # the digests of every artifact at this scale: any change to one's bytes shows here
+    golden = (fixtures_dir / "pipeline_manifest_paper.txt").read_bytes()
+    manifest_ok = (out / MANIFEST_TXT).read_bytes() == golden
+    ok = (
+        defaults_ok and rc == 0 and elapsed <= 120.0 and total == 43697.0 and span_ok
+        and manifest_ok
+    )
     _report(
         "paper-parameters",
         ok,
         f"window={DEFAULT_SMOOTHING_WINDOW}, lexicon={len(DEFAULT_EVENT_LEXICON)}"
         f" terms, {len(corpus)} docs {first_day}..{last_day}, series sum {total:.0f},"
-        f" pipeline rc={rc} in {elapsed:.1f} s",
+        f" pipeline rc={rc} in {elapsed:.1f} s, golden manifest={manifest_ok}",
     )
 
 

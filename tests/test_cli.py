@@ -545,11 +545,37 @@ def test_correlogram_on_flat_flow_warns_but_succeeds(tmp_path, caplog):
         rc = main(["correlogram", "--corpus", str(corpus_path),
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 0
-    assert "flat" in caplog.text
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["correlogram: every window is flat, no defined cells"]
     content = (tmp_path / "out" / "correlogram.csv").read_text()
     assert "NA" in content
     peaks = (tmp_path / "out" / "peaks.csv").read_text().splitlines()
     assert len(peaks) == 1  # header only
+
+
+def test_correlogram_warns_when_no_window_of_the_grid_fits(fx, tmp_path, caplog):
+    # shift 30 plus scale 50 runs past the fixture's 59 days
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING"):
+        rc = main(["correlogram", "--corpus", fx["corpus"], "--out-dir", str(out),
+                   "--scales", "50", "--shifts", "30"])
+    assert rc == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["correlogram: no (shift, scale) window of the grid fits the 59-day series"]
+    assert (out / "correlogram.csv").read_text() == "l,k,c\n"
+    assert (out / "peaks.csv").read_text() == "l,k,c,window_start,window_end\n"
+
+
+def test_correlogram_on_a_sparse_shift_grid_keeps_the_full_grids_cells(fx, tmp_path):
+    def lines(out, grid):
+        assert main(["correlogram", "--corpus", fx["corpus"], "--out-dir", str(out)] + grid) == 0
+        return (out / "correlogram.csv").read_text().splitlines()
+
+    shifts = list(range(0, 58, 10))  # the fixture's 59 days admit shifts 0..57
+    full = lines(tmp_path / "full", [])
+    sparse = lines(tmp_path / "sparse", ["--shifts", ",".join(map(str, shifts))])
+    assert len(sparse) > 1
+    assert sparse == [full[0]] + [line for line in full[1:] if int(line.split(",")[0]) in shifts]
 
 
 # --- events ----------------------------------------------------------------

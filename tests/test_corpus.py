@@ -268,6 +268,11 @@ def test_csr_take_of_a_run_of_rows_is_a_slice(lengths, data):
     assert taken.tolist() == csr_offsets(np.diff(indptr)[rows]).tolist()
     run = len(rows) > 0 and rows.tolist() == list(range(rows[0], rows[0] + len(rows)))
     assert isinstance(entries, slice) == run
+    # a run whose entries start at 0, as every run from row 0 does, keeps
+    # the given row pointer: a view of it, not a copy
+    assert np.shares_memory(taken, indptr) == (run and indptr[rows[0]] == 0)
+    if run and rows[0] == 0:
+        assert taken.base is indptr
 
 
 # --- queries ---------------------------------------------------------------
