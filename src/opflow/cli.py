@@ -37,7 +37,6 @@ from .corpus import (
     filter_by_dates,
     filter_by_query,
     load_corpus,
-    load_stopwords,
     normalize_term,
     read_terms,
     save_corpus,
@@ -45,7 +44,8 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError
 from .eventcluster import (
-    Clustering, kmeans_seeded, seed_centroids, vectorize, write_cluster_report,
+    DEFAULT_MAX_ITER, DEFAULT_TOP_T, Clustering, kmeans_seeded, seed_centroids, vectorize,
+    write_cluster_report,
 )
 from .flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
@@ -144,8 +144,8 @@ class PipelineConfig:
     threshold: float = _option(0.8, "peak threshold")
     top_n: int = _option(10, "max peaks reported")
     top_m: int = _option(DEFAULT_TOP_M, "ranked terms searched for events")
-    top_t: int = _option(25, "terms kept per centroid")
-    max_iter: int = _option(50, "k-means iteration cap")
+    top_t: int = _option(DEFAULT_TOP_T, "terms kept per centroid")
+    max_iter: int = _option(DEFAULT_MAX_ITER, "k-means iteration cap")
     out_dir: Path | None = _option(None, "output directory")
     terms: Path | None = _option(None, "event term file (default: out dir's)")
 
@@ -241,10 +241,10 @@ def parse_query(query_text: str, exclude_text: str = "") -> FlowQuery | None:
         raise ConfigError(str(exc)) from None
 
 
-def parse_grid(text: str, name: str, valid: range | None = None) -> list[int]:
+def parse_grid(text: str, name: str, valid: range) -> list[int]:
     """"a..b" for an inclusive range, or a comma list of integers; sorted,
-    without repeats.  With ``valid``, the grid's two ends must lie in it,
-    which is checked before a range is expanded."""
+    without repeats.  The grid's two ends must lie in ``valid``, which is
+    checked before a range is expanded."""
     text = text.strip()
     try:
         if ".." in text:
@@ -258,7 +258,7 @@ def parse_grid(text: str, name: str, valid: range | None = None) -> list[int]:
         raise ConfigError(
             f"bad {name} grid {text!r}: use 'a..b' or a comma list of integers"
         ) from None
-    if valid is not None and not (grid[0] in valid and grid[-1] in valid):
+    if not (grid[0] in valid and grid[-1] in valid):
         raise ConfigError(
             f"{name}s {text!r} outside the valid range [{valid[0]}, {valid[-1]}]"
         )
@@ -294,7 +294,7 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     """Parse the query and read the stopwords, then load and tokenize the
     corpus, and keep the documents the query matches."""
     query = parse_query(config.query, config.exclude)
-    stopwords = load_stopwords(config.stopwords) if config.stopwords else frozenset()
+    stopwords = frozenset(read_terms(config.stopwords)) if config.stopwords else frozenset()
     corpus = load_corpus(config.corpus)
     tokenized = tokenize_corpus(corpus, stopwords)
     flow = filter_by_query(corpus, query, tokenized) if query is not None else corpus
@@ -326,6 +326,8 @@ def dynamics_correlogram(
             "correlogram: no (shift, scale) window of the grid fits the %d-day series",
             len(series.values),
         )
+    elif len({amplitude for _, amplitude in template.control_points}) == 1:
+        log.warning("correlogram: the lifecycle template is constant, no defined cells")
     elif not (corr.admissible & ~corr.undefined).any():
         log.warning("correlogram: every window is flat, no defined cells")
     elif not peaks:
@@ -408,7 +410,7 @@ def cluster_events(
     document) and the clustering."""
     table = tokenized.select(corpus)
     df = document_frequencies(table)
-    vectors = vectorize(table, df, len(table))
+    vectors = vectorize(table, df)
     omitted: list[str] = []
     if len(vectors) < len(table):
         vectorized = set(vectors.doc_ids)

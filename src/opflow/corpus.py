@@ -275,11 +275,6 @@ class Corpus:
             return NotImplemented
         return len(self) == len(other) and self.lines == other.lines
 
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"<Corpus of {len(self)} documents>"
-
     def __iter__(self):
         # one at a time: a corpus's documents take many times its lines
         return map(self.table.document, self.rows.tolist())
@@ -302,10 +297,6 @@ class Corpus:
     def days(self) -> np.ndarray:
         """UTC day ordinal of each document, ascending."""
         return self.table.days[self.rows]
-
-    def subset(self, keep: np.ndarray) -> Corpus:
-        """The documents where ``keep`` (one bool per document) holds."""
-        return Corpus(self.table, self.rows[keep])
 
 
 @dataclass
@@ -632,18 +623,18 @@ def _decode_error_message(path: str | Path) -> str:
     return f"file {path} is not valid UTF-8"
 
 
-def read_line_file(path: str | Path) -> list[tuple[int, str, str]]:
-    """(line number, data, comment) of each line holding data, both
-    parts stripped; '#' starts the comment.  A leading UTF-8 byte order
-    mark is dropped.  A file that is not UTF-8 is a DataError naming the
+def read_line_file(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, data) of each line holding data, stripped; '#'
+    starts a comment, which is dropped.  A leading UTF-8 byte order mark
+    is dropped too.  A file that is not UTF-8 is a DataError naming the
     file and the line."""
     entries = []
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
-                data, _, comment = line.partition("#")
-                if data.strip():
-                    entries.append((line_no, data.strip(), comment.strip()))
+                data = line.partition("#")[0].strip()
+                if data:
+                    entries.append((line_no, data))
     except UnicodeDecodeError:
         raise DataError(f"{path}: {_decode_error_message(path)}") from None
     return entries
@@ -712,18 +703,13 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 def read_terms(path: str | Path) -> list[str]:
     """Normalized, non-empty terms of a term file, one per line, '#'
     starting a comment; a repeated term keeps its first place."""
-    terms = (normalize_term(data) for _, data, _ in read_line_file(path))
+    terms = (normalize_term(data) for _, data in read_line_file(path))
     return list(dict.fromkeys(t for t in terms if t))
-
-
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Stopword file: one term per line, '#' starts a comment."""
-    return frozenset(read_terms(path))
 
 
 def filter_by_query(corpus: Corpus, query: FlowQuery, tokenized: TermTable) -> Corpus:
     """Order-preserving subset of docs matching the query."""
-    return corpus.subset(query.matches(tokenized.select(corpus)))
+    return Corpus(corpus.table, corpus.rows[query.matches(tokenized.select(corpus))])
 
 
 def filter_by_dates(corpus: Corpus, date_from: date, date_to: date) -> Corpus:

@@ -40,6 +40,8 @@ from .corpus import TermTable, csr_entry_rows, csr_offsets, csr_take
 from .termbase import inverse_document_frequencies
 
 UNASSIGNED = 0
+DEFAULT_MAX_ITER = 50
+DEFAULT_TOP_T = 25
 # one member of the cluster report, and the text between two members
 _MEMBER = '{\n          "doc_id": %s,\n          "sim": %r\n        }'
 _MEMBER_GLUE = ",\n        "
@@ -157,16 +159,17 @@ def _row_sums(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return total
 
 
-def vectorize(tokenized: TermTable, df: np.ndarray, n_docs: int) -> DocVectors:
-    """tf * ln(N/df) weights per document, L2-normalized.
+def vectorize(tokenized: TermTable, df: np.ndarray) -> DocVectors:
+    """tf * ln(N/df) weights per document, L2-normalized, N the number
+    of documents.
 
     ``df`` is indexed by term id.  Documents whose every term has zero
     idf (df == N) reduce to the zero vector and are left out of the
     result.
     """
-    if n_docs < 1:
+    if not len(tokenized):
         raise ValueError("corpus size must be >= 1")
-    idf = inverse_document_frequencies(df, n_docs)
+    idf = inverse_document_frequencies(df, len(tokenized))
     raw = idf[tokenized.row_terms]
     raw *= tokenized.row_counts
     rows = csr_entry_rows(tokenized.row_ptr)
@@ -310,8 +313,8 @@ def recompute_centroids(
 def kmeans_seeded(
     vectors: DocVectors,
     seeds: list[Centroid],
-    max_iter: int = 50,
-    top_t: int = 25,
+    max_iter: int = DEFAULT_MAX_ITER,
+    top_t: int = DEFAULT_TOP_T,
 ) -> Clustering:
     """Alternate assignment and centroid re-estimation until the
     assignment is a fixed point (or max_iter passes have run).  A pass

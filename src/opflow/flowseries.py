@@ -269,13 +269,14 @@ def correlogram(
         undefined[:len(fitting)] |= flat[:, None] & admissible[:len(fitting)]
         per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist())
         for i, (k, start, fit) in enumerate(per_scale):
-            windows = rows[shift_grid[:fit], :k]
+            # the gather copies the windows, so they are centered in place
+            x_centered = rows[shift_grid[:fit], :k]
             if rescale:  # r is scale-free and a power-of-two scale is exact
-                windows = np.ldexp(windows, -np.frexp(windows.max(axis=1))[1][:, None])
+                x_centered = np.ldexp(x_centered, -np.frexp(x_centered.max(axis=1))[1][:, None])
             p = samples[start:start + k]
             p_centered = p - p.mean()
             template_ss[i] = np.sum(p_centered * p_centered)
-            x_centered = windows - windows.mean(axis=1)[:, None]
+            x_centered -= x_centered.mean(axis=1)[:, None]
             numerators[i, :fit] = np.sum(x_centered * p_centered, axis=1)
             sums_of_squares[i, :fit] = np.sum(x_centered * x_centered, axis=1)
     grid = np.zeros(admissible.shape)
@@ -331,7 +332,7 @@ def detect_peaks(corr: Correlogram, threshold: float, top_n: int) -> list[Peak]:
 def load_template(path: str | Path) -> LifecycleTemplate:
     """Template file: one "position amplitude" pair per line, '#' comments."""
     points: list[tuple[float, float]] = []
-    for line_no, data, _ in read_line_file(path):
+    for line_no, data in read_line_file(path):
         parts = data.split()
         if len(parts) != 2:
             raise DataError(f"line {line_no}: expected 'position amplitude', got {data!r}")

@@ -23,7 +23,6 @@ from .flowseries import DailySeries, build_daily_series
 class VisibilityGraph:
     """Undirected graph over day indices of a series."""
 
-    node_count: int
     edges: set[tuple[int, int]]  # (i, j) with i < j
 
 
@@ -44,10 +43,9 @@ def horizontal_visibility_graph(series: DailySeries) -> VisibilityGraph:
     only ties x[j], since the tie blocks its view past j.
     """
     values = series.values
-    n = len(values)
     edges: set[tuple[int, int]] = set()
     stack: list[int] = []
-    for j in range(n):
+    for j in range(len(values)):
         while stack and values[stack[-1]] < values[j]:
             edges.add((stack.pop(), j))
         if stack:
@@ -55,7 +53,7 @@ def horizontal_visibility_graph(series: DailySeries) -> VisibilityGraph:
             if values[stack[-1]] == values[j]:
                 stack.pop()
         stack.append(j)
-    return VisibilityGraph(node_count=n, edges=edges)
+    return VisibilityGraph(edges=edges)
 
 
 def _dominant_sources(corpus: Corpus, n: int) -> list[str | None]:

@@ -64,9 +64,9 @@ class BurstSpec:
             )
         if not self.amplitude > 0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if self.baseline < 0:
+        if not self.baseline >= 0:
             raise ValueError(f"baseline must be >= 0, got {self.baseline}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
@@ -252,7 +252,7 @@ def read_kv_file(path) -> list[tuple[str, str]]:
     except DataError as exc:  # names the file and the line
         raise ConfigError(f"cannot read config file {exc}") from None
     pairs = []
-    for line_no, line, _ in entries:
+    for line_no, line in entries:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
@@ -280,7 +280,7 @@ def typed_values(pairs: list[tuple[str, str]], types: dict[str, type], where) ->
         try:
             values[key] = _iso_date(raw) if kind is date else kind(raw)
         except ValueError:
-            wanted = "an ISO date" if kind is date else "a number"
+            wanted = {date: "an ISO date", int: "a whole number"}.get(kind, "a number")
             raise ConfigError(f"{where}: key {key!r} needs {wanted}, got {raw!r}") from None
     return values
 
@@ -324,17 +324,14 @@ def load_cluster_spec(path, seed_override: int | None = None) -> ClusterSpec:
         keyword_text, sep, count_text = line.rpartition(":")
         if not sep:
             raise ConfigError(f"{path}: cluster line {line!r} is not 'keyword:count'")
-        keyword = normalize_term(keyword_text)
-        if not keyword:
-            raise ConfigError(f"{path}: cluster keyword {keyword_text!r} has no tokens")
         try:
             count = int(count_text)
         except ValueError:
             raise ConfigError(f"{path}: cluster count {count_text!r} is not an integer") from None
-        compact = keyword.replace(" ", "")
+        compact = normalize_term(keyword_text).replace(" ", "")
         vocab = tuple(f"{compact}topic{i:02d}" for i in range(vocab_size))
         try:
-            defs.append(ClusterDef(keyword=keyword, topical_vocab=vocab, doc_count=count))
+            defs.append(ClusterDef(keyword=keyword_text, topical_vocab=vocab, doc_count=count))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     sources_text = values.get("sources")
@@ -344,14 +341,15 @@ def load_cluster_spec(path, seed_override: int | None = None) -> ClusterSpec:
         else DEFAULT_SOURCES
     )
     seed = values.get("seed", 0)
+    # a knob the file leaves out keeps ClusterSpec's default
+    per_doc = {k: v for k, v in values.items() if k.endswith("_terms_per_doc")}
     try:
         return ClusterSpec(
             clusters=tuple(defs),
             shared_vocab=tuple(f"common{i:02d}" for i in range(values.get("shared_size", 50))),
             rng_seed=seed if seed_override is None else seed_override,
-            topical_terms_per_doc=values.get("topical_terms_per_doc", 12),
-            shared_terms_per_doc=values.get("shared_terms_per_doc", 5),
             sources=sources,
+            **per_doc,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

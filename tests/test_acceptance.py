@@ -150,7 +150,7 @@ def _kmeans_inputs(spec: ClusterSpec, burst: BurstSpec):
     corpus, truth = generate_cluster_corpus(spec, DEFAULT_TEMPLATE, burst)
     tokenized = tokenize_corpus(corpus)
     df = document_frequencies(tokenized)
-    vectors = vectorize(tokenized, df, len(tokenized))
+    vectors = vectorize(tokenized, df)
     seeds = seed_centroids([c.keyword for c in spec.clusters])
     return vectors, seeds, truth, len(df)
 

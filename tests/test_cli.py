@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -95,14 +96,14 @@ def test_parse_query_rejects_unusable_terms():
 
 
 def test_parse_grid_range_and_list():
-    assert parse_grid("3..6", "scale") == [3, 4, 5, 6]
-    assert parse_grid("9, 3, 5, 3", "scale") == [3, 5, 9]
+    assert parse_grid("3..6", "scale", range(2, 10)) == [3, 4, 5, 6]
+    assert parse_grid("9, 3, 5, 3", "scale", range(2, 10)) == [3, 5, 9]
 
 
 def test_parse_grid_rejects_garbage():
     for bad in ("6..3", "abc", "", "1..b"):
         with pytest.raises(ConfigError):
-            parse_grid(bad, "scale")
+            parse_grid(bad, "scale", range(2, 10))
 
 
 def test_resolve_grids_defaults():
@@ -174,9 +175,10 @@ def test_build_config_rejects_unknown_and_malformed_keys(tmp_path):
     conf.write_text("windoe = 5\n")
     with pytest.raises(ConfigError, match="unknown"):
         build_config(_ns(config=conf))
-    conf.write_text("window = five\n")
-    with pytest.raises(ConfigError, match="number"):
-        build_config(_ns(config=conf))
+    for bad in ("five", "3.0"):
+        conf.write_text(f"window = {bad}\n")
+        with pytest.raises(ConfigError, match="needs a whole number"):
+            build_config(_ns(config=conf))
 
 
 def test_config_and_burst_spec_behind_a_bom_are_read(fx, tmp_path):
@@ -553,6 +555,18 @@ def test_correlogram_on_flat_flow_warns_but_succeeds(tmp_path, caplog):
     assert len(peaks) == 1  # header only
 
 
+def test_correlogram_with_a_constant_template_blames_the_template(fx, tmp_path, caplog):
+    # the fixture's windows vary; only the template has no variance
+    template = tmp_path / "t.txt"
+    template.write_text("0 0.5\n1 0.5\n")
+    with caplog.at_level("WARNING"):
+        rc = main(["correlogram", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                   "--template", str(template)])
+    assert rc == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["correlogram: the lifecycle template is constant, no defined cells"]
+
+
 def test_correlogram_warns_when_no_window_of_the_grid_fits(fx, tmp_path, caplog):
     # shift 30 plus scale 50 runs past the fixture's 59 days
     out = tmp_path / "out"
@@ -715,7 +729,7 @@ def test_cluster_omits_exactly_the_docs_left_without_a_vector(texts):
     ]
     corpus = Corpus.from_documents(docs)
     tokenized = tokenize_corpus(corpus)
-    vectors = vectorize(tokenized, document_frequencies(tokenized), len(tokenized))
+    vectors = vectorize(tokenized, document_frequencies(tokenized))
     vectorized = set(vectors.doc_ids)
     with tempfile.TemporaryDirectory() as out:
         omitted, clustering = cluster_events(
@@ -1041,6 +1055,13 @@ def test_load_burst_spec_validates(tmp_path):
                         f"amplitude = 5\nstart_date = {start_date}\n")
         with pytest.raises(ConfigError, match="needs an ISO date"):
             load_burst_spec(path)
+    # nan fails every comparison, so it must not pass a ">= 0" check
+    for key in ("baseline", "noise_sigma"):
+        path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
+                        f"amplitude = 5\n{key} = nan\n")
+        message = f"^{re.escape(str(path))}: {key} must be >= 0, got nan$"
+        with pytest.raises(ConfigError, match=message):
+            load_burst_spec(path)
 
 
 def test_load_cluster_spec_reads_the_fixture(fx):
@@ -1051,6 +1072,8 @@ def test_load_cluster_spec_reads_the_fixture(fx):
     assert [c.doc_count for c in spec.clusters] == [60, 60, 40, 40]
     assert all(len(c.topical_vocab) == 20 for c in spec.clusters)
     assert len(spec.shared_vocab) == 40
+    # the file sets no per-document term counts, so ClusterSpec's defaults hold
+    assert (spec.topical_terms_per_doc, spec.shared_terms_per_doc) == (12, 5)
 
 
 def test_load_cluster_spec_validates(tmp_path):
@@ -1067,6 +1090,12 @@ def test_load_cluster_spec_validates(tmp_path):
     path.write_text("cluster = protest:6\nseed = -3\n")
     with pytest.raises(ConfigError, match="seed"):
         load_cluster_spec(path)
+    path.write_text("cluster = !!!:10\n")
+    message = f"^{re.escape(str(path))}: keyword '!!!' normalizes to nothing$"
+    with pytest.raises(ConfigError, match=message):
+        load_cluster_spec(path)
+    path.write_text("cluster = protest:6\nshared_terms_per_doc = 0\n")
+    assert load_cluster_spec(path).shared_terms_per_doc == 0
 
 
 # --- robustness ------------------------------------------------------------

@@ -28,10 +28,10 @@ from opflow.corpus import (
     filter_by_query,
     format_timestamp,
     load_corpus,
-    load_stopwords,
     normalize_term,
     parse_timestamp,
     read_line_file,
+    read_terms,
     save_corpus,
     tokenize_corpus,
 )
@@ -136,7 +136,6 @@ def test_corpus_equality_compares_records(tmp_path):
     assert c == Corpus.from_documents([doc(id="b", title="Naïve café"), doc(id="a")])
     assert c != Corpus.from_documents([doc(id="a")])
     assert c != Corpus.from_documents([doc(id="a"), doc(id="b", title="cafe")])
-    assert repr(c) == "<Corpus of 2 documents>"
 
 
 def test_corpus_rejects_duplicate_ids():
@@ -448,7 +447,7 @@ def test_bom_is_dropped_at_the_start_and_an_error_later(tmp_path):
         load_corpus(stray)
     words = tmp_path / "w.txt"
     words.write_bytes(b"\xef\xbb\xbfthe # first\nand\n")
-    assert read_line_file(words) == [(1, "the", "first"), (2, "and", "")]
+    assert read_line_file(words) == [(1, "the"), (2, "and")]
 
 
 def test_lines_laid_out_as_saved_are_kept_without_encoding(tmp_path, monkeypatch, fixtures_dir):
@@ -569,9 +568,10 @@ def _load_error(tmp_path, line):
 
 
 def test_lines_in_saved_layout_keep_the_errors_of_their_fields(tmp_path):
-    # a bad day or a tokenless text passes the layout match and is then
-    # decoded, which names the fault; an empty id or a raw control
-    # character fails the match
+    # a bad day passes the layout match and is then decoded, which names
+    # the fault; a tokenless text passes it too and fails in the tail
+    # that both paths share; an empty id or a raw control character
+    # fails the match
     bad_day = GOOD_LINE.replace("2016-06-24T08", "2016-02-30T00")
     tokenless = GOOD_LINE.replace("Referendum", "!").replace("words here", "? _")
     assert _RECORD_RE.fullmatch(bad_day + "\n") and _RECORD_RE.fullmatch(tokenless + "\n")
@@ -671,7 +671,7 @@ def test_saved_and_shuffled_records_give_equal_tables(ids, data, tmp_path_factor
 
 def test_load_stopwords_with_comments(tmp_path):
     p = _write(tmp_path, "s.txt", "# noise\nthe\nand # inline\n\n")
-    assert load_stopwords(p) == frozenset({"the", "and"})
+    assert read_terms(p) == ["the", "and"]
 
 
 # --- filters ---------------------------------------------------------------
@@ -769,7 +769,8 @@ def test_tokenized_subsets_equal_their_documents_tokens(docs, data):
     lo = data.draw(st.sampled_from(days))
     hi = data.draw(st.sampled_from([d for d in days if d >= lo]))
     ranged = filter_by_dates(c, date.fromordinal(lo), date.fromordinal(hi))
-    masked = c.subset(np.array(data.draw(st.lists(st.booleans(), min_size=len(c), max_size=len(c)))))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(c), max_size=len(c))))
+    masked = Corpus(c.table, c.rows[keep])
     whole = tokenize_corpus(c)
     for sub in (ranged, masked):
         want = [_extract_tokens(d.title + " " + d.body) for d in sub]

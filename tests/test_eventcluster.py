@@ -170,7 +170,7 @@ def test_padded_row_sums_equal_the_column_scatter_bit_for_bit(layout):
 def test_vectorize_weights_and_normalization():
     tok = TermTable.from_terms([("a", ["xx", "xx", "shared"]), ("b", ["yy", "shared"])])
     df = document_frequencies(tok)
-    vectors = vectorize(tok, df, len(tok))
+    vectors = vectorize(tok, df)
     va = row(vectors, "a")
     # "shared" has df == N, zero weight, dropped; "xx" alone remains
     assert set(va) == {"xx"}
@@ -183,7 +183,7 @@ def test_vectorize_omits_zero_weight_docs():
         [("a", ["everywhere"]), ("b", ["everywhere"]), ("c", ["everywhere", "rare"])]
     )
     df = document_frequencies(tok)
-    vectors = vectorize(tok, df, len(tok))
+    vectors = vectorize(tok, df)
     assert vectors.doc_ids == ["c"]
 
 
@@ -511,7 +511,7 @@ def _bits(values):
 def test_kmeans_equals_the_dict_oracle_bit_for_bit(corpus, max_iter, top_t):
     docs, seed_terms = corpus
     table = TermTable.from_terms(docs)
-    vectors = vectorize(table, document_frequencies(table), len(table))
+    vectors = vectorize(table, document_frequencies(table))
     seeds = seed_centroids(seed_terms)
     SIM_EVALUATIONS.count = 0
     result = kmeans_seeded(vectors, seeds, max_iter=max_iter, top_t=top_t)
