@@ -326,10 +326,10 @@ def dynamics_correlogram(
             "correlogram: no (shift, scale) window of the grid fits the %d-day series",
             len(series.values),
         )
-    elif len({amplitude for _, amplitude in template.control_points}) == 1:
-        log.warning("correlogram: the lifecycle template is constant, no defined cells")
     elif not (corr.admissible & ~corr.undefined).any():
-        log.warning("correlogram: every window is flat, no defined cells")
+        log.warning(
+            "correlogram: no defined cells: every window, or the template at its scale, is flat"
+        )
     elif not peaks:
         log.warning("correlogram: no peak at or above threshold %g", config.threshold)
     else:

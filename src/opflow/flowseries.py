@@ -9,7 +9,7 @@ peaks map back to calendar date windows.
 
 The correlogram is dense: one (scale x shift) float array, with boolean
 masks for the admissible cells (l + k <= n) and the undefined ones.
-Zero-variance windows (or a constant template) have no defined
+Zero-variance windows (or template samples) have no defined
 correlation; they are marked in the ``undefined`` mask, never by a
 value, and written as "NA" in CSV exports, so they can never masquerade
 as real peaks.  The arrays are the interface; ``Correlogram.cells``
@@ -212,6 +212,13 @@ def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
     return _sample_scales(template, np.array([k])).tolist()
 
 
+def _extreme(values: np.ndarray) -> bool:
+    """Whether squares overflow (a binary exponent past 500) or underflow (one below -500)."""
+    largest = np.frexp(values.max(initial=0.0))[1]
+    smallest = np.frexp(values[values > 0.0].min(initial=1.0))[1]
+    return largest > 500 or smallest < -500
+
+
 def correlogram(
     series: DailySeries,
     template: LifecycleTemplate,
@@ -234,10 +241,7 @@ def correlogram(
     shifts = sorted(set(int(l) for l in shifts))
     values = np.asarray(series.values, dtype=float)
     n = len(values)
-    # squares overflow past a binary exponent of 500, or underflow below -500
-    largest = np.frexp(values.max(initial=0.0))[1]
-    smallest = np.frexp(values[values > 0.0].min(initial=1.0))[1]
-    rescale = largest > 500 or smallest < -500
+    rescale = _extreme(values)
     scale_grid = np.asarray(scales, dtype=np.int64)
     shift_grid = np.asarray(shifts, dtype=np.int64)
     ends = shift_grid + scale_grid[:, None]
@@ -263,6 +267,7 @@ def correlogram(
         padded[:n] = values
         rows = sliding_window_view(padded, widest)
         samples = _sample_scales(template, fitting)
+        rescale_template = _extreme(samples)
         starts = np.cumsum(fitting) - fitting
         # the template, too, has no variance at a scale where its samples are equal
         flat = np.minimum.reduceat(samples, starts) == np.maximum.reduceat(samples, starts)
@@ -274,6 +279,8 @@ def correlogram(
             if rescale:  # r is scale-free and a power-of-two scale is exact
                 x_centered = np.ldexp(x_centered, -np.frexp(x_centered.max(axis=1))[1][:, None])
             p = samples[start:start + k]
+            if rescale_template:
+                p = np.ldexp(p, -np.frexp(p.max())[1])
             p_centered = p - p.mean()
             template_ss[i] = np.sum(p_centered * p_centered)
             x_centered -= x_centered.mean(axis=1)[:, None]

@@ -106,7 +106,6 @@ class ClusterSpec:
     rng_seed: int = 0
     topical_terms_per_doc: int = 12
     shared_terms_per_doc: int = 5
-    sources: tuple[str, ...] = DEFAULT_SOURCES
 
     def __post_init__(self) -> None:
         if not self.clusters:
@@ -142,8 +141,6 @@ class ClusterSpec:
             raise ValueError("shared_terms_per_doc must be >= 0")
         if self.shared_terms_per_doc > 0 and not shared:
             raise ValueError("shared_terms_per_doc > 0 needs a shared vocab")
-        if not self.sources:
-            raise ValueError("at least one source name is required")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
@@ -217,7 +214,7 @@ def generate_cluster_corpus(
                 # keywords survive tokenization
                 slot = int(rng.integers(0, len(body_terms) + 1))
                 body_terms[slot:slot] = cdef.keyword.split(" ")
-                source = spec.sources[int(rng.integers(0, len(spec.sources)))]
+                source = DEFAULT_SOURCES[int(rng.integers(0, len(DEFAULT_SOURCES)))]
                 doc_id = f"c{j:02d}d{i:04d}"
                 truth[doc_id] = j
                 yield Document(
@@ -292,7 +289,7 @@ _BURST_SPEC_TYPES = {
 
 _CLUSTER_SPEC_TYPES = {
     "cluster": str, "vocab_size": int, "shared_size": int, "topical_terms_per_doc": int,
-    "shared_terms_per_doc": int, "seed": int, "sources": str,
+    "shared_terms_per_doc": int, "seed": int,
 }
 
 
@@ -334,12 +331,6 @@ def load_cluster_spec(path, seed_override: int | None = None) -> ClusterSpec:
             defs.append(ClusterDef(keyword=keyword_text, topical_vocab=vocab, doc_count=count))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    sources_text = values.get("sources")
-    sources = (
-        tuple(s.strip() for s in sources_text.split(",") if s.strip())
-        if sources_text
-        else DEFAULT_SOURCES
-    )
     seed = values.get("seed", 0)
     # a knob the file leaves out keeps ClusterSpec's default
     per_doc = {k: v for k, v in values.items() if k.endswith("_terms_per_doc")}
@@ -348,7 +339,6 @@ def load_cluster_spec(path, seed_override: int | None = None) -> ClusterSpec:
             clusters=tuple(defs),
             shared_vocab=tuple(f"common{i:02d}" for i in range(values.get("shared_size", 50))),
             rng_seed=seed if seed_override is None else seed_override,
-            sources=sources,
             **per_doc,
         )
     except ValueError as exc:

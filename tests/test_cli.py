@@ -529,6 +529,11 @@ def test_correlogram_finds_the_planted_burst(fx, tmp_path):
     assert span.days == int(top["k"]) - 1
 
 
+NO_DEFINED_CELLS = (
+    "correlogram: no defined cells: every window, or the template at its scale, is flat"
+)
+
+
 def flat_corpus(path, days=4):
     docs = []
     for i in range(days):
@@ -548,7 +553,7 @@ def test_correlogram_on_flat_flow_warns_but_succeeds(tmp_path, caplog):
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 0
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == ["correlogram: every window is flat, no defined cells"]
+    assert warnings == [NO_DEFINED_CELLS]
     content = (tmp_path / "out" / "correlogram.csv").read_text()
     assert "NA" in content
     peaks = (tmp_path / "out" / "peaks.csv").read_text().splitlines()
@@ -556,15 +561,18 @@ def test_correlogram_on_flat_flow_warns_but_succeeds(tmp_path, caplog):
 
 
 def test_correlogram_with_a_constant_template_blames_the_template(fx, tmp_path, caplog):
-    # the fixture's windows vary; only the template has no variance
+    # the fixture's windows vary; only the template has no variance, the
+    # second one because both its samples at k = 2 are 0.5
     template = tmp_path / "t.txt"
-    template.write_text("0 0.5\n1 0.5\n")
-    with caplog.at_level("WARNING"):
-        rc = main(["correlogram", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
-                   "--template", str(template)])
-    assert rc == 0
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == ["correlogram: the lifecycle template is constant, no defined cells"]
+    for points, grid in [("0 0.5\n1 0.5\n", []), ("0 0.5\n0.5 1\n1 0.5\n", ["--scales", "2"])]:
+        template.write_text(points)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            rc = main(["correlogram", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                       "--template", str(template), *grid])
+        assert rc == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [NO_DEFINED_CELLS]
 
 
 def test_correlogram_warns_when_no_window_of_the_grid_fits(fx, tmp_path, caplog):
@@ -934,6 +942,38 @@ def test_pipeline_calls_each_traced_name_as_often_as_measured(fx, tmp_path, monk
     assert calls == TRACED_CALLS
 
 
+def test_selective_pipeline_does_each_step_once(fx, tmp_path, monkeypatch):
+    # the selective golden manifest's query: the flow is a proper subset
+    import opflow.cli as cli
+
+    steps = []  # (name, docs received, docs produced) in call order
+    for name in ("load_corpus", "tokenize_corpus", "filter_by_query", "filter_by_dates",
+                 "compute_tfidf", "vectorize"):
+
+        def counted(first, *args, _name=name, _original=getattr(cli, name)):
+            result = _original(first, *args)
+            received = None if _name == "load_corpus" else len(first)
+            # tf-idf ranks the terms of every document it reads
+            produced = received if _name == "compute_tfidf" else len(result)
+            steps.append((_name, received, produced))
+            return result
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
+                 "--stopwords", fx["stopwords"], "--threshold", "0.6",
+                 "--query", "protest", "--exclude", "common29"]) == 0
+    # flow filter, narrowing, tf-idf, event filter, vectors
+    assert [name for name, _, _ in steps] == [
+        "load_corpus", "tokenize_corpus", "filter_by_query", "filter_by_dates",
+        "compute_tfidf", "filter_by_query", "vectorize",
+    ]
+    (_, _, loaded), (_, tokenized, _), (_, _, flow) = steps[:3]
+    assert tokenized == loaded == 200
+    assert 0 < flow < loaded
+    for (before, _, produced), (after, received, _) in zip(steps[2:], steps[3:]):
+        assert received <= produced, (before, after)
+
+
 @pytest.mark.parametrize("query", [[], ["--query", "protest", "--exclude", "common29"]],
                          ids=["no-query", "selective"])
 def test_pipeline_equals_manual_stage_composition(fx, tmp_path, query):
@@ -1096,6 +1136,9 @@ def test_load_cluster_spec_validates(tmp_path):
         load_cluster_spec(path)
     path.write_text("cluster = protest:6\nshared_terms_per_doc = 0\n")
     assert load_cluster_spec(path).shared_terms_per_doc == 0
+    path.write_text("cluster = protest:6\nsources = wire\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: unknown key 'sources'$"):
+        load_cluster_spec(path)
 
 
 # --- robustness ------------------------------------------------------------

@@ -499,6 +499,22 @@ def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_planted_year():
     assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(range(356)))
 
 
+@pytest.mark.parametrize("power", [700, -700])
+def test_correlogram_rescales_a_template_of_extreme_amplitudes(power):
+    # the template's squares would overflow at 2**700 and underflow at
+    # 2**-700; r does not depend on its scale, and a power of two is exact
+    spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
+                     baseline=5.0, noise_sigma=5.0, rng_seed=7)
+    burst = generate_burst_series(DEFAULT_TEMPLATE, spec)
+    scaled = LifecycleTemplate([(x, y * 2.0**power) for x, y in DEFAULT_TEMPLATE.control_points])
+    grid = {"scales": list(range(10, 121)), "shifts": list(range(356))}
+    want = correlogram(burst, DEFAULT_TEMPLATE, **grid)
+    got = correlogram(burst, scaled, **grid)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert np.array_equal(got.admissible, want.admissible)
+    assert np.array_equal(got.undefined, want.undefined)
+
+
 def test_detect_peaks_keeps_every_tie_at_the_top_n_cut():
     # five cells share 0.5 and five share a zero of either sign, so most
     # top_n cut inside a tie; a nan sits in a defined cell, and an
