@@ -44,8 +44,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError
 from .eventcluster import (
-    DEFAULT_MAX_ITER, DEFAULT_TOP_T, Clustering, kmeans_seeded, seed_centroids, vectorize,
-    write_cluster_report,
+    Clustering, kmeans_seeded, seed_centroids, vectorize, write_cluster_report,
 )
 from .flowseries import (
     DEFAULT_SMOOTHING_WINDOW,
@@ -142,10 +141,6 @@ class PipelineConfig:
     scales: str = _option("", "scale grid, 'a..b' or comma list (default 7..n)")
     shifts: str = _option("", "shift grid, 'a..b' or comma list (default all)")
     threshold: float = _option(0.8, "peak threshold")
-    top_n: int = _option(10, "max peaks reported")
-    top_m: int = _option(DEFAULT_TOP_M, "ranked terms searched for events")
-    top_t: int = _option(DEFAULT_TOP_T, "terms kept per centroid")
-    max_iter: int = _option(DEFAULT_MAX_ITER, "k-means iteration cap")
     out_dir: Path | None = _option(None, "output directory")
     terms: Path | None = _option(None, "event term file (default: out dir's)")
 
@@ -200,14 +195,6 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
         raise ConfigError(
             f"smoothing window must be odd and positive, got {config.window}"
         )
-    for label, value in (
-        ("top_n", config.top_n),
-        ("top_m", config.top_m),
-        ("top_t", config.top_t),
-        ("max_iter", config.max_iter),
-    ):
-        if value < 1:
-            raise ConfigError(f"{label} must be >= 1, got {value}")
     return config
 
 
@@ -272,7 +259,7 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
     if config.scales:
         scales = parse_grid(config.scales, "scale", range(2, n + 1))
     else:
-        scales = list(range(min(7, n), n + 1)) if n >= 7 else list(range(2, n + 1))
+        scales = list(range(7 if n >= 7 else 2, n + 1))
     if config.shifts:
         shifts = parse_grid(config.shifts, "shift", range(0, n - 1))
     else:
@@ -320,7 +307,7 @@ def dynamics_correlogram(
     peaks; return the peaks."""
     scales, shifts = resolve_grids(config, len(series.values))
     corr = correlogram(series, template, scales=scales, shifts=shifts)
-    peaks = detect_peaks(corr, config.threshold, config.top_n)
+    peaks = detect_peaks(corr, config.threshold)
     if not corr.admissible.any():
         log.warning(
             "correlogram: no (shift, scale) window of the grid fits the %d-day series",
@@ -360,7 +347,7 @@ def cmd_correlogram(config: PipelineConfig) -> int:
 
 def find_events(
     corpus: Corpus, tokenized: TermTable, query: FlowQuery | None, lexicon: frozenset[str],
-    config: PipelineConfig, out: Path,
+    out: Path,
 ) -> tuple[list[str], Corpus, TermTable]:
     """Rank terms, match the event lexicon, keep the documents carrying
     an event term, project them onto sources, and write all of it.
@@ -368,11 +355,11 @@ def find_events(
     tokenized rows, which hold the event corpus's."""
     table = tokenized.select(corpus)
     ranked = compute_tfidf(table)
-    matched = match_event_terms(ranked, lexicon, table, top_m=config.top_m)
+    matched = match_event_terms(ranked, lexicon, table)
     if matched:
         event_corpus = filter_by_query(corpus, augment_query(None, matched), table)
     else:
-        log.warning("events: no lexicon term among the top %d ranked terms", config.top_m)
+        log.warning("events: no lexicon term among the top %d ranked terms", DEFAULT_TOP_M)
         event_corpus = Corpus(corpus.table, corpus.rows[:0])
     graph = source_link_graph(event_corpus) if len(event_corpus) else SourceGraph({}, {})
     augmented = augment_query(query, matched)
@@ -397,12 +384,12 @@ def cmd_events(config: PipelineConfig) -> int:
     and project the event flow onto sources."""
     lexicon = _lexicon(config)
     flow, tokenized, query = _flow(config)
-    find_events(flow, tokenized, query, lexicon, config, Path(config.out_dir))
+    find_events(flow, tokenized, query, lexicon, Path(config.out_dir))
     return 0
 
 
 def cluster_events(
-    corpus: Corpus, tokenized: TermTable, terms: list[str], config: PipelineConfig, out: Path
+    corpus: Corpus, tokenized: TermTable, terms: list[str], out: Path
 ) -> tuple[list[str], Clustering]:
     """Seeded k-means over the corpus, one cluster per seed term; idf
     comes from this corpus alone.  Writes the cluster report and returns
@@ -417,7 +404,7 @@ def cluster_events(
         omitted = [doc_id for doc_id in table if doc_id not in vectorized]
         log.warning("cluster: omitted %d zero-weight docs: %s", len(omitted), omitted[:5])
     seeds = seed_centroids(terms)
-    clustering = kmeans_seeded(vectors, seeds, max_iter=config.max_iter, top_t=config.top_t)
+    clustering = kmeans_seeded(vectors, seeds)
     log.info(
         "cluster: k=%d, %d docs, %d iterations, Q=%.4f",
         len(seeds), len(vectors), clustering.iterations, clustering.q_history[-1],
@@ -441,7 +428,7 @@ def cmd_cluster(config: PipelineConfig) -> int:
             " on a corpus that matches the lexicon, or pass --terms"
         )
     flow, tokenized, _ = _flow(config)
-    cluster_events(flow, tokenized, seed_terms, config, Path(config.out_dir))
+    cluster_events(flow, tokenized, seed_terms, Path(config.out_dir))
     return 0
 
 
@@ -503,14 +490,12 @@ def cmd_pipeline(config: PipelineConfig) -> int:
             )
 
     with _stage("terms"):
-        matched, event_corpus, table = find_events(
-            stage_corpus, tokenized, query, lexicon, config, out
-        )
+        matched, event_corpus, table = find_events(stage_corpus, tokenized, query, lexicon, out)
         del tokenized  # free the full table: clustering reads the stage table
 
     with _stage("clustering"):
         if matched:
-            cluster_events(event_corpus, table, matched, config, out)
+            cluster_events(event_corpus, table, matched, out)
         else:
             notes.append("clustering: skipped (no event terms matched)")
     _write_manifest(out, notes)

@@ -40,8 +40,6 @@ from .corpus import TermTable, csr_entry_rows, csr_offsets, csr_take
 from .termbase import inverse_document_frequencies
 
 UNASSIGNED = 0
-DEFAULT_MAX_ITER = 50
-DEFAULT_TOP_T = 25
 # one member of the cluster report, and the text between two members
 _MEMBER = '{\n          "doc_id": %s,\n          "sim": %r\n        }'
 _MEMBER_GLUE = ",\n        "
@@ -313,8 +311,8 @@ def recompute_centroids(
 def kmeans_seeded(
     vectors: DocVectors,
     seeds: list[Centroid],
-    max_iter: int = DEFAULT_MAX_ITER,
-    top_t: int = DEFAULT_TOP_T,
+    max_iter: int = 50,
+    top_t: int = 25,
 ) -> Clustering:
     """Alternate assignment and centroid re-estimation until the
     assignment is a fixed point (or max_iter passes have run).  A pass

@@ -301,7 +301,7 @@ def correlogram(
     )
 
 
-def detect_peaks(corr: Correlogram, threshold: float, top_n: int) -> list[Peak]:
+def detect_peaks(corr: Correlogram, threshold: float, top_n: int = 10) -> list[Peak]:
     """Defined cells at or above the threshold, best first.
 
     Ordering is total: value descending, then smaller shift, then

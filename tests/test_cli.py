@@ -156,7 +156,7 @@ def test_read_kv_file_rejects_bad_lines(tmp_path):
 def _ns(**kw):
     ns = argparse.Namespace()
     for key in ("config corpus out_dir query exclude stopwords lexicon template "
-                "window scales shifts threshold top_n top_m top_t max_iter terms").split():
+                "window scales shifts threshold terms").split():
         setattr(ns, key, kw.get(key))
     return ns
 
@@ -256,6 +256,50 @@ def test_exit_1_on_a_nan_threshold(fx, tmp_path, caplog, form):
         config = PipelineConfig(corpus=Path(fx["corpus"]), out_dir=tmp_path / "out",
                                 threshold=threshold)
         assert validate_config(config).threshold == threshold
+
+
+# each validate_config rule no other test checks, with the flags after
+# --corpus that break it and the message it exits 1 with
+_OUT = ["--out-dir", "{out}"]
+BAD_OPTIONS = {
+    "no out dir": ([], "an output directory is required (--out-dir or 'out_dir')"),
+    "missing stopwords": ([*_OUT, "--stopwords", "{missing}"], "stopwords file not found: {missing}"),
+    "missing lexicon": ([*_OUT, "--lexicon", "{missing}"], "lexicon file not found: {missing}"),
+    "missing template": ([*_OUT, "--template", "{missing}"], "template file not found: {missing}"),
+    "stopwords dir": ([*_OUT, "--stopwords", "{dir}"], "stopwords file not found: {dir}"),
+    "window 0": ([*_OUT, "--window", "0"], "smoothing window must be odd and positive, got 0"),
+    "window -3": ([*_OUT, "--window=-3"], "smoothing window must be odd and positive, got -3"),
+}
+
+
+@pytest.mark.parametrize("bad_option", BAD_OPTIONS)
+def test_exit_1_on_each_config_rule_before_the_out_dir_is_made(fx, tmp_path, caplog, bad_option):
+    paths = {"out": tmp_path / "out", "missing": tmp_path / "missing.txt", "dir": tmp_path}
+    flags, message = BAD_OPTIONS[bad_option]
+    with caplog.at_level("ERROR"):
+        rc = main(["pipeline", "--corpus", fx["corpus"], *(f.format(**paths) for f in flags)])
+    assert rc == 1
+    assert caplog.messages == [message.format(**paths)]
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("key", ["top_n", "top_m", "top_t", "max_iter"])
+def test_exit_1_on_a_removed_option(fx, tmp_path, caplog, key):
+    # these values are fixed, each as the default of the library function that uses it
+    flag = "--" + key.replace("_", "-")
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"{key} = 5\n")
+    for given, message in (
+        ([flag, "5"], f"unrecognized arguments: {flag} 5"),
+        (["--config", str(conf)], f"{conf}: unknown key {key!r}"),
+    ):
+        caplog.clear()
+        with caplog.at_level("ERROR"):
+            rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                       *given])
+        assert rc == 1
+        assert caplog.messages == [message]
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 def test_exit_1_on_usage_errors(tmp_path):
@@ -740,8 +784,7 @@ def test_cluster_omits_exactly_the_docs_left_without_a_vector(texts):
     vectors = vectorize(tokenized, document_frequencies(tokenized))
     vectorized = set(vectors.doc_ids)
     with tempfile.TemporaryDirectory() as out:
-        omitted, clustering = cluster_events(
-            corpus, tokenized, ["protest"], PipelineConfig(), Path(out))
+        omitted, clustering = cluster_events(corpus, tokenized, ["protest"], Path(out))
     assert omitted == [doc_id for doc_id in tokenized if doc_id not in vectorized]
     assert clustering.vectors.doc_ids == vectors.doc_ids
     # a weight is copied out only when some term has zero weight

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 import time
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
@@ -249,6 +250,26 @@ def test_term_table_peak_memory_is_a_few_token_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * len(term_ids), peak / (8 * len(term_ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n_terms: st.tuples(
+    st.just(n_terms), st.lists(st.lists(st.integers(0, n_terms - 1), max_size=40), max_size=8)
+)))
+def test_from_stream_counts_each_rows_terms_in_first_appearance_order(vocab_and_rows):
+    # Counter counts without sorting and keeps first-appearance order, so
+    # it checks the sort-based table independently of from_terms
+    n_terms, rows = vocab_and_rows
+    got = TermTable.from_stream(
+        [f"d{i}" for i in range(len(rows))], [f"t{t}" for t in range(n_terms)],
+        csr_offsets(np.array([len(row) for row in rows], dtype=np.int64)),
+        np.array([t for row in rows for t in row], dtype=np.int64),
+    )
+    assert len(got.row_ptr) == len(rows) + 1
+    for i, row in enumerate(rows):
+        a, b = got.row_ptr[i], got.row_ptr[i + 1]
+        pairs = list(zip(got.row_terms[a:b].tolist(), got.row_counts[a:b].tolist()))
+        assert pairs == list(Counter(row).items()), row
 
 
 @settings(max_examples=200, deadline=None)
