@@ -252,8 +252,13 @@ def parse_grid(text: str, name: str, valid: range) -> list[int]:
     return list(grid)
 
 
+# the correlogram returns three (scale x shift) arrays, 10 bytes a cell
+MAX_GRID_CELLS = 2**24
+
+
 def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]:
-    """Concrete scale/shift lists for a series of length n."""
+    """Concrete scale/shift lists for a series of length n, of at most
+    MAX_GRID_CELLS cells: the series' span sizes the default grid."""
     if n < 2:
         raise DataError(f"series of {n} day(s) is too short for correlation")
     if config.scales:
@@ -264,6 +269,12 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
         shifts = parse_grid(config.shifts, "shift", range(0, n - 1))
     else:
         shifts = list(range(0, n - min(scales) + 1))
+    cells = len(scales) * len(shifts)
+    if cells > MAX_GRID_CELLS:
+        raise DataError(
+            f"the grid of {len(scales)} scales x {len(shifts)} shifts has {cells} cells,"
+            f" over the limit of {MAX_GRID_CELLS}: narrow it with --scales or --shifts"
+        )
     return scales, shifts
 
 

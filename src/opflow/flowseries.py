@@ -18,12 +18,13 @@ reads.
 
 Every scale shares one set-up: one read-only window view of the
 zero-padded series, as wide as the widest fitting scale, whose first k
-columns are the length-k windows; one interpolation that samples the
-template at every fitting scale; and the masks and the final division
-over the whole grid.  Only the window arithmetic runs one scale at a
-time, on the rows of the requested shifts that fit, with the same numpy
-operations as when each scale had its own view and sampling, so every
-cell keeps its bits (a test pins them) and the work follows the grid.
+columns are the length-k windows, and one interpolation that samples the
+template at every fitting scale.  Then each scale's row is computed
+whole, values and undefined mask, on the rows of the requested shifts
+that fit, with the same numpy operations as when each scale had its own
+view and sampling, so every cell keeps its bits (a test pins them) and
+the work follows the grid.  The only arrays of grid size are the three
+the correlogram returns.
 ``detect_peaks`` keeps, by partition, only the cells at or above the
 top_n-th largest value before it sorts them.
 """
@@ -244,21 +245,12 @@ def correlogram(
     rescale = _extreme(values)
     scale_grid = np.asarray(scales, dtype=np.int64)
     shift_grid = np.asarray(shifts, dtype=np.int64)
-    ends = shift_grid + scale_grid[:, None]
-    admissible = ends <= n
-    # A window of identical values has zero variance; the correlation is
-    # undefined there, not zero.  A window is flat exactly when no value
-    # changes inside it: changes[i] counts the j < i with values[j + 1] != values[j].
-    changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
-    undefined = admissible & (
-        changes.take(ends - 1, mode="clip") == changes.take(shift_grid, mode="clip")
-    )
-    numerators = np.zeros(admissible.shape)
-    sums_of_squares = np.zeros(admissible.shape)
-    template_ss = np.zeros((len(scales), 1))
     # shifts are sorted, so the admissible ones (l <= n - k) lead; scales
     # are too, so the scales with an admissible shift lead
-    fits = np.count_nonzero(admissible, axis=1)
+    fits = np.searchsorted(shift_grid, n - scale_grid, side="right")
+    admissible = np.arange(len(shifts)) < fits[:, None]
+    grid = np.zeros(admissible.shape)
+    undefined = np.zeros(admissible.shape, dtype=bool)
     fitting = scale_grid[fits > 0]
     if len(fitting):
         # row l holds values[l:l + k] in its first k columns, for every fitting k
@@ -266,31 +258,37 @@ def correlogram(
         padded = np.zeros(n + widest - 1)
         padded[:n] = values
         rows = sliding_window_view(padded, widest)
+        # A window of identical values has zero variance; the correlation is
+        # undefined there, not zero.  A window is flat exactly when no value
+        # changes inside it: changes[i] counts the j < i with values[j + 1] != values[j].
+        changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+        at = shift_grid[:fits[0]]  # the shifts at which the smallest scale fits
+        changes_at = changes[at]
         samples = _sample_scales(template, fitting)
         rescale_template = _extreme(samples)
         starts = np.cumsum(fitting) - fitting
         # the template, too, has no variance at a scale where its samples are equal
         flat = np.minimum.reduceat(samples, starts) == np.maximum.reduceat(samples, starts)
-        undefined[:len(fitting)] |= flat[:, None] & admissible[:len(fitting)]
-        per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist())
-        for i, (k, start, fit) in enumerate(per_scale):
-            # the gather copies the windows, so they are centered in place
-            x_centered = rows[shift_grid[:fit], :k]
-            if rescale:  # r is scale-free and a power-of-two scale is exact
-                x_centered = np.ldexp(x_centered, -np.frexp(x_centered.max(axis=1))[1][:, None])
-            p = samples[start:start + k]
-            if rescale_template:
-                p = np.ldexp(p, -np.frexp(p.max())[1])
-            p_centered = p - p.mean()
-            template_ss[i] = np.sum(p_centered * p_centered)
-            x_centered -= x_centered.mean(axis=1)[:, None]
-            numerators[i, :fit] = np.sum(x_centered * p_centered, axis=1)
-            sums_of_squares[i, :fit] = np.sum(x_centered * x_centered, axis=1)
-    grid = np.zeros(admissible.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(
-            numerators, np.sqrt(sums_of_squares * template_ss), out=grid, where=admissible
-        )
+        per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist(), flat.tolist())
+        with np.errstate(invalid="ignore", divide="ignore"):  # a flat window or template is 0/0
+            for i, (k, start, fit, flat_template) in enumerate(per_scale):
+                # the gather copies the windows, so they are centered in place
+                x_centered = rows[at[:fit], :k]
+                if rescale:  # r is scale-free and a power-of-two scale is exact
+                    x_centered = np.ldexp(
+                        x_centered, -np.frexp(x_centered.max(axis=1))[1][:, None]
+                    )
+                p = samples[start:start + k]
+                if rescale_template:
+                    p = np.ldexp(p, -np.frexp(p.max())[1])
+                p_centered = p - p.mean()
+                p_ss = np.sum(p_centered * p_centered)
+                x_centered -= x_centered.mean(axis=1)[:, None]
+                numerator = np.sum(x_centered * p_centered, axis=1)
+                x_ss = np.sum(x_centered * x_centered, axis=1)
+                grid[i, :fit] = numerator / np.sqrt(x_ss * p_ss)
+                flat_windows = changes[at[:fit] + (k - 1)] == changes_at[:fit]
+                undefined[i, :fit] = flat_windows | flat_template
     return Correlogram(
         shifts=shifts,
         scales=scales,

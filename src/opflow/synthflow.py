@@ -68,6 +68,9 @@ class BurstSpec:
             raise ValueError(f"baseline must be >= 0, got {self.baseline}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for key in ("amplitude", "baseline", "noise_sigma"):
+            if math.isinf(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got inf")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 

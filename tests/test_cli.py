@@ -130,6 +130,14 @@ def test_resolve_grids_bounds():
         resolve_grids(PipelineConfig(scales="2..1000000000000"), 20)
     with pytest.raises(ConfigError, match=r"shifts '0\.\.1000000000000' outside .*\[0, 18\]"):
         resolve_grids(PipelineConfig(shifts="0..1000000000000"), 20)
+    # a grid of 4,096 x 4,096 cells is at the limit, and one shift more is
+    # a data error; the default grid of ten years is below it
+    assert len(resolve_grids(PipelineConfig(scales="2..4097", shifts="0..4095"), 5000)[1]) == 4096
+    message = (r"^the grid of 4096 scales x 4097 shifts has 16781312 cells, over the limit"
+               r" of 16777216: narrow it with --scales or --shifts$")
+    with pytest.raises(DataError, match=message):
+        resolve_grids(PipelineConfig(scales="2..4097", shifts="0..4096"), 5000)
+    assert len(resolve_grids(PipelineConfig(), 3653)[1]) == 3647
 
 
 # --- config assembly -------------------------------------------------------
@@ -458,7 +466,10 @@ def write_stopword_corpus(fx) -> list[str]:
 INPUT_FAULTS = {
     "pipeline": "stage terms: tf-idf needs at least one non-empty document",
     "events": "tf-idf needs at least one non-empty document",
-    "infinite amplitude": "series values must be finite",
+    "century-long flow": (
+        "stage dynamics: the grid of 36520 scales x 36520 shifts has 1333710400 cells,"
+        " over the limit of 16777216: narrow it with --scales or --shifts"
+    ),
     "zero template": "planted series has no mass to sample dates from",
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
@@ -471,9 +482,11 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
     monkeypatch.chdir(tmp_path)
     if fault in ("pipeline", "events"):
         argv = [fault, *write_stopword_corpus(fx)]
-    elif fault == "infinite amplitude":
-        Path("burst.spec").write_text(Path(fx["burst"]).read_text() + "amplitude = inf\n")
-        argv = ["synth", "--burst-spec", "burst.spec"]
+    elif fault == "century-long flow":
+        records = [{"id": day, "published_at": f"{day}T12:00:00+00:00", "source": "s",
+                    "title": "protest", "body": "march"} for day in ("1990-01-01", "2090-01-01")]
+        Path("corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = ["pipeline", "--corpus", "corpus.jsonl"]
     elif fault == "zero template":
         flat = "baseline = 0\nnoise_sigma = 0\n"
         Path("burst.spec").write_text(Path(fx["burst"]).read_text() + flat)
@@ -493,6 +506,7 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         assert main([*argv, "--out-dir", "out"]) == 2
     assert INPUT_FAULTS[fault] in caplog.text
     assert "Traceback" not in caplog.text
+    assert not Path("out", MANIFEST_TXT).exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -1138,11 +1152,18 @@ def test_load_burst_spec_validates(tmp_path):
                         f"amplitude = 5\nstart_date = {start_date}\n")
         with pytest.raises(ConfigError, match="needs an ISO date"):
             load_burst_spec(path)
-    # nan fails every comparison, so it must not pass a ">= 0" check
+    # nan fails every comparison, so it must not pass a ">= 0" check; inf
+    # passes it, and must not reach the series
     for key in ("baseline", "noise_sigma"):
         path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
                         f"amplitude = 5\n{key} = nan\n")
         message = f"^{re.escape(str(path))}: {key} must be >= 0, got nan$"
+        with pytest.raises(ConfigError, match=message):
+            load_burst_spec(path)
+    for key in ("amplitude", "baseline", "noise_sigma"):
+        spec = {"length_days": 10, "plant_shift": 0, "plant_scale": 4, "amplitude": 5, key: "inf"}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in spec.items()))
+        message = f"^{re.escape(str(path))}: {key} must be finite, got inf$"
         with pytest.raises(ConfigError, match=message):
             load_burst_spec(path)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -497,6 +498,25 @@ def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_planted_year():
                      baseline=5.0, noise_sigma=5.0, rng_seed=7)
     values = generate_burst_series(DEFAULT_TEMPLATE, spec).values
     assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(range(356)))
+
+
+def test_correlogram_peak_memory_is_its_output_and_one_rows_work():
+    # numpy reports its buffers to tracemalloc; each scale's row is
+    # computed whole, so no (scale x shift) scratch array adds to the
+    # three the correlogram returns
+    spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
+                     baseline=5.0, noise_sigma=5.0, rng_seed=7)
+    burst = generate_burst_series(DEFAULT_TEMPLATE, spec)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        corr = correlogram(burst, DEFAULT_TEMPLATE, list(range(7, 366)), list(range(359)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    output = corr.values.nbytes + corr.admissible.nbytes + corr.undefined.nbytes
+    assert peak < 3.5 * output, peak / output
 
 
 @pytest.mark.parametrize("power", [700, -700])
