@@ -14,8 +14,10 @@ Each stage is one function that computes, then writes its files
 same ones, on a corpus loaded and filtered by ``_flow``.
 
 Each ``PipelineConfig`` field is an option, set by a flat ``key = value``
-config file or by its flag; flags override file values.  Exit status: 0 success (warnings allowed),
-1 usage or config error, 2 data error, 3 internal error.
+config file or by its flag; flags override file values.  Other values,
+the smoothing window among them, are fixed as the defaults of the library
+functions.  Exit status: 0 success (warnings allowed), 1 usage or config
+error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .eventcluster import (
     Clustering, kmeans_seeded, seed_centroids, vectorize, write_cluster_report,
 )
 from .flowseries import (
-    DEFAULT_SMOOTHING_WINDOW,
     DEFAULT_TEMPLATE,
     DailySeries,
     LifecycleTemplate,
@@ -137,7 +138,6 @@ class PipelineConfig:
     stopwords: Path | None = _option(None, "stopword file, one per line")
     lexicon: Path | None = _option(None, "event lexicon file (default: built-in)")
     template: Path | None = _option(None, "lifecycle template file (default: built-in)")
-    window: int = _option(DEFAULT_SMOOTHING_WINDOW, "smoothing window in days")
     scales: str = _option("", "scale grid, 'a..b' or comma list (default 7..n)")
     shifts: str = _option("", "shift grid, 'a..b' or comma list (default all)")
     threshold: float = _option(0.8, "peak threshold")
@@ -191,10 +191,6 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
             raise ConfigError(f"{label} file not found: {path}")
     if math.isnan(config.threshold):
         raise ConfigError("peak threshold must be a number, got nan")
-    if config.window < 1 or config.window % 2 == 0:
-        raise ConfigError(
-            f"smoothing window must be odd and positive, got {config.window}"
-        )
     return config
 
 
@@ -301,10 +297,10 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     return flow, tokenized, query
 
 
-def dynamics_series(flow: Corpus, config: PipelineConfig, out: Path) -> DailySeries:
+def dynamics_series(flow: Corpus, out: Path) -> DailySeries:
     """Write the raw and smoothed daily counts of the flow; return the raw."""
     series = build_daily_series(flow)
-    smoothed = smooth(series, config.window)
+    smoothed = smooth(series)
     log.info("series: %d docs over %d days", len(flow), len(series.values))
     write_series_csv(series, out / SERIES_RAW)
     write_series_csv(smoothed, out / SERIES_SMOOTHED)
@@ -344,7 +340,7 @@ def dynamics_correlogram(
 def cmd_series(config: PipelineConfig) -> int:
     """Write raw and smoothed daily dynamics of the filtered flow."""
     flow, _, _ = _flow(config)
-    dynamics_series(flow, config, Path(config.out_dir))
+    dynamics_series(flow, Path(config.out_dir))
     return 0
 
 
@@ -484,7 +480,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     save_corpus(flow, out / FLOW_CORPUS)
 
     with _stage("dynamics"):
-        peaks = dynamics_correlogram(dynamics_series(flow, config, out), template, config, out)
+        peaks = dynamics_correlogram(dynamics_series(flow, out), template, config, out)
 
     with _stage("narrowing"):
         if not peaks:
@@ -518,10 +514,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     """Generate a planted series (and, with a cluster spec, a planted
     corpus and its truth).  Both specs are read and everything is
     generated before any file is written."""
-    burst = load_burst_spec(args.burst_spec, args.seed)
+    burst = load_burst_spec(args.burst_spec)
     spec = None
     if args.cluster_spec is not None:
-        spec = load_cluster_spec(args.cluster_spec, args.seed)
+        spec = load_cluster_spec(args.cluster_spec)
     template = _template(args)
     series = generate_burst_series(template, burst)
     if spec is not None:
@@ -552,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--template", type=Path,
                              help="lifecycle template file (default: built-in)")
             sub.add_argument("--out-dir", type=Path, dest="out_dir", required=True)
-            sub.add_argument("--seed", type=int, help="override the seeds in the spec files")
             continue
         sub.add_argument("--config", type=Path, help="flat key = value config file")
         for option in fields(PipelineConfig):

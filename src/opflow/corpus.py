@@ -620,7 +620,7 @@ def _decode_error_message(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         return f"line {line_no}: invalid UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
-    return f"file {path} is not valid UTF-8"
+    return "not valid UTF-8"
 
 
 def read_line_file(path: str | Path) -> list[tuple[int, str]]:
@@ -683,12 +683,14 @@ def _read_lines(numbered: Iterable[tuple[int, str]]) -> Corpus:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file by the rules of :func:`_read_lines`.
-    A leading UTF-8 byte order mark is dropped."""
+    A leading UTF-8 byte order mark is dropped.  A fault names the file."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             corpus = _read_lines(enumerate(handle, start=1))
     except UnicodeDecodeError:
-        raise DataError(_decode_error_message(path)) from None
+        raise DataError(f"{path}: {_decode_error_message(path)}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not len(corpus):
         raise DataError(f"corpus file {path} contains no records")
     return corpus

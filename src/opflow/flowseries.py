@@ -186,15 +186,21 @@ def build_daily_series(corpus: Corpus) -> DailySeries:
 def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> DailySeries:
     """Centered moving average; the window shrinks at the series edges.
 
-    ``window`` must be odd so the average is centered on each day.
+    ``window`` must be odd so the average is centered on each day.  Each
+    day's sum adds its window's values left to right and is divided by
+    the number of days the window holds.  On a count series every sum is
+    exact, so each value is the correctly rounded mean.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"smoothing window must be odd and positive, got {window}")
-    half = window // 2
     vals = np.asarray(series.values, dtype=float)
     n = len(vals)
-    out = [float(np.mean(vals[max(0, i - half):min(n, i + half + 1)])) for i in range(n)]
-    return DailySeries(series.start_date, out)
+    half = min(window // 2, n - 1)  # a wider window holds the whole series
+    padded = np.concatenate([np.zeros(half), vals, np.zeros(half)])
+    sums = sum(padded[offset:offset + n] for offset in range(2 * half + 1))
+    days = np.arange(n)
+    counts = np.minimum(days + half, n - 1) - np.maximum(days - half, 0) + 1
+    return DailySeries(series.start_date, (sums / counts).tolist())
 
 
 def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarray:
@@ -335,25 +341,26 @@ def detect_peaks(corr: Correlogram, threshold: float, top_n: int = 10) -> list[P
 
 
 def load_template(path: str | Path) -> LifecycleTemplate:
-    """Template file: one "position amplitude" pair per line, '#' comments."""
+    """Template file: one "position amplitude" pair per line, '#' comments.
+    A fault names the file."""
     points: list[tuple[float, float]] = []
     for line_no, data in read_line_file(path):
         parts = data.split()
         if len(parts) != 2:
-            raise DataError(f"line {line_no}: expected 'position amplitude', got {data!r}")
+            raise DataError(f"{path}: line {line_no}: expected 'position amplitude', got {data!r}")
         try:
             point = (float(parts[0]), float(parts[1]))
         except ValueError:
-            raise DataError(f"line {line_no}: non-numeric control point {data!r}") from None
+            raise DataError(f"{path}: line {line_no}: non-numeric control point {data!r}") from None
         if not all(map(math.isfinite, point)):
-            raise DataError(f"line {line_no}: non-finite control point {data!r}")
+            raise DataError(f"{path}: line {line_no}: non-finite control point {data!r}")
         points.append(point)
     if not points:
         raise DataError(f"template file {path} has no control points")
     try:
         return LifecycleTemplate(points)
     except ValueError as exc:
-        raise DataError(str(exc)) from None
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _format_value(v: float) -> str:

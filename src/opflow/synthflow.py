@@ -290,27 +290,39 @@ _BURST_SPEC_TYPES = {
     "baseline": float, "noise_sigma": float, "seed": int, "start_date": date,
 }
 
-_CLUSTER_SPEC_TYPES = {
-    "cluster": str, "vocab_size": int, "shared_size": int, "topical_terms_per_doc": int,
-    "shared_terms_per_doc": int, "seed": int,
-}
+_CLUSTER_SPEC_TYPES = {"cluster": str, "vocab_size": int, "shared_size": int, "seed": int}
+
+# the largest spec values: a century of days, a vocabulary of terms, the
+# documents and topical terms of a planted corpus, and a keyword, which
+# each of its cluster's topical terms repeats
+MAX_SPEC_DAYS = 36_525
+MAX_SPEC_TERMS = 10_000
+MAX_SPEC_DOCS = 200_000
+MAX_SPEC_TOPICAL_TERMS = 1_000_000
+MAX_SPEC_KEYWORD_CHARS = 100
 
 
-def load_burst_spec(path, seed_override: int | None = None) -> BurstSpec:
+def _at_most(path, key: str, value: int, bound: int) -> None:
+    """A spec value that sizes an allocation is checked before it is made."""
+    if value > bound:
+        raise ConfigError(f"{path}: {key} must be at most {bound}, got {value}")
+
+
+def load_burst_spec(path) -> BurstSpec:
     """Burst spec file: one "key = value" line per BurstSpec field, with
-    ``seed`` for the noise seed; ``seed_override`` replaces it."""
+    ``seed`` for the noise seed."""
     values = typed_values(read_kv_file(path), _BURST_SPEC_TYPES, path)
     for key in ("length_days", "plant_shift", "plant_scale", "amplitude"):
         if key not in values:
             raise ConfigError(f"{path}: burst spec is missing key {key!r}")
-    seed = values.pop("seed", 0)
+    _at_most(path, "length_days", values["length_days"], MAX_SPEC_DAYS)
     try:
-        return BurstSpec(rng_seed=seed if seed_override is None else seed_override, **values)
+        return BurstSpec(rng_seed=values.pop("seed", 0), **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_cluster_spec(path, seed_override: int | None = None) -> ClusterSpec:
+def load_cluster_spec(path) -> ClusterSpec:
     """Cluster spec: repeatable "cluster = keyword:count" lines plus
     sizing knobs; vocabularies are generated from the keywords."""
     pairs = read_kv_file(path)
@@ -318,31 +330,34 @@ def load_cluster_spec(path, seed_override: int | None = None) -> ClusterSpec:
     cluster_lines = [value for key, value in pairs if key == "cluster"]
     if not cluster_lines:
         raise ConfigError(f"{path}: at least one 'cluster = keyword:count' line is required")
-    vocab_size = values.get("vocab_size", 20)
-    defs = []
+    vocab_size, shared_size = values.get("vocab_size", 20), values.get("shared_size", 50)
+    _at_most(path, "vocab_size", vocab_size, MAX_SPEC_TERMS)
+    _at_most(path, "shared_size", shared_size, MAX_SPEC_TERMS)
+    counts = []
     for line in cluster_lines:
         keyword_text, sep, count_text = line.rpartition(":")
         if not sep:
             raise ConfigError(f"{path}: cluster line {line!r} is not 'keyword:count'")
+        _at_most(path, "a cluster keyword's length", len(keyword_text), MAX_SPEC_KEYWORD_CHARS)
         try:
-            count = int(count_text)
+            counts.append((keyword_text, int(count_text)))
         except ValueError:
             raise ConfigError(f"{path}: cluster count {count_text!r} is not an integer") from None
+    _at_most(path, "the total of the cluster counts", sum(c for _, c in counts), MAX_SPEC_DOCS)
+    _at_most(path, "clusters x vocab_size", len(counts) * vocab_size, MAX_SPEC_TOPICAL_TERMS)
+    defs = []
+    for keyword_text, count in counts:
         compact = normalize_term(keyword_text).replace(" ", "")
         vocab = tuple(f"{compact}topic{i:02d}" for i in range(vocab_size))
         try:
             defs.append(ClusterDef(keyword=keyword_text, topical_vocab=vocab, doc_count=count))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    seed = values.get("seed", 0)
-    # a knob the file leaves out keeps ClusterSpec's default
-    per_doc = {k: v for k, v in values.items() if k.endswith("_terms_per_doc")}
     try:
         return ClusterSpec(
             clusters=tuple(defs),
-            shared_vocab=tuple(f"common{i:02d}" for i in range(values.get("shared_size", 50))),
-            rng_seed=seed if seed_override is None else seed_override,
-            **per_doc,
+            shared_vocab=tuple(f"common{i:02d}" for i in range(shared_size)),
+            rng_seed=values.get("seed", 0),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

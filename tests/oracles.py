@@ -6,6 +6,8 @@ agreement between the two is evidence and not tautology.
 ``correlation_cell`` is no oracle: it is the package's correlogram read
 at one cell, the side the correlation oracle checks.  ``cells`` reads a
 correlogram's arrays cell by cell, so tests can compare them as a dict.
+``smooth_loop`` is no oracle either: it is a frozen copy of the
+per-day loop ``smooth`` replaced.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ def cells(corr):
             if corr.admissible[i, j]:
                 out[(l, k)] = None if corr.undefined[i, j] else float(corr.values[i, j])
     return dict(sorted(out.items()))
+
+
+def smooth_loop(values, window):
+    """The centered moving average of a series' values as ``smooth`` once
+    computed it, one ``np.mean`` per day; a regression pin, not an oracle."""
+    half = window // 2
+    vals = np.asarray(values, dtype=float)
+    n = len(vals)
+    return [float(np.mean(vals[max(0, i - half):min(n, i + half + 1)])) for i in range(n)]
 
 
 def correlation_cell(series, l, k, samples):

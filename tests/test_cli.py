@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from opflow import synthflow
 from opflow.cli import (
     CLUSTERS_JSON,
     COMMANDS,
@@ -164,18 +165,18 @@ def test_read_kv_file_rejects_bad_lines(tmp_path):
 def _ns(**kw):
     ns = argparse.Namespace()
     for key in ("config corpus out_dir query exclude stopwords lexicon template "
-                "window scales shifts threshold terms").split():
+                "scales shifts threshold terms").split():
         setattr(ns, key, kw.get(key))
     return ns
 
 
 def test_build_config_flags_override_file(tmp_path):
     conf = tmp_path / "conf"
-    conf.write_text("window = 5\nthreshold = 0.5\nquery = protest\n")
-    config = build_config(_ns(config=conf, window=9))
-    assert config.window == 9  # flag wins
+    conf.write_text("scales = 10..20\nthreshold = 0.5\nquery = protest\n")
+    config = build_config(_ns(config=conf, query="riot"))
+    assert config.query == "riot"  # flag wins
     assert config.threshold == 0.5
-    assert config.query == "protest"
+    assert config.scales == "10..20"
 
 
 def test_build_config_rejects_unknown_and_malformed_keys(tmp_path):
@@ -183,17 +184,17 @@ def test_build_config_rejects_unknown_and_malformed_keys(tmp_path):
     conf.write_text("windoe = 5\n")
     with pytest.raises(ConfigError, match="unknown"):
         build_config(_ns(config=conf))
-    for bad in ("five", "3.0"):
-        conf.write_text(f"window = {bad}\n")
-        with pytest.raises(ConfigError, match="needs a whole number"):
+    for bad in ("high", "0.5.1"):
+        conf.write_text(f"threshold = {bad}\n")
+        with pytest.raises(ConfigError, match=f"key 'threshold' needs a number, got '{bad}'"):
             build_config(_ns(config=conf))
 
 
 def test_config_and_burst_spec_behind_a_bom_are_read(fx, tmp_path):
     conf = tmp_path / "conf"
-    conf.write_text("\ufeffwindow = 5\nquery = protest\n", encoding="utf-8")
+    conf.write_text("\ufeffthreshold = 0.5\nquery = protest\n", encoding="utf-8")
     config = build_config(_ns(config=conf))
-    assert (config.window, config.query) == (5, "protest")
+    assert (config.threshold, config.query) == (0.5, "protest")
     spec = tmp_path / "burst.spec"
     spec.write_text("\ufeff" + Path(fx["burst"]).read_text(), encoding="utf-8")
     assert load_burst_spec(spec) == load_burst_spec(Path(fx["burst"]))
@@ -242,12 +243,6 @@ def test_exit_1_when_corpus_is_missing(tmp_path):
                  "--out-dir", str(tmp_path)]) == 1
 
 
-def test_exit_1_on_even_smoothing_window(fx, tmp_path):
-    rc = main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
-               "--window", "4"])
-    assert rc == 1
-
-
 @pytest.mark.parametrize("form", ["flag", "config"])
 def test_exit_1_on_a_nan_threshold(fx, tmp_path, caplog, form):
     # nan would match no cell and skip narrowing; inf and -inf keep their meaning
@@ -275,8 +270,6 @@ BAD_OPTIONS = {
     "missing lexicon": ([*_OUT, "--lexicon", "{missing}"], "lexicon file not found: {missing}"),
     "missing template": ([*_OUT, "--template", "{missing}"], "template file not found: {missing}"),
     "stopwords dir": ([*_OUT, "--stopwords", "{dir}"], "stopwords file not found: {dir}"),
-    "window 0": ([*_OUT, "--window", "0"], "smoothing window must be odd and positive, got 0"),
-    "window -3": ([*_OUT, "--window=-3"], "smoothing window must be odd and positive, got -3"),
 }
 
 
@@ -291,7 +284,7 @@ def test_exit_1_on_each_config_rule_before_the_out_dir_is_made(fx, tmp_path, cap
     assert not paths["out"].exists()
 
 
-@pytest.mark.parametrize("key", ["top_n", "top_m", "top_t", "max_iter"])
+@pytest.mark.parametrize("key", ["window", "top_n", "top_m", "top_t", "max_iter"])
 def test_exit_1_on_a_removed_option(fx, tmp_path, caplog, key):
     # these values are fixed, each as the default of the library function that uses it
     flag = "--" + key.replace("_", "-")
@@ -410,7 +403,7 @@ def test_exit_2_on_a_non_finite_template_point(fx, tmp_path, caplog, command):
         rc = main([command, "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
                    "--template", str(bad)])
     assert rc == 2
-    assert "line 2: non-finite control point '0.5 nan'" in caplog.text
+    assert f"{bad}: line 2: non-finite control point '0.5 nan'" in caplog.text
 
 
 # a template or lexicon file its reader refuses, and the message it exits 2 with
@@ -1083,11 +1076,15 @@ def test_synth_regenerates_the_bundled_fixture(fx, tmp_path):
 
 
 def test_synth_seed_override_changes_the_corpus(fx, tmp_path):
+    # a repeated key keeps its last value, so an appended seed overrides the file's
     base, other = tmp_path / "base", tmp_path / "other"
+    burst, clusters = tmp_path / "burst.spec", tmp_path / "clusters.spec"
+    burst.write_text(Path(fx["burst"]).read_text() + "seed = 31337\n")
+    clusters.write_text(Path(fx["clusters"]).read_text() + "seed = 31337\n")
     assert main(["synth", "--burst-spec", fx["burst"], "--cluster-spec", fx["clusters"],
                  "--out-dir", str(base)]) == 0
-    assert main(["synth", "--burst-spec", fx["burst"], "--cluster-spec", fx["clusters"],
-                 "--out-dir", str(other), "--seed", "31337"]) == 0
+    assert main(["synth", "--burst-spec", str(burst), "--cluster-spec", str(clusters),
+                 "--out-dir", str(other)]) == 0
     assert (base / "synth_corpus.jsonl").read_bytes() != (other / "synth_corpus.jsonl").read_bytes()
     loaded = load_corpus(other / "synth_corpus.jsonl")
     assert len(loaded) == 200
@@ -1107,9 +1104,30 @@ def test_synth_checks_both_specs_before_writing(fx, tmp_path):
                "--out-dir", str(out)])
     assert rc == 1
     assert not any(out.glob("*"))
-    rc = main(["synth", "--burst-spec", fx["burst"], "--out-dir", str(out), "--seed", "-1"])
+    bad = tmp_path / "burst.spec"
+    bad.write_text(Path(fx["burst"]).read_text() + "seed = -1\n")
+    rc = main(["synth", "--burst-spec", str(bad), "--out-dir", str(out)])
     assert rc == 1
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("setting", ["--seed", "topical_terms_per_doc", "shared_terms_per_doc"])
+def test_synth_exit_1_on_a_removed_setting(fx, tmp_path, caplog, setting):
+    # the spec files' seed keys are the only seeds; the per-document term
+    # counts are ClusterSpec's defaults, settable through the library alone
+    if setting == "--seed":
+        given, message = [fx["clusters"], "--seed", "1"], "unrecognized arguments: --seed 1"
+    else:
+        clusters = tmp_path / "clusters.spec"
+        clusters.write_text(Path(fx["clusters"]).read_text() + f"{setting} = 0\n")
+        given, message = [str(clusters)], f"{clusters}: unknown key {setting!r}"
+    out = tmp_path / "out"
+    with caplog.at_level("ERROR"):
+        rc = main(["synth", "--burst-spec", fx["burst"], "--out-dir", str(out),
+                   "--cluster-spec", *given])
+    assert rc == 1
+    assert caplog.messages == [message]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_synth_series_only_when_no_cluster_spec(fx, tmp_path):
@@ -1143,9 +1161,12 @@ def test_load_burst_spec_validates(tmp_path):
                     "amplitude = 5\nseed = -3\n")
     with pytest.raises(ConfigError, match="seed"):
         load_burst_spec(path)
-    path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\namplitude = 5\n")
-    with pytest.raises(ConfigError, match="seed"):
-        load_burst_spec(path, seed_override=-1)
+    for length in ("five", "3.0"):
+        path.write_text(f"length_days = {length}\nplant_shift = 0\nplant_scale = 4\n"
+                        "amplitude = 5\n")
+        message = f"key 'length_days' needs a whole number, got '{length}'"
+        with pytest.raises(ConfigError, match=message):
+            load_burst_spec(path)
     # the one date form every supported Python reads
     for start_date in ("20160601", "2016-W22-3"):
         path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
@@ -1199,10 +1220,51 @@ def test_load_cluster_spec_validates(tmp_path):
     with pytest.raises(ConfigError, match=message):
         load_cluster_spec(path)
     path.write_text("cluster = protest:6\nshared_terms_per_doc = 0\n")
-    assert load_cluster_spec(path).shared_terms_per_doc == 0
+    message = f"^{re.escape(str(path))}: unknown key 'shared_terms_per_doc'$"
+    with pytest.raises(ConfigError, match=message):
+        load_cluster_spec(path)
     path.write_text("cluster = protest:6\nsources = wire\n")
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: unknown key 'sources'$"):
         load_cluster_spec(path)
+
+
+def test_spec_sizes_are_bounded_before_anything_is_built(tmp_path, monkeypatch):
+    burst, clusters = tmp_path / "b.spec", tmp_path / "c.spec"
+    plant = "plant_shift = 0\nplant_scale = 4\namplitude = 5\n"
+    burst.write_text(f"length_days = 36525\n{plant}")
+    assert load_burst_spec(burst).length_days == 36525
+    burst.write_text(f"length_days = 36526\n{plant}")
+    message = f"^{re.escape(str(burst))}: length_days must be at most 36525, got 36526$"
+    with pytest.raises(ConfigError, match=message):
+        load_burst_spec(burst)
+    clusters.write_text(f"cluster = {'a' * 100}:100000\ncluster = riot:100000\n"
+                        "vocab_size = 10000\nshared_size = 10000\n")
+    spec = load_cluster_spec(clusters)
+    assert [(c.doc_count, len(c.topical_vocab)) for c in spec.clusters] == [(100000, 10000)] * 2
+    assert len(spec.shared_vocab) == 10000
+
+    def refuse(**kwargs):
+        raise AssertionError("a vocabulary was built")
+
+    # each value over its bound fails before any cluster's vocabulary is built
+    monkeypatch.setattr(synthflow, "ClusterDef", refuse)
+    over = [
+        ("vocab_size", "cluster = protest:6\nvocab_size = 10001\n", 10000, 10001),
+        ("vocab_size", "cluster = protest:6\nvocab_size = 10000000\n", 10000, 10000000),
+        ("shared_size", "cluster = protest:6\nshared_size = 10001\n", 10000, 10001),
+        ("the total of the cluster counts", "cluster = protest:100000\ncluster = riot:100001\n",
+         200000, 200001),
+        ("clusters x vocab_size",
+         "".join(f"cluster = kw{i:03d}:1\n" for i in range(101)) + "vocab_size = 9901\n",
+         1000000, 1000001),
+        ("a cluster keyword's length", f"cluster = protest:6\ncluster = {'a' * 101}:6\n",
+         100, 101),
+    ]
+    for key, text, bound, value in over:
+        clusters.write_text(text)
+        message = f"^{re.escape(str(clusters))}: {key} must be at most {bound}, got {value}$"
+        with pytest.raises(ConfigError, match=message):
+            load_cluster_spec(clusters)
 
 
 # --- robustness ------------------------------------------------------------

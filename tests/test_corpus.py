@@ -156,7 +156,9 @@ def test_from_documents_rejects_a_tokenless_document_as_load_corpus_does(tmp_pat
     p = _write(tmp_path, "c.jsonl", "".join(d.json_line for d in docs))
     with pytest.raises(DataError) as loaded:
         load_corpus(p)
-    assert str(from_documents.value) == str(loaded.value) == "line 2: document 'b' has no tokens"
+    # a position names the document in a list; a loaded corpus names its file too
+    assert str(from_documents.value) == "line 2: document 'b' has no tokens"
+    assert str(loaded.value) == f"{p}: " + str(from_documents.value)
 
 
 def test_from_documents_sorts_by_time_then_id():
@@ -354,7 +356,7 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         load_corpus(p)
     bad = tmp_path / "latin1.jsonl"
     bad.write_bytes((GOOD_LINE + "\n\n" + GOOD_LINE.replace("Referendum", "Caf\xe9")).encode("latin-1"))
-    with pytest.raises(DataError, match=r"line 3: invalid UTF-8.*0xe9"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(bad))}: line 3: invalid UTF-8.*0xe9"):
         load_corpus(bad)
 
 
@@ -583,9 +585,14 @@ def test_loaded_columns_equal_the_decoded_records(raw, tmp_path_factory):
 
 
 def _load_error(tmp_path, line):
+    """The message a one-line corpus fails to load with, which names the
+    file first; returned without that prefix."""
+    path = _write(tmp_path, "c.jsonl", line + "\n")
     with pytest.raises(DataError) as info:
-        load_corpus(_write(tmp_path, "c.jsonl", line + "\n"))
-    return str(info.value)
+        load_corpus(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    return message[len(f"{path}: "):]
 
 
 def test_lines_in_saved_layout_keep_the_errors_of_their_fields(tmp_path):

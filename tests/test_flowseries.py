@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 import tracemalloc
 from datetime import date
@@ -105,8 +106,22 @@ def test_smooth_constant_series_unchanged():
 
 
 def test_smooth_preserves_total_roughly_and_rejects_even_window():
-    with pytest.raises(ValueError, match="odd"):
-        smooth(series([1, 2, 3]), window=4)
+    for window in (4, 0, -3):
+        message = f"^smoothing window must be odd and positive, got {window}$"
+        with pytest.raises(ValueError, match=message):
+            smooth(series([1, 2, 3]), window=window)
+
+
+@pytest.mark.parametrize("n", [1, 2, 61, 365, 1461])
+def test_smooth_keeps_the_bits_of_the_per_day_loop(n):
+    # count series, as build_daily_series makes them, with bursts of a few
+    # hundred docs so that sums and means have all their bits
+    rng = np.random.default_rng(n)
+    counts = rng.poisson(3.0, n) + (rng.random(n) < 0.05) * rng.integers(100, 900, n)
+    for window in (1, 3, 7, 9, 2 * n + 1):
+        got = np.array(smooth(series(counts), window).values)
+        want = np.array(oracles.smooth_loop(counts, window))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), window
 
 
 # --- template --------------------------------------------------------------
@@ -179,16 +194,25 @@ def test_load_template_round_trip(tmp_path, fixtures_dir):
 
 def test_load_template_rejects_garbage(tmp_path):
     p = tmp_path / "t.txt"
+    named = re.escape(f"{p}: ")
     p.write_text("0 1 extra\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 1"):
+    with pytest.raises(DataError, match=f"^{named}line 1: expected 'position amplitude'"):
+        load_template(p)
+    p.write_text("0 zz\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{named}line 1: non-numeric control point '0 zz'$"):
         load_template(p)
     p.write_text("# only comments\n", encoding="utf-8")
     with pytest.raises(DataError, match="no control points"):
         load_template(p)
     for bad in ("nan 0.5", "0.5 inf", "0.5 -Infinity"):
         p.write_text(f"0 0.1\n{bad}\n1 0.3\n", encoding="utf-8")
-        with pytest.raises(DataError, match="line 2: non-finite"):
+        with pytest.raises(DataError, match=f"^{named}line 2: non-finite"):
             load_template(p)
+    # the template's own rules name the file too
+    p.write_text("0.1 1\n1 0.5\n", encoding="utf-8")
+    message = f"^{named}template positions must start at 0 and end at 1$"
+    with pytest.raises(DataError, match=message):
+        load_template(p)
 
 
 # --- windowed correlation --------------------------------------------------
