@@ -13,11 +13,11 @@ Each stage is one function that computes, then writes its files
 ``cluster_events``); the stage subcommands and ``pipeline`` call the
 same ones, on a corpus loaded and filtered by ``_flow``.
 
-Each ``PipelineConfig`` field is an option, set by a flat ``key = value``
-config file or by its flag; flags override file values.  Other values,
-the smoothing window among them, are fixed as the defaults of the library
-functions.  Exit status: 0 success (warnings allowed), 1 usage or config
-error, 2 data error, 3 internal error.
+Each ``PipelineConfig`` field is an option, and its flag is the one
+source of its value.  Other values, the smoothing window among them, are
+fixed as the defaults of the library functions.  Exit status: 0 success
+(warnings allowed), 1 usage or config error, 2 data error, 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ from .synthflow import (
     generate_cluster_corpus,
     load_burst_spec,
     load_cluster_spec,
-    read_kv_file,
-    typed_values,
     write_ground_truth,
 )
 from .termbase import (
@@ -128,9 +126,8 @@ def _option(default, help_text: str):
 
 @dataclass
 class PipelineConfig:
-    """Everything a stage needs; assembled from config file plus flags.
-    Each field is also the flag ``--name-with-dashes``, with its help
-    text beside its default."""
+    """Everything a stage needs.  Each field is set by the flag
+    ``--name-with-dashes`` alone, with its help text beside its default."""
 
     corpus: Path | None = _option(None, "JSONL corpus file")
     query: str = _option("", "AND-groups split by ';', OR-terms by ','")
@@ -157,30 +154,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ConfigError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse up to Python 3.12 drops the value of "--flag=--" and sets
+        # the flag to an empty list, which no option's type reads
+        for arg in sys.argv[1:] if args is None else args:
+            flag, _, value = arg.partition("=")
+            if flag.startswith("--") and value == "--":
+                self.error(f"argument {flag}: expected one argument")
+        return super().parse_args(args, namespace)
+
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    values: dict = {}
-    if args.config is not None:
-        values = typed_values(read_kv_file(args.config), _CONFIG_TYPES, args.config)
-        # a subcommand reads the config keys it has flags for, and no other
-        for key in values:
-            if not hasattr(args, key):
-                raise ConfigError(
-                    f"{args.config}: config key {key!r} is not an option of"
-                    f" the {args.command} subcommand"
-                )
-    for key in _CONFIG_TYPES:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    return PipelineConfig(**values)
+    """The flags given; a flag left out keeps its field's default."""
+    return PipelineConfig(**{
+        key: value for key in _CONFIG_TYPES if (value := getattr(args, key, None)) is not None
+    })
 
 
 def validate_config(config: PipelineConfig) -> PipelineConfig:
-    if config.corpus is None:
-        raise ConfigError("a corpus file is required (--corpus or config key 'corpus')")
-    if config.out_dir is None:
-        raise ConfigError("an output directory is required (--out-dir or 'out_dir')")
     for label, path in (
         ("corpus", config.corpus),
         ("stopwords", config.stopwords),
@@ -297,6 +288,13 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     return flow, tokenized, query
 
 
+def _flow_grid(config: PipelineConfig, flow: Corpus) -> tuple[list[int], list[int]]:
+    """The grid of the flow's daily series, sized from its day span, so a
+    grid over the limit is refused before any series is built or written."""
+    days = flow.days
+    return resolve_grids(config, int(days[-1] - days[0]) + 1)
+
+
 def dynamics_series(flow: Corpus, out: Path) -> DailySeries:
     """Write the raw and smoothed daily counts of the flow; return the raw."""
     series = build_daily_series(flow)
@@ -308,13 +306,14 @@ def dynamics_series(flow: Corpus, out: Path) -> DailySeries:
 
 
 def dynamics_correlogram(
-    series: DailySeries, template: LifecycleTemplate, config: PipelineConfig, out: Path
+    series: DailySeries, template: LifecycleTemplate, grid: tuple[list[int], list[int]],
+    threshold: float, out: Path,
 ) -> list[Peak]:
-    """Write the template correlation over the scale/shift grid and its
-    peaks; return the peaks."""
-    scales, shifts = resolve_grids(config, len(series.values))
+    """Write the template correlation over the (scales, shifts) grid and
+    its peaks at or above the threshold; return the peaks."""
+    scales, shifts = grid
     corr = correlogram(series, template, scales=scales, shifts=shifts)
-    peaks = detect_peaks(corr, config.threshold)
+    peaks = detect_peaks(corr, threshold)
     if not corr.admissible.any():
         log.warning(
             "correlogram: no (shift, scale) window of the grid fits the %d-day series",
@@ -325,7 +324,7 @@ def dynamics_correlogram(
             "correlogram: no defined cells: every window, or the template at its scale, is flat"
         )
     elif not peaks:
-        log.warning("correlogram: no peak at or above threshold %g", config.threshold)
+        log.warning("correlogram: no peak at or above threshold %g", threshold)
     else:
         best = peaks[0]
         log.info(
@@ -348,7 +347,10 @@ def cmd_correlogram(config: PipelineConfig) -> int:
     """Write template correlation over the grid, plus the peak report."""
     template = _template(config)
     flow, _, _ = _flow(config)
-    dynamics_correlogram(build_daily_series(flow), template, config, Path(config.out_dir))
+    grid = _flow_grid(config, flow)
+    dynamics_correlogram(
+        build_daily_series(flow), template, grid, config.threshold, Path(config.out_dir)
+    )
     return 0
 
 
@@ -480,7 +482,10 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     save_corpus(flow, out / FLOW_CORPUS)
 
     with _stage("dynamics"):
-        peaks = dynamics_correlogram(dynamics_series(flow, out), template, config, out)
+        grid = _flow_grid(config, flow)
+        peaks = dynamics_correlogram(
+            dynamics_series(flow, out), template, grid, config.threshold, out
+        )
 
     with _stage("narrowing"):
         if not peaks:
@@ -549,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="lifecycle template file (default: built-in)")
             sub.add_argument("--out-dir", type=Path, dest="out_dir", required=True)
             continue
-        sub.add_argument("--config", type=Path, help="flat key = value config file")
         for option in fields(PipelineConfig):
             if option.name == "terms" and name != "cluster":
                 continue
@@ -559,6 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--" + option.name.replace("_", "-"), dest=option.name,
                 type=_CONFIG_TYPES[option.name], help=help_text,
+                required=option.name in ("corpus", "out_dir"),
             )
     return parser
 

@@ -271,6 +271,9 @@ def correlogram(
         at = shift_grid[:fits[0]]  # the shifts at which the smallest scale fits
         changes_at = changes[at]
         samples = _sample_scales(template, fitting)
+        if not np.isfinite(samples).all():
+            raise DataError("template samples overflow: a slope between two control points"
+                            " is past the float range")
         rescale_template = _extreme(samples)
         starts = np.cumsum(fitting) - fitting
         # the template, too, has no variance at a scale where its samples are equal

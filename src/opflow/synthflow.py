@@ -15,8 +15,7 @@ library normal, so the exact sample sequence is pinned by this module
 and not by the numerics backend.
 
 The flat ``key = value`` spec files that describe a fixture are read
-here as well, together with the typed-value helper the command line
-uses for its config files.
+here as well.
 """
 
 from __future__ import annotations
@@ -185,10 +184,12 @@ def generate_cluster_corpus(
     the keywords in that order.
     """
     series = generate_burst_series(template, burst)
-    weights = np.asarray(series.values, dtype=float)
-    if weights.sum() <= 0.0:
+    with np.errstate(over="ignore"):  # finite values can sum past the float range
+        cumulative = np.cumsum(np.asarray(series.values, dtype=float))
+    if cumulative[-1] <= 0.0:
         raise DataError("planted series has no mass to sample dates from")
-    cumulative = np.cumsum(weights)
+    if math.isinf(cumulative[-1]):
+        raise DataError("planted series sums past the float range: no date can be sampled")
     root = np.random.SeedSequence(spec.rng_seed)
     streams = root.spawn(len(spec.clusters))
     truth: dict[str, int] = {}
@@ -239,18 +240,18 @@ def write_ground_truth(truth: dict[str, int], path) -> None:
 
 
 def read_kv_file(path) -> list[tuple[str, str]]:
-    """Flat "key = value" lines, read by ``read_line_file``: a leading
-    byte order mark is dropped, '#' starts a comment anywhere on a line,
-    and blank lines are skipped.
+    """A spec file's flat "key = value" lines, read by ``read_line_file``:
+    a leading byte order mark is dropped, '#' starts a comment anywhere on
+    a line, and blank lines are skipped.
 
     Returned as pairs because some consumers allow repeated keys.
     """
     try:
         entries = read_line_file(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read spec file {path}: {exc.strerror}") from None
     except DataError as exc:  # names the file and the line
-        raise ConfigError(f"cannot read config file {exc}") from None
+        raise ConfigError(f"cannot read spec file {exc}") from None
     pairs = []
     for line_no, line in entries:
         if "=" not in line:

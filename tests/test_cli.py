@@ -1,4 +1,4 @@
-"""Command line behavior: config handling, artifacts, exit codes."""
+"""Command line behavior: options, artifacts, exit codes."""
 
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from opflow.cli import (
     MANIFEST_TXT,
     PIPELINE_ARTIFACTS,
     SERIES_RAW,
+    SERIES_SMOOTHED,
     PipelineConfig,
-    build_config,
     cluster_events,
     main,
     parse_grid,
@@ -141,74 +141,32 @@ def test_resolve_grids_bounds():
     assert len(resolve_grids(PipelineConfig(), 3653)[1]) == 3647
 
 
-# --- config assembly -------------------------------------------------------
+# --- spec files and flags -------------------------------------------------
 
 
 def test_read_kv_file_skips_comments(tmp_path):
-    path = tmp_path / "conf"
-    path.write_text("# a comment\n\nwindow = 5\nquery = protest\n")
-    assert read_kv_file(path) == [("window", "5"), ("query", "protest")]
+    # '#' starts a comment after a value too, so no value can hold one
+    path = tmp_path / "spec"
+    path.write_text("# a comment\n\nlength_days = 5\ncluster = protest:6  # the flow\n")
+    assert read_kv_file(path) == [("length_days", "5"), ("cluster", "protest:6")]
 
 
 def test_read_kv_file_rejects_bad_lines(tmp_path):
-    path = tmp_path / "conf"
-    path.write_text("window 5\n")
+    path = tmp_path / "spec"
+    path.write_text("length_days 5\n")
     with pytest.raises(ConfigError, match="key = value"):
         read_kv_file(path)
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(ConfigError, match="cannot read spec file .*missing"):
         read_kv_file(tmp_path / "missing")
-    path.write_bytes(b"window = 5\nquery = caf\xe9\n")
-    with pytest.raises(ConfigError, match="cannot read config file .*line 2: invalid UTF-8"):
+    path.write_bytes(b"length_days = 5\ncluster = caf\xe9:6\n")
+    with pytest.raises(ConfigError, match="cannot read spec file .*line 2: invalid UTF-8"):
         read_kv_file(path)
 
 
-def _ns(**kw):
-    ns = argparse.Namespace()
-    for key in ("config corpus out_dir query exclude stopwords lexicon template "
-                "scales shifts threshold terms").split():
-        setattr(ns, key, kw.get(key))
-    return ns
-
-
-def test_build_config_flags_override_file(tmp_path):
-    conf = tmp_path / "conf"
-    conf.write_text("scales = 10..20\nthreshold = 0.5\nquery = protest\n")
-    config = build_config(_ns(config=conf, query="riot"))
-    assert config.query == "riot"  # flag wins
-    assert config.threshold == 0.5
-    assert config.scales == "10..20"
-
-
-def test_build_config_rejects_unknown_and_malformed_keys(tmp_path):
-    conf = tmp_path / "conf"
-    conf.write_text("windoe = 5\n")
-    with pytest.raises(ConfigError, match="unknown"):
-        build_config(_ns(config=conf))
-    for bad in ("high", "0.5.1"):
-        conf.write_text(f"threshold = {bad}\n")
-        with pytest.raises(ConfigError, match=f"key 'threshold' needs a number, got '{bad}'"):
-            build_config(_ns(config=conf))
-
-
-def test_config_and_burst_spec_behind_a_bom_are_read(fx, tmp_path):
-    conf = tmp_path / "conf"
-    conf.write_text("\ufeffthreshold = 0.5\nquery = protest\n", encoding="utf-8")
-    config = build_config(_ns(config=conf))
-    assert (config.threshold, config.query) == (0.5, "protest")
+def test_burst_spec_behind_a_bom_is_read(fx, tmp_path):
     spec = tmp_path / "burst.spec"
     spec.write_text("\ufeff" + Path(fx["burst"]).read_text(), encoding="utf-8")
     assert load_burst_spec(spec) == load_burst_spec(Path(fx["burst"]))
-
-
-def test_config_comment_after_a_value_is_dropped(fx, tmp_path):
-    conf = tmp_path / "conf"
-    conf.write_text("query = protest  # the flow\n")
-    assert main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "file"),
-                 "--config", str(conf)]) == 0
-    assert main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "flag"),
-                 "--query", "protest"]) == 0
-    for name in ("series_raw.csv", "series_smoothed.csv"):
-        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
 
 def test_stage_flags_are_config_plus_one_per_field():
@@ -221,7 +179,7 @@ def test_stage_flags_are_config_plus_one_per_field():
     for command in ("series", "correlogram", "events", "cluster", "pipeline"):
         actions = [a for a in commands[command]._actions if a.dest != "help"]
         flags = {a.option_strings[0]: a.dest for a in actions}
-        expected = {"--config": "config"}
+        expected = {}
         for option in fields(PipelineConfig):
             if option.name != "terms" or command == "cluster":
                 expected["--" + option.name.replace("_", "-")] = option.name
@@ -237,21 +195,21 @@ def test_stage_flags_are_config_plus_one_per_field():
 # --- exit codes ------------------------------------------------------------
 
 
-def test_exit_1_when_corpus_is_missing(tmp_path):
-    assert main(["series", "--out-dir", str(tmp_path)]) == 1
+def test_exit_1_when_corpus_is_missing(tmp_path, caplog):
+    out = tmp_path / "out"
+    with caplog.at_level("ERROR"):
+        assert main(["series", "--out-dir", str(out)]) == 1
+    assert caplog.messages == ["the following arguments are required: --corpus"]
+    assert not out.exists()
     assert main(["series", "--corpus", str(tmp_path / "nope.jsonl"),
                  "--out-dir", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("form", ["flag", "config"])
-def test_exit_1_on_a_nan_threshold(fx, tmp_path, caplog, form):
+def test_exit_1_on_a_nan_threshold(fx, tmp_path, caplog):
     # nan would match no cell and skip narrowing; inf and -inf keep their meaning
-    conf = tmp_path / "c.conf"
-    conf.write_text("threshold = nan\n")
-    given = ["--threshold", "nan"] if form == "flag" else ["--config", str(conf)]
     with caplog.at_level("ERROR"):
         rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
-                   *given])
+                   "--threshold", "nan"])
     assert rc == 1
     assert "peak threshold must be a number, got nan" in caplog.text
     assert not (tmp_path / "out" / "manifest.txt").exists()
@@ -261,15 +219,17 @@ def test_exit_1_on_a_nan_threshold(fx, tmp_path, caplog, form):
         assert validate_config(config).threshold == threshold
 
 
-# each validate_config rule no other test checks, with the flags after
-# --corpus that break it and the message it exits 1 with
+# each rule of the parser or of validate_config no other test checks, with
+# the flags after --corpus that break it and the message it exits 1 with
 _OUT = ["--out-dir", "{out}"]
 BAD_OPTIONS = {
-    "no out dir": ([], "an output directory is required (--out-dir or 'out_dir')"),
+    "no out dir": ([], "the following arguments are required: --out-dir"),
     "missing stopwords": ([*_OUT, "--stopwords", "{missing}"], "stopwords file not found: {missing}"),
     "missing lexicon": ([*_OUT, "--lexicon", "{missing}"], "lexicon file not found: {missing}"),
     "missing template": ([*_OUT, "--template", "{missing}"], "template file not found: {missing}"),
     "stopwords dir": ([*_OUT, "--stopwords", "{dir}"], "stopwords file not found: {dir}"),
+    # argparse up to Python 3.12 would set the threshold to [] (exit 3)
+    "explicit -- value": ([*_OUT, "--threshold=--"], "argument --threshold: expected one argument"),
 }
 
 
@@ -284,23 +244,21 @@ def test_exit_1_on_each_config_rule_before_the_out_dir_is_made(fx, tmp_path, cap
     assert not paths["out"].exists()
 
 
-@pytest.mark.parametrize("key", ["window", "top_n", "top_m", "top_t", "max_iter"])
+@pytest.mark.parametrize("key", ["config", "window", "top_n", "top_m", "top_t", "max_iter"])
 def test_exit_1_on_a_removed_option(fx, tmp_path, caplog, key):
-    # these values are fixed, each as the default of the library function that uses it
+    # flags are the one source of every setting, and the other values are
+    # fixed, each as the default of the library function that uses it
     flag = "--" + key.replace("_", "-")
-    conf = tmp_path / "c.conf"
-    conf.write_text(f"{key} = 5\n")
-    for given, message in (
-        ([flag, "5"], f"unrecognized arguments: {flag} 5"),
-        (["--config", str(conf)], f"{conf}: unknown key {key!r}"),
-    ):
-        caplog.clear()
-        with caplog.at_level("ERROR"):
-            rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
-                       *given])
-        assert rc == 1
-        assert caplog.messages == [message]
-        assert not (tmp_path / "out" / "manifest.txt").exists()
+    value = "5"
+    if key == "config":
+        value = str(tmp_path / "c.conf")
+        Path(value).write_text("threshold = 0.6\n")
+    with caplog.at_level("ERROR"):
+        rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
+                   flag, value])
+    assert rc == 1
+    assert caplog.messages == [f"unrecognized arguments: {flag} {value}"]
+    assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 def test_exit_1_on_usage_errors(tmp_path):
@@ -313,17 +271,6 @@ def test_exit_1_on_terms_flag_outside_cluster(fx, tmp_path):
     # the pipeline seeds k-means from its own event terms, so it takes no --terms
     assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
                  "--terms", str(tmp_path / "nonexistent")]) == 1
-
-
-def test_exit_1_on_terms_config_key_outside_cluster(fx, tmp_path, caplog):
-    conf = tmp_path / "c.conf"
-    conf.write_text(f"terms = {tmp_path / 'nonexistent'}\n")
-    with caplog.at_level("ERROR"):
-        rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
-                   "--config", str(conf)])
-    assert rc == 1
-    assert "config key 'terms'" in caplog.text
-    assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 # each malformed filter, with the message it exits 1 with
@@ -464,6 +411,10 @@ INPUT_FAULTS = {
         " over the limit of 16777216: narrow it with --scales or --shifts"
     ),
     "zero template": "planted series has no mass to sample dates from",
+    # each day is finite, but the sum that dates are sampled from is not
+    "burst past the float range": "planted series sums past the float range",
+    # each control point is finite, but the slope between the last two is not
+    "template slope past the float range": "stage dynamics: template samples overflow",
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
     "stamp is a number": "line 1: key 'published_at' must be a string",
@@ -486,6 +437,12 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         Path("template.txt").write_text("0 0\n1 0\n")
         argv = ["synth", "--burst-spec", "burst.spec", "--cluster-spec", fx["clusters"],
                 "--template", "template.txt"]
+    elif fault == "template slope past the float range":
+        Path("template.txt").write_text("0 0\n0.5 1\n1 1e308\n")
+        argv = ["pipeline", "--corpus", fx["corpus"], "--template", "template.txt"]
+    elif fault == "burst past the float range":
+        Path("burst.spec").write_text(Path(fx["burst"]).read_text() + "amplitude = 1e308\n")
+        argv = ["synth", "--burst-spec", "burst.spec", "--cluster-spec", fx["clusters"]]
     elif fault == "artifact is a directory":
         Path("out", SERIES_RAW).mkdir(parents=True)
         argv = ["series", "--corpus", fx["corpus"]]
@@ -500,6 +457,10 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
     assert INPUT_FAULTS[fault] in caplog.text
     assert "Traceback" not in caplog.text
     assert not Path("out", MANIFEST_TXT).exists()
+    if fault == "century-long flow":
+        # the grid is refused before the series files are written
+        assert not Path("out", SERIES_RAW).exists()
+        assert not Path("out", SERIES_SMOOTHED).exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -1161,6 +1122,12 @@ def test_load_burst_spec_validates(tmp_path):
                     "amplitude = 5\nseed = -3\n")
     with pytest.raises(ConfigError, match="seed"):
         load_burst_spec(path)
+    for amplitude in ("high", "0.5.1"):
+        path.write_text(f"length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
+                        f"amplitude = {amplitude}\n")
+        message = f"key 'amplitude' needs a number, got '{amplitude}'"
+        with pytest.raises(ConfigError, match=message):
+            load_burst_spec(path)
     for length in ("five", "3.0"):
         path.write_text(f"length_days = {length}\nplant_shift = 0\nplant_scale = 4\n"
                         "amplitude = 5\n")
@@ -1335,3 +1302,73 @@ def test_pipeline_exits_0_1_or_2_on_small_corpora(
             assert (out / name).is_file() == (name not in skipped), name
     else:
         assert not (out / MANIFEST_TXT).exists()  # a failed run looks incomplete
+
+
+# what a mutation inserts: digits, the separators and signs of every file
+# and flag format, the letters of nan and inf, a comment and a BOM
+MUTATION_CHARS = "0123456789.-+e ,;:=#\n\ufeffnaifx"
+# what a word of a file or flag value may become: values at or past the
+# edge of what each key or flag accepts
+EDGE_VALUES = ("0", "1", "-1", "2", "0.5", "1000", "1e-320", "1e308", "nan", "inf", "-inf")
+# the pipeline flags the fuzz gate mutates, each with a value that works
+FUZZED_FLAGS = {
+    "--query": "protest,referendum;petition", "--exclude": "common29",
+    "--scales": "10..40", "--shifts": "0..20", "--threshold": "0.6",
+}
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """The text after up to three edits, each either a word replaced by one
+    of EDGE_VALUES, or a span of up to 8 characters replaced by up to 2
+    characters of MUTATION_CHARS (an empty span is an insertion).  So a
+    spec's count grows at most a hundredfold per edit, and a run stays short."""
+    for _ in range(draw(st.integers(0, 3))):
+        words = list(re.finditer(r"[\w.+-]+", text))
+        if words and draw(st.booleans()):
+            word = draw(st.sampled_from(words))
+            text = text[:word.start()] + draw(st.sampled_from(EDGE_VALUES)) + text[word.end():]
+            continue
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + draw(st.text(MUTATION_CHARS, max_size=2)) + text[end:]
+    return text
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
+    fx, tmp_path_factory, caplog, data
+):
+    work = tmp_path_factory.mktemp("fuzz")
+
+    def mutated_file(name: str, source: str) -> str:
+        path = work / name
+        path.write_text(data.draw(mutated(Path(source).read_text(encoding="utf-8"))),
+                        encoding="utf-8")
+        return str(path)
+
+    command = data.draw(st.sampled_from(["pipeline", "synth"]))
+    if command == "pipeline":
+        argv = ["pipeline", "--corpus", fx["corpus"]]
+        for flag in ("--stopwords", "--lexicon", "--template"):
+            if data.draw(st.booleans()):
+                argv += [flag, mutated_file(flag[2:], fx[flag[2:]])]
+        for flag, value in FUZZED_FLAGS.items():
+            if data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(mutated(value))}")
+        written = {MANIFEST_TXT}
+    else:
+        argv = ["synth", "--burst-spec", mutated_file("burst.spec", fx["burst"])]
+        if data.draw(st.booleans()):
+            argv += ["--cluster-spec", mutated_file("clusters.spec", fx["clusters"])]
+        written = set(COMMANDS["synth"][1])
+    out = work / "out"
+    caplog.clear()
+    with caplog.at_level("ERROR"):
+        rc = main([*argv, "--out-dir", str(out)])
+    assert rc in (0, 1, 2), caplog.text
+    assert "internal error" not in caplog.text
+    if rc != 0:
+        assert not (out.exists() and written & {path.name for path in out.iterdir()})
