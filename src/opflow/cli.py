@@ -57,6 +57,7 @@ from .flowseries import (
     correlogram,
     detect_peaks,
     load_template,
+    sample_scales,
     smooth,
     write_correlogram_csv,
     write_peaks_csv,
@@ -288,11 +289,17 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     return flow, tokenized, query
 
 
-def _flow_grid(config: PipelineConfig, flow: Corpus) -> tuple[list[int], list[int]]:
-    """The grid of the flow's daily series, sized from its day span, so a
-    grid over the limit is refused before any series is built or written."""
+def _flow_grid(
+    config: PipelineConfig, flow: Corpus, template: LifecycleTemplate
+) -> tuple[list[int], list[int]]:
+    """The grid of the flow's daily series, sized from its day span.  A grid
+    over the limit, or a template whose samples overflow at a scale where a
+    window fits, is refused before any series is built or written."""
     days = flow.days
-    return resolve_grids(config, int(days[-1] - days[0]) + 1)
+    n = int(days[-1] - days[0]) + 1
+    scales, shifts = resolve_grids(config, n)
+    sample_scales(template, [k for k in scales if k <= n - shifts[0]])
+    return scales, shifts
 
 
 def dynamics_series(flow: Corpus, out: Path) -> DailySeries:
@@ -347,7 +354,7 @@ def cmd_correlogram(config: PipelineConfig) -> int:
     """Write template correlation over the grid, plus the peak report."""
     template = _template(config)
     flow, _, _ = _flow(config)
-    grid = _flow_grid(config, flow)
+    grid = _flow_grid(config, flow, template)
     dynamics_correlogram(
         build_daily_series(flow), template, grid, config.threshold, Path(config.out_dir)
     )
@@ -482,7 +489,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     save_corpus(flow, out / FLOW_CORPUS)
 
     with _stage("dynamics"):
-        grid = _flow_grid(config, flow)
+        grid = _flow_grid(config, flow, template)
         peaks = dynamics_correlogram(
             dynamics_series(flow, out), template, grid, config.threshold, out
         )
@@ -517,13 +524,18 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Generate a planted series (and, with a cluster spec, a planted
-    corpus and its truth).  Both specs are read and everything is
-    generated before any file is written."""
+    corpus and its truth).  Both specs and the template are read, and the
+    template's samples checked, before anything is generated, and
+    everything is generated before any file is written."""
     burst = load_burst_spec(args.burst_spec)
     spec = None
     if args.cluster_spec is not None:
         spec = load_cluster_spec(args.cluster_spec)
     template = _template(args)
+    try:  # the planted bump samples the template at the plant scale alone
+        sample_scales(template, [burst.plant_scale])
+    except DataError as exc:
+        raise DataError(f"{args.template}: {exc}") from None
     series = generate_burst_series(template, burst)
     if spec is not None:
         corpus, truth = generate_cluster_corpus(spec, template, burst)

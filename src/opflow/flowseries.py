@@ -21,10 +21,16 @@ zero-padded series, as wide as the widest fitting scale, whose first k
 columns are the length-k windows, and one interpolation that samples the
 template at every fitting scale.  Then each scale's row is computed
 whole, values and undefined mask, on the rows of the requested shifts
-that fit, with the same numpy operations as when each scale had its own
-view and sampling, so every cell keeps its bits (a test pins them) and
-the work follows the grid.  The only arrays of grid size are the three
-the correlogram returns.
+that fit: a slice of the view, copied, when the shifts are one run of
+consecutive days, and a gather otherwise.  That copy is rescaled (for
+extreme values), centered and, once its products with the template are
+summed, squared in place; each window's sum is one ``np.add.reduce``
+over its contiguous row of k values, and the division and the
+flat-window test write straight into the row of the returned arrays.
+These are the arithmetic steps of the kernel that gave each scale its
+own view and sampling, so every cell keeps its bits (a test pins them),
+and the work follows the grid.  The only arrays of grid size are the
+three the correlogram returns.
 ``detect_peaks`` keeps, by partition, only the cells at or above the
 top_n-th largest value before it sorts them.
 """
@@ -203,20 +209,27 @@ def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> Daily
     return DailySeries(series.start_date, (sums / counts).tolist())
 
 
-def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarray:
+def sample_scales(template: LifecycleTemplate, scales: np.ndarray | list[int]) -> np.ndarray:
     """The template resampled to k points on the grid i/(k-1), for each
-    scale k in turn, concatenated: one interpolation serves every scale."""
-    ends = np.cumsum(scales)
-    index = np.arange(ends[-1]) - np.repeat(ends - scales, scales)
+    scale k in turn, concatenated: one interpolation serves every scale.
+    Every control point is finite, but a slope between two can overflow,
+    so a sample past the float range is a DataError."""
+    scales = np.asarray(scales, dtype=np.int64)
+    starts = np.cumsum(scales) - scales
+    index = np.arange(scales.sum()) - np.repeat(starts, scales)
     xs, ys = np.array(template.control_points).T
-    return np.interp(index / np.repeat(scales - 1, scales), xs, ys)
+    samples = np.interp(index / np.repeat(scales - 1, scales), xs, ys)
+    if not np.isfinite(samples).all():
+        raise DataError("template samples overflow: a slope between two control points"
+                        " is past the float range")
+    return samples
 
 
 def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
     """Resample the template to k points on the uniform grid (i-1)/(k-1)."""
     if k < 2:
         raise ValueError(f"template must be sampled at k >= 2 points, got {k}")
-    return _sample_scales(template, np.array([k])).tolist()
+    return sample_scales(template, [k]).tolist()
 
 
 def _extreme(values: np.ndarray) -> bool:
@@ -270,34 +283,34 @@ def correlogram(
         changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
         at = shift_grid[:fits[0]]  # the shifts at which the smallest scale fits
         changes_at = changes[at]
-        samples = _sample_scales(template, fitting)
-        if not np.isfinite(samples).all():
-            raise DataError("template samples overflow: a slope between two control points"
-                            " is past the float range")
+        samples = sample_scales(template, fitting)
         rescale_template = _extreme(samples)
         starts = np.cumsum(fitting) - fitting
         # the template, too, has no variance at a scale where its samples are equal
         flat = np.minimum.reduceat(samples, starts) == np.maximum.reduceat(samples, starts)
         per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist(), flat.tolist())
+        lo = shifts[0]
+        run = shifts[-1] - lo == len(shifts) - 1  # consecutive shifts are read by slices
         with np.errstate(invalid="ignore", divide="ignore"):  # a flat window or template is 0/0
             for i, (k, start, fit, flat_template) in enumerate(per_scale):
-                # the gather copies the windows, so they are centered in place
-                x_centered = rows[at[:fit], :k]
+                pick = slice(lo, lo + fit) if run else at[:fit]
+                # a gather copies the windows, a slice is copied: they are centered in place
+                x = rows[pick, :k].copy() if run else rows[pick, :k]
                 if rescale:  # r is scale-free and a power-of-two scale is exact
-                    x_centered = np.ldexp(
-                        x_centered, -np.frexp(x_centered.max(axis=1))[1][:, None]
-                    )
+                    np.ldexp(x, -np.frexp(x.max(axis=1))[1][:, None], out=x)
                 p = samples[start:start + k]
                 if rescale_template:
                     p = np.ldexp(p, -np.frexp(p.max())[1])
-                p_centered = p - p.mean()
-                p_ss = np.sum(p_centered * p_centered)
-                x_centered -= x_centered.mean(axis=1)[:, None]
-                numerator = np.sum(x_centered * p_centered, axis=1)
-                x_ss = np.sum(x_centered * x_centered, axis=1)
-                grid[i, :fit] = numerator / np.sqrt(x_ss * p_ss)
-                flat_windows = changes[at[:fit] + (k - 1)] == changes_at[:fit]
-                undefined[i, :fit] = flat_windows | flat_template
+                p_centered = p - np.add.reduce(p) / k
+                p_ss = np.add.reduce(p_centered * p_centered)
+                x -= (np.add.reduce(x, axis=1) / k)[:, None]
+                numerator = np.add.reduce(x * p_centered, axis=1)
+                x_ss = np.add.reduce(np.multiply(x, x, out=x), axis=1)
+                np.multiply(x_ss, p_ss, out=x_ss)
+                np.divide(numerator, np.sqrt(x_ss, out=x_ss), out=grid[i, :fit])
+                np.equal(changes[k - 1:][pick], changes_at[:fit], out=undefined[i, :fit])
+                if flat_template:
+                    undefined[i, :fit] = True
     return Correlogram(
         shifts=shifts,
         scales=scales,

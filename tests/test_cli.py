@@ -415,6 +415,7 @@ INPUT_FAULTS = {
     "burst past the float range": "planted series sums past the float range",
     # each control point is finite, but the slope between the last two is not
     "template slope past the float range": "stage dynamics: template samples overflow",
+    "synth template slope past the float range": "template.txt: template samples overflow",
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
     "stamp is a number": "line 1: key 'published_at' must be a string",
@@ -437,9 +438,12 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         Path("template.txt").write_text("0 0\n1 0\n")
         argv = ["synth", "--burst-spec", "burst.spec", "--cluster-spec", fx["clusters"],
                 "--template", "template.txt"]
-    elif fault == "template slope past the float range":
+    elif fault.endswith("template slope past the float range"):
         Path("template.txt").write_text("0 0\n0.5 1\n1 1e308\n")
-        argv = ["pipeline", "--corpus", fx["corpus"], "--template", "template.txt"]
+        if fault.startswith("synth"):
+            argv = ["synth", "--burst-spec", fx["burst"], "--template", "template.txt"]
+        else:
+            argv = ["pipeline", "--corpus", fx["corpus"], "--template", "template.txt"]
     elif fault == "burst past the float range":
         Path("burst.spec").write_text(Path(fx["burst"]).read_text() + "amplitude = 1e308\n")
         argv = ["synth", "--burst-spec", "burst.spec", "--cluster-spec", fx["clusters"]]
@@ -457,10 +461,12 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
     assert INPUT_FAULTS[fault] in caplog.text
     assert "Traceback" not in caplog.text
     assert not Path("out", MANIFEST_TXT).exists()
-    if fault == "century-long flow":
-        # the grid is refused before the series files are written
+    if fault in ("century-long flow", "template slope past the float range"):
+        # the grid and the template are refused before the series files are written
         assert not Path("out", SERIES_RAW).exists()
         assert not Path("out", SERIES_SMOOTHED).exists()
+    if fault == "synth template slope past the float range":
+        assert not list(Path("out").glob("synth_*"))
 
 
 @pytest.mark.parametrize("command", COMMANDS)

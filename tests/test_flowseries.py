@@ -24,11 +24,11 @@ from opflow.flowseries import (
     Correlogram,
     DailySeries,
     LifecycleTemplate,
-    _sample_scales,
     build_daily_series,
     correlogram,
     detect_peaks,
     load_template,
+    sample_scales,
     sample_template,
     smooth,
     write_correlogram_csv,
@@ -170,7 +170,7 @@ def test_sample_template_matches_piecewise_oracle():
 ], ids=["default", "four-point"])
 def test_one_sampling_of_every_scale_equals_each_scale_sampled_alone(template):
     scales = np.arange(2, 401)
-    batched = _sample_scales(template, scales)
+    batched = sample_scales(template, scales)
     xs, ys = (np.array(column) for column in zip(*template.control_points))
     start = 0
     for k in scales.tolist():
@@ -512,7 +512,11 @@ def test_correlogram_keeps_the_bits_of_the_per_scale_kernel(runs, template, data
     # unsorted and repeated, with scales and shifts past the series end
     scales = data.draw(st.lists(st.integers(2, n + 3), min_size=1, max_size=12))
     shifts = data.draw(st.one_of(
-        st.lists(st.integers(0, n + 2), min_size=1, max_size=24), st.just(list(range(n)))
+        st.lists(st.integers(0, n + 2), min_size=1, max_size=24), st.just(list(range(n))),
+        # consecutive shifts from past 0, as "--shifts a..b" gives them
+        st.integers(1, n + 2).flatmap(
+            lambda lo: st.integers(lo, n + 2).map(lambda hi: list(range(lo, hi + 1)))
+        ),
     ))
     assert_pinned(values, template, scales, shifts)
 
@@ -522,6 +526,13 @@ def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_planted_year():
                      baseline=5.0, noise_sigma=5.0, rng_seed=7)
     values = generate_burst_series(DEFAULT_TEMPLATE, spec).values
     assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(range(356)))
+
+
+def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_shift_run_past_0():
+    spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
+                     baseline=5.0, noise_sigma=5.0, rng_seed=7)
+    values = generate_burst_series(DEFAULT_TEMPLATE, spec).values
+    assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(range(5, 300)))
 
 
 def test_correlogram_peak_memory_is_its_output_and_one_rows_work():
