@@ -54,10 +54,11 @@ from .flowseries import (
     LifecycleTemplate,
     Peak,
     build_daily_series,
+    check_template,
     correlogram,
     detect_peaks,
     load_template,
-    sample_scales,
+    sample_template,
     smooth,
     write_correlogram_csv,
     write_peaks_csv,
@@ -290,15 +291,16 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
 
 
 def _flow_grid(
-    config: PipelineConfig, flow: Corpus, template: LifecycleTemplate
+    config: PipelineConfig, flow: Corpus, template: LifecycleTemplate | None = None
 ) -> tuple[list[int], list[int]]:
-    """The grid of the flow's daily series, sized from its day span.  A grid
-    over the limit, or a template whose samples overflow at a scale where a
-    window fits, is refused before any series is built or written."""
+    """The grid of the flow's daily series, sized from its day span, so a
+    grid over the limit, or a given template whose samples overflow on it,
+    is refused before any series is built or written."""
     days = flow.days
     n = int(days[-1] - days[0]) + 1
     scales, shifts = resolve_grids(config, n)
-    sample_scales(template, [k for k in scales if k <= n - shifts[0]])
+    if template is not None:
+        check_template(template, n, scales, shifts)
     return scales, shifts
 
 
@@ -354,7 +356,7 @@ def cmd_correlogram(config: PipelineConfig) -> int:
     """Write template correlation over the grid, plus the peak report."""
     template = _template(config)
     flow, _, _ = _flow(config)
-    grid = _flow_grid(config, flow, template)
+    grid = _flow_grid(config, flow)
     dynamics_correlogram(
         build_daily_series(flow), template, grid, config.threshold, Path(config.out_dir)
     )
@@ -489,6 +491,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     save_corpus(flow, out / FLOW_CORPUS)
 
     with _stage("dynamics"):
+        # the template is checked with the grid: the series files are written first
         grid = _flow_grid(config, flow, template)
         peaks = dynamics_correlogram(
             dynamics_series(flow, out), template, grid, config.threshold, out
@@ -524,16 +527,15 @@ def cmd_pipeline(config: PipelineConfig) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Generate a planted series (and, with a cluster spec, a planted
-    corpus and its truth).  Both specs and the template are read, and the
-    template's samples checked, before anything is generated, and
-    everything is generated before any file is written."""
+    corpus and its truth).  Both specs and the template are read and
+    checked before anything is generated, and everything is generated before any write."""
     burst = load_burst_spec(args.burst_spec)
     spec = None
     if args.cluster_spec is not None:
         spec = load_cluster_spec(args.cluster_spec)
     template = _template(args)
     try:  # the planted bump samples the template at the plant scale alone
-        sample_scales(template, [burst.plant_scale])
+        sample_template(template, burst.plant_scale)
     except DataError as exc:
         raise DataError(f"{args.template}: {exc}") from None
     series = generate_burst_series(template, burst)

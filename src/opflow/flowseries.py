@@ -21,16 +21,15 @@ zero-padded series, as wide as the widest fitting scale, whose first k
 columns are the length-k windows, and one interpolation that samples the
 template at every fitting scale.  Then each scale's row is computed
 whole, values and undefined mask, on the rows of the requested shifts
-that fit: a slice of the view, copied, when the shifts are one run of
-consecutive days, and a gather otherwise.  That copy is rescaled (for
-extreme values), centered and, once its products with the template are
-summed, squared in place; each window's sum is one ``np.add.reduce``
-over its contiguous row of k values, and the division and the
-flat-window test write straight into the row of the returned arrays.
-These are the arithmetic steps of the kernel that gave each scale its
-own view and sampling, so every cell keeps its bits (a test pins them),
-and the work follows the grid.  The only arrays of grid size are the
-three the correlogram returns.
+that fit, gathered from the view.  That copy is rescaled (for extreme
+values), centered and, once its products with the template are summed,
+squared in place; each window's sum is one ``np.add.reduce`` over its
+contiguous row of k values, and the division and the flat-window test
+write straight into the row of the returned arrays.  These are the
+arithmetic steps of the kernel that gave each scale its own view and
+sampling, so every cell keeps its bits (a test pins them), and the work
+follows the grid.  The only arrays of grid size are the three the
+correlogram returns.
 ``detect_peaks`` keeps, by partition, only the cells at or above the
 top_n-th largest value before it sorts them.
 """
@@ -209,12 +208,11 @@ def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> Daily
     return DailySeries(series.start_date, (sums / counts).tolist())
 
 
-def sample_scales(template: LifecycleTemplate, scales: np.ndarray | list[int]) -> np.ndarray:
+def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarray:
     """The template resampled to k points on the grid i/(k-1), for each
     scale k in turn, concatenated: one interpolation serves every scale.
     Every control point is finite, but a slope between two can overflow,
     so a sample past the float range is a DataError."""
-    scales = np.asarray(scales, dtype=np.int64)
     starts = np.cumsum(scales) - scales
     index = np.arange(scales.sum()) - np.repeat(starts, scales)
     xs, ys = np.array(template.control_points).T
@@ -229,7 +227,7 @@ def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
     """Resample the template to k points on the uniform grid (i-1)/(k-1)."""
     if k < 2:
         raise ValueError(f"template must be sampled at k >= 2 points, got {k}")
-    return sample_scales(template, [k]).tolist()
+    return _sample_scales(template, np.array([k])).tolist()
 
 
 def _extreme(values: np.ndarray) -> bool:
@@ -237,6 +235,23 @@ def _extreme(values: np.ndarray) -> bool:
     largest = np.frexp(values.max(initial=0.0))[1]
     smallest = np.frexp(values[values > 0.0].min(initial=1.0))[1]
     return largest > 500 or smallest < -500
+
+
+def _fits(n: int, scales: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each scale of a sorted grid, how many of the sorted shifts have
+    a window in a series of n days, and the scales with one.  The shifts
+    that fit (l <= n - k) lead, and so do the scales with such a shift."""
+    fits = np.searchsorted(shifts, n - scales, side="right")
+    return fits, scales[fits > 0]
+
+
+def check_template(template: LifecycleTemplate, n: int, scales: list[int],
+                   shifts: list[int]) -> None:
+    """Raise the DataError ``correlogram`` raises when the template's samples
+    overflow at a scale of the grid with a window in a series of n days,
+    without building the series."""
+    grids = (np.unique(np.asarray(grid, dtype=np.int64)) for grid in (scales, shifts))
+    _sample_scales(template, _fits(n, *grids)[1])
 
 
 def correlogram(
@@ -262,15 +277,11 @@ def correlogram(
     values = np.asarray(series.values, dtype=float)
     n = len(values)
     rescale = _extreme(values)
-    scale_grid = np.asarray(scales, dtype=np.int64)
     shift_grid = np.asarray(shifts, dtype=np.int64)
-    # shifts are sorted, so the admissible ones (l <= n - k) lead; scales
-    # are too, so the scales with an admissible shift lead
-    fits = np.searchsorted(shift_grid, n - scale_grid, side="right")
+    fits, fitting = _fits(n, np.asarray(scales, dtype=np.int64), shift_grid)
     admissible = np.arange(len(shifts)) < fits[:, None]
     grid = np.zeros(admissible.shape)
     undefined = np.zeros(admissible.shape, dtype=bool)
-    fitting = scale_grid[fits > 0]
     if len(fitting):
         # row l holds values[l:l + k] in its first k columns, for every fitting k
         widest = int(fitting[-1])
@@ -283,19 +294,16 @@ def correlogram(
         changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
         at = shift_grid[:fits[0]]  # the shifts at which the smallest scale fits
         changes_at = changes[at]
-        samples = sample_scales(template, fitting)
+        samples = _sample_scales(template, fitting)
         rescale_template = _extreme(samples)
         starts = np.cumsum(fitting) - fitting
         # the template, too, has no variance at a scale where its samples are equal
         flat = np.minimum.reduceat(samples, starts) == np.maximum.reduceat(samples, starts)
         per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist(), flat.tolist())
-        lo = shifts[0]
-        run = shifts[-1] - lo == len(shifts) - 1  # consecutive shifts are read by slices
         with np.errstate(invalid="ignore", divide="ignore"):  # a flat window or template is 0/0
             for i, (k, start, fit, flat_template) in enumerate(per_scale):
-                pick = slice(lo, lo + fit) if run else at[:fit]
-                # a gather copies the windows, a slice is copied: they are centered in place
-                x = rows[pick, :k].copy() if run else rows[pick, :k]
+                # the gather copies the windows, so they are centered in place
+                x = rows[at[:fit], :k]
                 if rescale:  # r is scale-free and a power-of-two scale is exact
                     np.ldexp(x, -np.frexp(x.max(axis=1))[1][:, None], out=x)
                 p = samples[start:start + k]
@@ -308,7 +316,7 @@ def correlogram(
                 x_ss = np.add.reduce(np.multiply(x, x, out=x), axis=1)
                 np.multiply(x_ss, p_ss, out=x_ss)
                 np.divide(numerator, np.sqrt(x_ss, out=x_ss), out=grid[i, :fit])
-                np.equal(changes[k - 1:][pick], changes_at[:fit], out=undefined[i, :fit])
+                np.equal(changes[k - 1:][at[:fit]], changes_at[:fit], out=undefined[i, :fit])
                 if flat_template:
                     undefined[i, :fit] = True
     return Correlogram(

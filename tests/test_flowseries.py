@@ -24,11 +24,11 @@ from opflow.flowseries import (
     Correlogram,
     DailySeries,
     LifecycleTemplate,
+    _sample_scales,
     build_daily_series,
     correlogram,
     detect_peaks,
     load_template,
-    sample_scales,
     sample_template,
     smooth,
     write_correlogram_csv,
@@ -170,7 +170,7 @@ def test_sample_template_matches_piecewise_oracle():
 ], ids=["default", "four-point"])
 def test_one_sampling_of_every_scale_equals_each_scale_sampled_alone(template):
     scales = np.arange(2, 401)
-    batched = sample_scales(template, scales)
+    batched = _sample_scales(template, scales)
     xs, ys = (np.array(column) for column in zip(*template.control_points))
     start = 0
     for k in scales.tolist():
@@ -525,14 +525,8 @@ def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_planted_year():
     spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
                      baseline=5.0, noise_sigma=5.0, rng_seed=7)
     values = generate_burst_series(DEFAULT_TEMPLATE, spec).values
-    assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(range(356)))
-
-
-def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_shift_run_past_0():
-    spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
-                     baseline=5.0, noise_sigma=5.0, rng_seed=7)
-    values = generate_burst_series(DEFAULT_TEMPLATE, spec).values
-    assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(range(5, 300)))
+    for shifts in (range(356), range(5, 300)):  # every shift, and a run from past 0
+        assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(shifts))
 
 
 def test_correlogram_peak_memory_is_its_output_and_one_rows_work():
