@@ -11,7 +11,7 @@ manifest), and ``synth`` (fixture generation).  Before a handler runs,
 Each stage is one function that computes, then writes its files
 (``dynamics_series``, ``dynamics_correlogram``, ``find_events``,
 ``cluster_events``); the stage subcommands and ``pipeline`` call the
-same ones, on a corpus loaded and filtered by ``_flow``.
+same ones, on a corpus loaded and filtered by ``_flow``, or its daily series.
 
 Each ``PipelineConfig`` field is an option, and its flag is the one
 source of its value.  Other values, the smoothing window among them, are
@@ -54,7 +54,6 @@ from .flowseries import (
     LifecycleTemplate,
     Peak,
     build_daily_series,
-    check_template,
     correlogram,
     detect_peaks,
     load_template,
@@ -290,28 +289,19 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     return flow, tokenized, query
 
 
-def _flow_grid(
-    config: PipelineConfig, flow: Corpus, template: LifecycleTemplate | None = None
-) -> tuple[list[int], list[int]]:
+def _flow_grid(config: PipelineConfig, flow: Corpus) -> tuple[list[int], list[int]]:
     """The grid of the flow's daily series, sized from its day span, so a
-    grid over the limit, or a given template whose samples overflow on it,
-    is refused before any series is built or written."""
+    grid over the limit is refused before any series is built."""
     days = flow.days
-    n = int(days[-1] - days[0]) + 1
-    scales, shifts = resolve_grids(config, n)
-    if template is not None:
-        check_template(template, n, scales, shifts)
-    return scales, shifts
+    return resolve_grids(config, int(days[-1] - days[0]) + 1)
 
 
-def dynamics_series(flow: Corpus, out: Path) -> DailySeries:
-    """Write the raw and smoothed daily counts of the flow; return the raw."""
-    series = build_daily_series(flow)
+def dynamics_series(series: DailySeries, out: Path) -> None:
+    """Write the raw and smoothed daily counts of the series."""
     smoothed = smooth(series)
-    log.info("series: %d docs over %d days", len(flow), len(series.values))
+    log.info("series: %d docs over %d days", int(sum(series.values)), len(series.values))
     write_series_csv(series, out / SERIES_RAW)
     write_series_csv(smoothed, out / SERIES_SMOOTHED)
-    return series
 
 
 def dynamics_correlogram(
@@ -348,7 +338,7 @@ def dynamics_correlogram(
 def cmd_series(config: PipelineConfig) -> int:
     """Write raw and smoothed daily dynamics of the filtered flow."""
     flow, _, _ = _flow(config)
-    dynamics_series(flow, Path(config.out_dir))
+    dynamics_series(build_daily_series(flow), Path(config.out_dir))
     return 0
 
 
@@ -491,11 +481,10 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     save_corpus(flow, out / FLOW_CORPUS)
 
     with _stage("dynamics"):
-        # the template is checked with the grid: the series files are written first
-        grid = _flow_grid(config, flow, template)
-        peaks = dynamics_correlogram(
-            dynamics_series(flow, out), template, grid, config.threshold, out
-        )
+        grid = _flow_grid(config, flow)
+        series = build_daily_series(flow)
+        peaks = dynamics_correlogram(series, template, grid, config.threshold, out)
+        dynamics_series(series, out)
 
     with _stage("narrowing"):
         if not peaks:

@@ -65,16 +65,16 @@ from .errors import DataError
 # runs of length >= 2, and one search tells whether a text has a token.
 _ANY_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
 # a record line exactly as Document.json_line writes it, newline
-# included; S stands for a character that JSON writes as it stands, so
-# no string needs an escape, and the instant is one that
-# format_timestamp writes back unchanged.  Groups: id, published_at
-# without its "Z", source, title, body.
+# included; S stands for a character that JSON writes as it stands and
+# UTF-8 encodes (no surrogate), so no string needs an escape, and the
+# instant is one that format_timestamp writes back unchanged.  Groups:
+# id, published_at without its "Z", source, title, body.
 _RECORD_RE = re.compile(
     (
         r'\{"id": "(S+)", "published_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}'
         r'T[0-9]{2}:[0-9]{2}:[0-9]{2})Z", "source": "(S*)", "title": "(S*)",'
         r' "body": "(S*)"(?:, "language": "S*")?\}\n'
-    ).replace("S", r'[^"\\\x00-\x1f]')
+    ).replace("S", r'[^"\\\x00-\x1f\ud800-\udfff]')
 )
 # the instants datetime.fromisoformat reads on Python 3.10, which 3.11
 # widened to basic and week forms: YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]]
@@ -604,6 +604,11 @@ def _parse_line(
         if language is not None and not isinstance(language, str):
             raise DataError(f"line {line_no}: language must be a string")
         line = _encode_line(doc_id, format_timestamp(instant), source, title, body, language)
+        try:  # an escape such as "\ud800" decodes to a lone surrogate
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"line {line_no}: a string holds a lone surrogate,"
+                            " which UTF-8 cannot encode") from None
     terms = _term_ids(title + " " + body, vocab, words)
     if not terms:
         raise DataError(f"line {line_no}: document {doc_id!r} has no tokens")

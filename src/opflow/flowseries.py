@@ -237,23 +237,6 @@ def _extreme(values: np.ndarray) -> bool:
     return largest > 500 or smallest < -500
 
 
-def _fits(n: int, scales: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each scale of a sorted grid, how many of the sorted shifts have
-    a window in a series of n days, and the scales with one.  The shifts
-    that fit (l <= n - k) lead, and so do the scales with such a shift."""
-    fits = np.searchsorted(shifts, n - scales, side="right")
-    return fits, scales[fits > 0]
-
-
-def check_template(template: LifecycleTemplate, n: int, scales: list[int],
-                   shifts: list[int]) -> None:
-    """Raise the DataError ``correlogram`` raises when the template's samples
-    overflow at a scale of the grid with a window in a series of n days,
-    without building the series."""
-    grids = (np.unique(np.asarray(grid, dtype=np.int64)) for grid in (scales, shifts))
-    _sample_scales(template, _fits(n, *grids)[1])
-
-
 def correlogram(
     series: DailySeries,
     template: LifecycleTemplate,
@@ -277,11 +260,15 @@ def correlogram(
     values = np.asarray(series.values, dtype=float)
     n = len(values)
     rescale = _extreme(values)
+    scale_grid = np.asarray(scales, dtype=np.int64)
     shift_grid = np.asarray(shifts, dtype=np.int64)
-    fits, fitting = _fits(n, np.asarray(scales, dtype=np.int64), shift_grid)
+    # shifts are sorted, so the admissible ones (l <= n - k) lead; scales
+    # are too, so the scales with an admissible shift lead
+    fits = np.searchsorted(shift_grid, n - scale_grid, side="right")
     admissible = np.arange(len(shifts)) < fits[:, None]
     grid = np.zeros(admissible.shape)
     undefined = np.zeros(admissible.shape, dtype=bool)
+    fitting = scale_grid[fits > 0]
     if len(fitting):
         # row l holds values[l:l + k] in its first k columns, for every fitting k
         widest = int(fitting[-1])

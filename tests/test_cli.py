@@ -19,10 +19,12 @@ from opflow import synthflow
 from opflow.cli import (
     CLUSTERS_JSON,
     COMMANDS,
+    CORRELOGRAM_CSV,
     EVENT_CORPUS,
     EVENT_TERMS_TXT,
     FLOW_CORPUS,
     MANIFEST_TXT,
+    PEAKS_CSV,
     PIPELINE_ARTIFACTS,
     SERIES_RAW,
     SERIES_SMOOTHED,
@@ -419,6 +421,12 @@ INPUT_FAULTS = {
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
     "stamp is a number": "line 1: key 'published_at' must be a string",
+    # valid UTF-8 whose JSON escape decodes to a string no file can hold
+    "lone surrogate escape": (
+        "stage flow: corpus.jsonl: line 1: a string holds a lone surrogate,"
+        " which UTF-8 cannot encode"
+    ),
+    "events lone surrogate escape": "corpus.jsonl: line 1: a string holds a lone surrogate",
 }
 
 
@@ -450,6 +458,11 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
     elif fault == "artifact is a directory":
         Path("out", SERIES_RAW).mkdir(parents=True)
         argv = ["series", "--corpus", fx["corpus"]]
+    elif fault.endswith("lone surrogate escape"):
+        line = ('{"id": "a", "published_at": "2016-06-01T12:00:00Z", "source": "s",'
+                ' "title": "protest", "body": "march \\ud800"}\n')
+        Path("corpus.jsonl").write_text(line, encoding="utf-8")
+        argv = ["events" if fault.startswith("events") else "pipeline", "--corpus", "corpus.jsonl"]
     else:
         stamp = 20160601 if fault == "stamp is a number" else "0001-01-01T00:00:00+01:00"
         line = {"id": "a", "published_at": stamp, "source": "s", "title": "protest",
@@ -462,9 +475,13 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
     assert "Traceback" not in caplog.text
     assert not Path("out", MANIFEST_TXT).exists()
     if fault in ("century-long flow", "template slope past the float range"):
-        # the grid and the template are refused before the series files are written
+        # the grid and the template are refused before any dynamics file is written
         assert not Path("out", SERIES_RAW).exists()
         assert not Path("out", SERIES_SMOOTHED).exists()
+        assert not Path("out", CORRELOGRAM_CSV).exists()
+        assert not Path("out", PEAKS_CSV).exists()
+    if fault.endswith("lone surrogate escape"):
+        assert not any(Path("out").iterdir())
     if fault == "synth template slope past the float range":
         assert not list(Path("out").glob("synth_*"))
 
@@ -1315,7 +1332,10 @@ def test_pipeline_exits_0_1_or_2_on_small_corpora(
 MUTATION_CHARS = "0123456789.-+e ,;:=#\n\ufeffnaifx"
 # what a word of a file or flag value may become: values at or past the
 # edge of what each key or flag accepts
-EDGE_VALUES = ("0", "1", "-1", "2", "0.5", "1000", "1e-320", "1e308", "nan", "inf", "-inf")
+# and, in a JSON string, an escape that decodes to a lone surrogate
+EDGE_VALUES = (
+    "0", "1", "-1", "2", "0.5", "1000", "1e-320", "1e308", "nan", "inf", "-inf", "\\ud800",
+)
 # the pipeline flags the fuzz gate mutates, each with a value that works
 FUZZED_FLAGS = {
     "--query": "protest,referendum;petition", "--exclude": "common29",
@@ -1357,7 +1377,7 @@ def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
 
     command = data.draw(st.sampled_from(["pipeline", "synth"]))
     if command == "pipeline":
-        argv = ["pipeline", "--corpus", fx["corpus"]]
+        argv = ["pipeline", "--corpus", mutated_file("corpus.jsonl", fx["corpus"])]
         for flag in ("--stopwords", "--lexicon", "--template"):
             if data.draw(st.booleans()):
                 argv += [flag, mutated_file(flag[2:], fx[flag[2:]])]

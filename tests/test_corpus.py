@@ -161,6 +161,17 @@ def test_from_documents_rejects_a_tokenless_document_as_load_corpus_does(tmp_pat
     assert str(loaded.value) == f"{p}: " + str(from_documents.value)
 
 
+def test_a_lone_surrogate_is_refused_as_a_document_and_as_an_escape(tmp_path):
+    # no UTF-8 file can hold one, so a saved corpus could not be written
+    bad = doc(id="b", body="march \ud800")
+    with pytest.raises(DataError) as from_documents:
+        Corpus.from_documents([doc(id="a"), bad])
+    message = "a string holds a lone surrogate, which UTF-8 cannot encode"
+    assert str(from_documents.value) == f"line 2: {message}"
+    escaped = bad.json_line.replace("\ud800", "\\ud800").rstrip("\n")
+    assert _load_error(tmp_path, escaped) == f"line 1: {message}"
+
+
 def test_from_documents_sorts_by_time_then_id():
     c = Corpus.from_documents(
         [doc(id="b"), doc(id="a"), doc(id="c", ts="2016-06-23T08:00:00Z")]
