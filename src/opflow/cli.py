@@ -6,8 +6,8 @@ over shifts and scales, peak report), ``events`` (tf-idf term ranking,
 event-lexicon match, query augmentation, event corpus, source graph),
 ``cluster`` (seeded k-means report), ``pipeline`` (all of the above in
 order, with date narrowing to the best peak window and a digest
-manifest), and ``synth`` (fixture generation).  Before a handler runs,
-``run_command`` removes the files ``COMMANDS`` lists for its subcommand.
+manifest).  Before a handler runs, ``run_command`` removes the files
+``COMMANDS`` lists for its subcommand.
 Each stage is one function that computes, then writes its files
 (``dynamics_series``, ``dynamics_correlogram``, ``find_events``,
 ``cluster_events``); the stage subcommands and ``pipeline`` call the
@@ -57,20 +57,12 @@ from .flowseries import (
     correlogram,
     detect_peaks,
     load_template,
-    sample_template,
     smooth,
     write_correlogram_csv,
     write_peaks_csv,
     write_series_csv,
 )
 from .sourcegraph import SourceGraph, source_link_graph, write_source_graph
-from .synthflow import (
-    generate_burst_series,
-    generate_cluster_corpus,
-    load_burst_spec,
-    load_cluster_spec,
-    write_ground_truth,
-)
 from .termbase import (
     DEFAULT_EVENT_LEXICON,
     DEFAULT_TOP_M,
@@ -98,9 +90,6 @@ SOURCE_EDGES_TSV = "source_edges.tsv"
 SOURCE_NODES_TSV = "source_nodes.tsv"
 CLUSTERS_JSON = "clusters.json"
 MANIFEST_TXT = "manifest.txt"
-SYNTH_SERIES = "synth_series.csv"
-SYNTH_CORPUS = "synth_corpus.jsonl"
-SYNTH_TRUTH = "synth_truth.tsv"
 
 # each subcommand's help and the files it writes into --out-dir
 _STAGES = {
@@ -117,7 +106,6 @@ COMMANDS = {
     **_STAGES,
     "pipeline": ("run every stage in order and write a manifest",
                  PIPELINE_ARTIFACTS + (MANIFEST_TXT,)),
-    "synth": ("generate planted fixtures", (SYNTH_SERIES, SYNTH_CORPUS, SYNTH_TRUTH)),
 }
 
 
@@ -268,8 +256,8 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
 
 # the template and the lexicon are read before the corpus, so a fault in
 # either is reported before a long load and before pipeline writes a file
-def _template(options: PipelineConfig | argparse.Namespace) -> LifecycleTemplate:
-    return load_template(options.template) if options.template else DEFAULT_TEMPLATE
+def _template(config: PipelineConfig) -> LifecycleTemplate:
+    return load_template(config.template) if config.template else DEFAULT_TEMPLATE
 
 
 def _lexicon(config: PipelineConfig) -> frozenset[str]:
@@ -449,12 +437,13 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, notes: list[str]) -> None:
+def _write_manifest(out_dir: Path, notes: list[str], skipped: set[str]) -> None:
+    """The run's notes, then the digest of each artifact but the skipped
+    ones, which the run did not write even where a file of that name is
+    its input."""
     lines = [f"# {note}" for note in notes]
-    for name in sorted(PIPELINE_ARTIFACTS):
-        path = out_dir / name
-        if path.is_file():
-            lines.append(f"{name}\t{_file_digest(path)}")
+    for name in sorted(set(PIPELINE_ARTIFACTS) - skipped):
+        lines.append(f"{name}\t{_file_digest(out_dir / name)}")
     (out_dir / MANIFEST_TXT).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -474,6 +463,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     manifest; the files the stages before it wrote stay in place."""
     out = Path(config.out_dir)
     notes: list[str] = []
+    skipped: set[str] = set()
 
     with _stage("flow"):
         template, lexicon = _template(config), _lexicon(config)
@@ -489,6 +479,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     with _stage("narrowing"):
         if not peaks:
             notes.append("narrowing: none (no peak at or above threshold)")
+            skipped.add(NARROWED_CORPUS)
             stage_corpus = flow
         else:
             # a peak's window of counts is not flat, so it holds a document
@@ -509,34 +500,9 @@ def cmd_pipeline(config: PipelineConfig) -> int:
             cluster_events(event_corpus, table, matched, out)
         else:
             notes.append("clustering: skipped (no event terms matched)")
-    _write_manifest(out, notes)
+            skipped.add(CLUSTERS_JSON)
+    _write_manifest(out, notes, skipped)
     log.info("pipeline: done, manifest at %s", out / MANIFEST_TXT)
-    return 0
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
-    """Generate a planted series (and, with a cluster spec, a planted
-    corpus and its truth).  Both specs and the template are read and
-    checked before anything is generated, and everything is generated before any write."""
-    burst = load_burst_spec(args.burst_spec)
-    spec = None
-    if args.cluster_spec is not None:
-        spec = load_cluster_spec(args.cluster_spec)
-    template = _template(args)
-    try:  # the planted bump samples the template at the plant scale alone
-        sample_template(template, burst.plant_scale)
-    except DataError as exc:
-        raise DataError(f"{args.template}: {exc}") from None
-    series = generate_burst_series(template, burst)
-    if spec is not None:
-        corpus, truth = generate_cluster_corpus(spec, template, burst)
-    write_series_csv(series, args.out_dir / SYNTH_SERIES)
-    log.info("synth: series of %d days written", len(series.values))
-    if spec is not None:
-        save_corpus(corpus, args.out_dir / SYNTH_CORPUS)
-        write_ground_truth(truth, args.out_dir / SYNTH_TRUTH)
-        log.info("synth: corpus of %d docs in %d clusters written",
-                 len(corpus), len(spec.clusters))
     return 0
 
 
@@ -550,13 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=description)
         # looked up when the parser is built, not at import, so a rebound cmd_<name> is called
         sub.set_defaults(handler=globals()[f"cmd_{name}"])
-        if name == "synth":
-            sub.add_argument("--burst-spec", type=Path, required=True, dest="burst_spec")
-            sub.add_argument("--cluster-spec", type=Path, dest="cluster_spec")
-            sub.add_argument("--template", type=Path,
-                             help="lifecycle template file (default: built-in)")
-            sub.add_argument("--out-dir", type=Path, dest="out_dir", required=True)
-            continue
         for option in fields(PipelineConfig):
             if option.name == "terms" and name != "cluster":
                 continue
@@ -574,17 +533,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(args: argparse.Namespace) -> int:
     """Read the options, make the output directory, remove the files the
     subcommand writes there but does not read, then call its handler."""
-    options = args if args.command == "synth" else validate_config(build_config(args))
-    out = Path(options.out_dir)
+    config = validate_config(build_config(args))
+    out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-    inputs = {value.resolve() for value in vars(options).values() if isinstance(value, Path)}
+    inputs = {value.resolve() for value in vars(config).values() if isinstance(value, Path)}
     for name in COMMANDS[args.command][1]:
         if (out / name).resolve() not in inputs:
             (out / name).unlink(missing_ok=True)
-    return args.handler(options)
+    return args.handler(config)
 
 
 def main(argv: list[str] | None = None) -> int:

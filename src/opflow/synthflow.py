@@ -13,22 +13,18 @@ can be regenerated independently and byte-identically.  Gaussian noise
 is produced by the Box-Muller transform of uniform draws rather than a
 library normal, so the exact sample sequence is pinned by this module
 and not by the numerics backend.
-
-The flat ``key = value`` spec files that describe a fixture are read
-here as well.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
-from .corpus import Corpus, Document, normalize_term, read_line_file
-from .errors import ConfigError, DataError
+from .corpus import Corpus, Document, normalize_term
+from .errors import DataError
 from .flowseries import DailySeries, LifecycleTemplate, sample_template
 
 DEFAULT_SOURCES = ("agency-alpha", "channel-beta", "daily-gamma", "portal-delta")
@@ -230,135 +226,3 @@ def generate_cluster_corpus(
                 )
 
     return Corpus.from_documents(documents()), truth
-
-
-def write_ground_truth(truth: dict[str, int], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("doc_id\tcluster\n")
-        for doc_id in sorted(truth):
-            handle.write(f"{doc_id}\t{truth[doc_id]}\n")
-
-
-def read_kv_file(path) -> list[tuple[str, str]]:
-    """A spec file's flat "key = value" lines, read by ``read_line_file``:
-    a leading byte order mark is dropped, '#' starts a comment anywhere on
-    a line, and blank lines are skipped.
-
-    Returned as pairs because some consumers allow repeated keys.
-    """
-    try:
-        entries = read_line_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file {path}: {exc.strerror}") from None
-    except DataError as exc:  # names the file and the line
-        raise ConfigError(f"cannot read spec file {exc}") from None
-    pairs = []
-    for line_no, line in entries:
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
-def _iso_date(text: str) -> date:
-    """A ``YYYY-MM-DD`` date.  Python 3.11 and later also read basic and
-    week forms (``20160601``, ``2016-W22-3``) that 3.10 rejects."""
-    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text) is None:
-        raise ValueError(text)
-    return date.fromisoformat(text)
-
-
-def typed_values(pairs: list[tuple[str, str]], types: dict[str, type], where) -> dict:
-    """Each key's value coerced to its type in ``types``; a repeated key
-    keeps its last value.  Unknown keys and unparsable values are
-    ConfigErrors."""
-    values = {}
-    for key, raw in pairs:
-        if key not in types:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        kind = types[key]
-        try:
-            values[key] = _iso_date(raw) if kind is date else kind(raw)
-        except ValueError:
-            wanted = {date: "an ISO date", int: "a whole number"}.get(kind, "a number")
-            raise ConfigError(f"{where}: key {key!r} needs {wanted}, got {raw!r}") from None
-    return values
-
-
-_BURST_SPEC_TYPES = {
-    "length_days": int, "plant_shift": int, "plant_scale": int, "amplitude": float,
-    "baseline": float, "noise_sigma": float, "seed": int, "start_date": date,
-}
-
-_CLUSTER_SPEC_TYPES = {"cluster": str, "vocab_size": int, "shared_size": int, "seed": int}
-
-# the largest spec values: a century of days, a vocabulary of terms, the
-# documents and topical terms of a planted corpus, and a keyword, which
-# each of its cluster's topical terms repeats
-MAX_SPEC_DAYS = 36_525
-MAX_SPEC_TERMS = 10_000
-MAX_SPEC_DOCS = 200_000
-MAX_SPEC_TOPICAL_TERMS = 1_000_000
-MAX_SPEC_KEYWORD_CHARS = 100
-
-
-def _at_most(path, key: str, value: int, bound: int) -> None:
-    """A spec value that sizes an allocation is checked before it is made."""
-    if value > bound:
-        raise ConfigError(f"{path}: {key} must be at most {bound}, got {value}")
-
-
-def load_burst_spec(path) -> BurstSpec:
-    """Burst spec file: one "key = value" line per BurstSpec field, with
-    ``seed`` for the noise seed."""
-    values = typed_values(read_kv_file(path), _BURST_SPEC_TYPES, path)
-    for key in ("length_days", "plant_shift", "plant_scale", "amplitude"):
-        if key not in values:
-            raise ConfigError(f"{path}: burst spec is missing key {key!r}")
-    _at_most(path, "length_days", values["length_days"], MAX_SPEC_DAYS)
-    try:
-        return BurstSpec(rng_seed=values.pop("seed", 0), **values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def load_cluster_spec(path) -> ClusterSpec:
-    """Cluster spec: repeatable "cluster = keyword:count" lines plus
-    sizing knobs; vocabularies are generated from the keywords."""
-    pairs = read_kv_file(path)
-    values = typed_values(pairs, _CLUSTER_SPEC_TYPES, path)
-    cluster_lines = [value for key, value in pairs if key == "cluster"]
-    if not cluster_lines:
-        raise ConfigError(f"{path}: at least one 'cluster = keyword:count' line is required")
-    vocab_size, shared_size = values.get("vocab_size", 20), values.get("shared_size", 50)
-    _at_most(path, "vocab_size", vocab_size, MAX_SPEC_TERMS)
-    _at_most(path, "shared_size", shared_size, MAX_SPEC_TERMS)
-    counts = []
-    for line in cluster_lines:
-        keyword_text, sep, count_text = line.rpartition(":")
-        if not sep:
-            raise ConfigError(f"{path}: cluster line {line!r} is not 'keyword:count'")
-        _at_most(path, "a cluster keyword's length", len(keyword_text), MAX_SPEC_KEYWORD_CHARS)
-        try:
-            counts.append((keyword_text, int(count_text)))
-        except ValueError:
-            raise ConfigError(f"{path}: cluster count {count_text!r} is not an integer") from None
-    _at_most(path, "the total of the cluster counts", sum(c for _, c in counts), MAX_SPEC_DOCS)
-    _at_most(path, "clusters x vocab_size", len(counts) * vocab_size, MAX_SPEC_TOPICAL_TERMS)
-    defs = []
-    for keyword_text, count in counts:
-        compact = normalize_term(keyword_text).replace(" ", "")
-        vocab = tuple(f"{compact}topic{i:02d}" for i in range(vocab_size))
-        try:
-            defs.append(ClusterDef(keyword=keyword_text, topical_vocab=vocab, doc_count=count))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    try:
-        return ClusterSpec(
-            clusters=tuple(defs),
-            shared_vocab=tuple(f"common{i:02d}" for i in range(shared_size)),
-            rng_seed=values.get("seed", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None

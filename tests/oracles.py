@@ -7,7 +7,9 @@ agreement between the two is evidence and not tautology.
 at one cell, the side the correlation oracle checks.  ``cells`` reads a
 correlogram's arrays cell by cell, so tests can compare them as a dict.
 ``smooth_loop`` is no oracle either: it is a frozen copy of the
-per-day loop ``smooth`` replaced.
+per-day loop ``smooth`` replaced.  ``FIXTURE_BURST``, ``FIXTURE_CLUSTERS``
+and ``write_fixture`` are the recipe of the bundled fixture, built by the
+package's own generators.
 """
 
 from __future__ import annotations
@@ -16,11 +18,16 @@ import json
 import math
 import re
 from collections import Counter
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 
-from opflow.flowseries import LifecycleTemplate, correlogram
+from opflow.corpus import save_corpus
+from opflow.flowseries import DEFAULT_TEMPLATE, LifecycleTemplate, correlogram, write_series_csv
+from opflow.synthflow import (
+    BurstSpec, ClusterDef, ClusterSpec, generate_burst_series, generate_cluster_corpus,
+)
 
 
 def pearson(xs, ps):
@@ -363,3 +370,33 @@ def cluster_report(clustering, omitted_doc_ids):
         "omitted_doc_ids": sorted(omitted_doc_ids),
     }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# the bundled fixture: one lifecycle-shaped bump in a two-month window,
+# and four planted topics, one keyed by a two-word phrase
+FIXTURE_BURST = BurstSpec(
+    length_days=61, plant_shift=8, plant_scale=40, amplitude=40.0, baseline=2.0,
+    noise_sigma=1.5, rng_seed=20160601, start_date=date(2016, 6, 1),
+)
+FIXTURE_CLUSTERS = ClusterSpec(
+    clusters=tuple(
+        ClusterDef(keyword, tuple(f"{keyword.replace(' ', '')}topic{i:02d}" for i in range(20)),
+                   count)
+        for keyword, count in (("protest", 60), ("referendum", 60), ("petition", 40),
+                               ("terrorist act", 40))
+    ),
+    shared_vocab=tuple(f"common{i:02d}" for i in range(40)),
+    rng_seed=777,
+)
+
+
+def write_fixture(directory):
+    """Write the bundled fixture's ``series.csv``, ``corpus.jsonl`` and
+    ``truth.tsv`` (doc id and 1-based cluster, by doc id) into ``directory``."""
+    directory = Path(directory)
+    write_series_csv(generate_burst_series(DEFAULT_TEMPLATE, FIXTURE_BURST),
+                     directory / "series.csv")
+    corpus, truth = generate_cluster_corpus(FIXTURE_CLUSTERS, DEFAULT_TEMPLATE, FIXTURE_BURST)
+    save_corpus(corpus, directory / "corpus.jsonl")
+    rows = "".join(f"{doc_id}\t{truth[doc_id]}\n" for doc_id in sorted(truth))
+    (directory / "truth.tsv").write_text("doc_id\tcluster\n" + rows, encoding="utf-8")

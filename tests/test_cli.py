@@ -15,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from opflow import synthflow
 from opflow.cli import (
     CLUSTERS_JSON,
     COMMANDS,
@@ -24,6 +23,7 @@ from opflow.cli import (
     EVENT_TERMS_TXT,
     FLOW_CORPUS,
     MANIFEST_TXT,
+    NARROWED_CORPUS,
     PEAKS_CSV,
     PIPELINE_ARTIFACTS,
     SERIES_RAW,
@@ -40,7 +40,6 @@ from opflow.corpus import Corpus, Document, load_corpus, save_corpus, tokenize_c
 from opflow.errors import ConfigError, DataError
 from opflow.eventcluster import vectorize
 from opflow.flowseries import smooth
-from opflow.synthflow import load_burst_spec, load_cluster_spec, read_kv_file
 from opflow.termbase import document_frequencies
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
@@ -58,10 +57,7 @@ def fx(fixtures_dir):
         "stopwords": str(fixtures_dir / "stopwords.txt"),
         "lexicon": str(fixtures_dir / "lexicon.txt"),
         "template": str(fixtures_dir / "template.txt"),
-        "burst": str(fixtures_dir / "burst.spec"),
-        "clusters": str(fixtures_dir / "clusters.spec"),
         "truth": fixtures_dir / "truth.tsv",
-        "series": fixtures_dir / "series.csv",
         "corpus_path": fixtures_dir / "corpus.jsonl",
     }
 
@@ -143,32 +139,7 @@ def test_resolve_grids_bounds():
     assert len(resolve_grids(PipelineConfig(), 3653)[1]) == 3647
 
 
-# --- spec files and flags -------------------------------------------------
-
-
-def test_read_kv_file_skips_comments(tmp_path):
-    # '#' starts a comment after a value too, so no value can hold one
-    path = tmp_path / "spec"
-    path.write_text("# a comment\n\nlength_days = 5\ncluster = protest:6  # the flow\n")
-    assert read_kv_file(path) == [("length_days", "5"), ("cluster", "protest:6")]
-
-
-def test_read_kv_file_rejects_bad_lines(tmp_path):
-    path = tmp_path / "spec"
-    path.write_text("length_days 5\n")
-    with pytest.raises(ConfigError, match="key = value"):
-        read_kv_file(path)
-    with pytest.raises(ConfigError, match="cannot read spec file .*missing"):
-        read_kv_file(tmp_path / "missing")
-    path.write_bytes(b"length_days = 5\ncluster = caf\xe9:6\n")
-    with pytest.raises(ConfigError, match="cannot read spec file .*line 2: invalid UTF-8"):
-        read_kv_file(path)
-
-
-def test_burst_spec_behind_a_bom_is_read(fx, tmp_path):
-    spec = tmp_path / "burst.spec"
-    spec.write_text("\ufeff" + Path(fx["burst"]).read_text(), encoding="utf-8")
-    assert load_burst_spec(spec) == load_burst_spec(Path(fx["burst"]))
+# --- flags -----------------------------------------------------------------
 
 
 def test_stage_flags_are_config_plus_one_per_field():
@@ -267,6 +238,8 @@ def test_exit_1_on_usage_errors(tmp_path):
     assert main(["series", "--no-such-flag"]) == 1
     assert main([]) == 1
     assert main(["not-a-command"]) == 1
+    # fixtures are built from the library's spec classes, by no subcommand
+    assert main(["synth", "--burst-spec", "x", "--out-dir", str(tmp_path)]) == 1
 
 
 def test_exit_1_on_terms_flag_outside_cluster(fx, tmp_path):
@@ -308,9 +281,8 @@ def test_exit_1_when_the_output_directory_cannot_be_made(fx, tmp_path, caplog, c
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "out"
-    inputs = ["--burst-spec", fx["burst"]] if command == "synth" else ["--corpus", fx["corpus"]]
     with caplog.at_level("ERROR"):
-        rc = main([command, *inputs, "--out-dir", str(out)])
+        rc = main([command, "--corpus", fx["corpus"], "--out-dir", str(out)])
     assert rc == 1
     assert f"cannot create output directory {out}: " in caplog.text
 
@@ -412,12 +384,8 @@ INPUT_FAULTS = {
         "stage dynamics: the grid of 36520 scales x 36520 shifts has 1333710400 cells,"
         " over the limit of 16777216: narrow it with --scales or --shifts"
     ),
-    "zero template": "planted series has no mass to sample dates from",
-    # each day is finite, but the sum that dates are sampled from is not
-    "burst past the float range": "planted series sums past the float range",
     # each control point is finite, but the slope between the last two is not
     "template slope past the float range": "stage dynamics: template samples overflow",
-    "synth template slope past the float range": "template.txt: template samples overflow",
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
     "stamp is a number": "line 1: key 'published_at' must be a string",
@@ -440,21 +408,9 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
                     "title": "protest", "body": "march"} for day in ("1990-01-01", "2090-01-01")]
         Path("corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         argv = ["pipeline", "--corpus", "corpus.jsonl"]
-    elif fault == "zero template":
-        flat = "baseline = 0\nnoise_sigma = 0\n"
-        Path("burst.spec").write_text(Path(fx["burst"]).read_text() + flat)
-        Path("template.txt").write_text("0 0\n1 0\n")
-        argv = ["synth", "--burst-spec", "burst.spec", "--cluster-spec", fx["clusters"],
-                "--template", "template.txt"]
-    elif fault.endswith("template slope past the float range"):
+    elif fault == "template slope past the float range":
         Path("template.txt").write_text("0 0\n0.5 1\n1 1e308\n")
-        if fault.startswith("synth"):
-            argv = ["synth", "--burst-spec", fx["burst"], "--template", "template.txt"]
-        else:
-            argv = ["pipeline", "--corpus", fx["corpus"], "--template", "template.txt"]
-    elif fault == "burst past the float range":
-        Path("burst.spec").write_text(Path(fx["burst"]).read_text() + "amplitude = 1e308\n")
-        argv = ["synth", "--burst-spec", "burst.spec", "--cluster-spec", fx["clusters"]]
+        argv = ["pipeline", "--corpus", fx["corpus"], "--template", "template.txt"]
     elif fault == "artifact is a directory":
         Path("out", SERIES_RAW).mkdir(parents=True)
         argv = ["series", "--corpus", fx["corpus"]]
@@ -482,8 +438,6 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         assert not Path("out", PEAKS_CSV).exists()
     if fault.endswith("lone surrogate escape"):
         assert not any(Path("out").iterdir())
-    if fault == "synth template slope past the float range":
-        assert not list(Path("out").glob("synth_*"))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -494,9 +448,6 @@ def test_a_failed_run_leaves_none_of_the_files_its_subcommand_writes(
     fixture = ["--corpus", fx["corpus"]]
     Path("nan_template.txt").write_text("0 0.1\n0.5 nan\n1 0.3\n")
     Path("no_terms.txt").write_text("# none\n")
-    Path("flat.spec").write_text(Path(fx["burst"]).read_text() + "baseline = 0\nnoise_sigma = 0\n")
-    Path("zero_template.txt").write_text("0 0\n1 0\n")
-    planted = ["--burst-spec", fx["burst"], "--cluster-spec", fx["clusters"]]
     # the arguments of a good run, of a run that then fails, and its exit status
     good, failing, status = {
         "series": (fixture, [*fixture, "--query", "unicorn"], 2),
@@ -504,9 +455,6 @@ def test_a_failed_run_leaves_none_of_the_files_its_subcommand_writes(
         "events": (fixture, write_stopword_corpus(fx), 2),
         "cluster": ([*fixture, "--terms", fx["lexicon"]], [*fixture, "--terms", "no_terms.txt"], 1),
         "pipeline": ([*fixture, "--threshold", "0.6"], [*fixture, "--query", "unicorn"], 2),
-        # the planted corpus fails after the series is generated
-        "synth": (planted, ["--burst-spec", "flat.spec", "--cluster-spec", fx["clusters"],
-                            "--template", "zero_template.txt"], 2),
     }[command]
     out = Path("out")
     assert main([command, *good, "--out-dir", "out"]) == 0
@@ -916,6 +864,19 @@ def test_pipeline_keeps_an_artifact_it_reads_as_input(fx, tmp_path):
     assert (tmp_path / MANIFEST_TXT).read_bytes() == manifest
 
 
+def test_the_manifest_lists_no_skipped_artifact_that_is_the_runs_input(fx, tmp_path):
+    # the second run reads the first one's narrowed corpus and narrows
+    # nothing, so that file stays, as its input, but the run did not write it
+    assert run_pipeline(fx, tmp_path) == 0
+    narrowed = {"corpus": str(tmp_path / NARROWED_CORPUS), "stopwords": fx["stopwords"]}
+    assert run_pipeline(narrowed, tmp_path, threshold="1.5") == 0
+    assert (tmp_path / NARROWED_CORPUS).is_file()
+    manifest = (tmp_path / MANIFEST_TXT).read_text().splitlines()
+    assert "# narrowing: none (no peak at or above threshold)" in manifest
+    listed = {line.split("\t")[0] for line in manifest if not line.startswith("#")}
+    assert listed == set(PIPELINE_ARTIFACTS) - {NARROWED_CORPUS}
+
+
 def test_pipeline_exits_3_on_an_internal_fault_and_leaves_no_stale_artifact(
     fx, tmp_path, monkeypatch, caplog
 ):
@@ -1047,216 +1008,6 @@ def test_pipeline_clusters_an_event_corpus_smaller_than_its_stage(fx, tmp_path):
     assert (pipe / CLUSTERS_JSON).read_bytes() == (manual / CLUSTERS_JSON).read_bytes()
 
 
-# --- synth -----------------------------------------------------------------
-
-
-def test_synth_regenerates_the_bundled_fixture(fx, tmp_path):
-    rc = main(["synth", "--burst-spec", fx["burst"], "--cluster-spec", fx["clusters"],
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "synth_series.csv").read_bytes() == fx["series"].read_bytes()
-    assert (tmp_path / "synth_corpus.jsonl").read_bytes() == fx["corpus_path"].read_bytes()
-    assert (tmp_path / "synth_truth.tsv").read_bytes() == fx["truth"].read_bytes()
-
-
-def test_synth_seed_override_changes_the_corpus(fx, tmp_path):
-    # a repeated key keeps its last value, so an appended seed overrides the file's
-    base, other = tmp_path / "base", tmp_path / "other"
-    burst, clusters = tmp_path / "burst.spec", tmp_path / "clusters.spec"
-    burst.write_text(Path(fx["burst"]).read_text() + "seed = 31337\n")
-    clusters.write_text(Path(fx["clusters"]).read_text() + "seed = 31337\n")
-    assert main(["synth", "--burst-spec", fx["burst"], "--cluster-spec", fx["clusters"],
-                 "--out-dir", str(base)]) == 0
-    assert main(["synth", "--burst-spec", str(burst), "--cluster-spec", str(clusters),
-                 "--out-dir", str(other)]) == 0
-    assert (base / "synth_corpus.jsonl").read_bytes() != (other / "synth_corpus.jsonl").read_bytes()
-    loaded = load_corpus(other / "synth_corpus.jsonl")
-    assert len(loaded) == 200
-
-
-def test_synth_requires_an_existing_burst_spec(tmp_path):
-    rc = main(["synth", "--burst-spec", str(tmp_path / "none.spec"),
-               "--out-dir", str(tmp_path)])
-    assert rc == 1
-
-
-def test_synth_checks_both_specs_before_writing(fx, tmp_path):
-    bad = tmp_path / "clusters.spec"
-    bad.write_text(Path(fx["clusters"]).read_text() + "seed = -3\n")
-    out = tmp_path / "out"
-    rc = main(["synth", "--burst-spec", fx["burst"], "--cluster-spec", str(bad),
-               "--out-dir", str(out)])
-    assert rc == 1
-    assert not any(out.glob("*"))
-    bad = tmp_path / "burst.spec"
-    bad.write_text(Path(fx["burst"]).read_text() + "seed = -1\n")
-    rc = main(["synth", "--burst-spec", str(bad), "--out-dir", str(out)])
-    assert rc == 1
-    assert not any(out.glob("*"))
-
-
-@pytest.mark.parametrize("setting", ["--seed", "topical_terms_per_doc", "shared_terms_per_doc"])
-def test_synth_exit_1_on_a_removed_setting(fx, tmp_path, caplog, setting):
-    # the spec files' seed keys are the only seeds; the per-document term
-    # counts are ClusterSpec's defaults, settable through the library alone
-    if setting == "--seed":
-        given, message = [fx["clusters"], "--seed", "1"], "unrecognized arguments: --seed 1"
-    else:
-        clusters = tmp_path / "clusters.spec"
-        clusters.write_text(Path(fx["clusters"]).read_text() + f"{setting} = 0\n")
-        given, message = [str(clusters)], f"{clusters}: unknown key {setting!r}"
-    out = tmp_path / "out"
-    with caplog.at_level("ERROR"):
-        rc = main(["synth", "--burst-spec", fx["burst"], "--out-dir", str(out),
-                   "--cluster-spec", *given])
-    assert rc == 1
-    assert caplog.messages == [message]
-    assert not out.exists() or not any(out.iterdir())
-
-
-def test_synth_series_only_when_no_cluster_spec(fx, tmp_path):
-    rc = main(["synth", "--burst-spec", fx["burst"], "--out-dir", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "synth_series.csv").is_file()
-    assert not (tmp_path / "synth_corpus.jsonl").exists()
-
-
-# --- spec loaders ----------------------------------------------------------
-
-
-def test_load_burst_spec_reads_the_fixture(fx):
-    spec = load_burst_spec(Path(fx["burst"]))
-    assert spec.length_days == 61
-    assert spec.plant_shift == 8
-    assert spec.plant_scale == 40
-    assert spec.start_date == date(2016, 6, 1)
-
-
-def test_load_burst_spec_validates(tmp_path):
-    path = tmp_path / "b.spec"
-    path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n")
-    with pytest.raises(ConfigError, match="amplitude"):
-        load_burst_spec(path)
-    path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
-                    "amplitude = 5\nbogus = 1\n")
-    with pytest.raises(ConfigError, match="unknown"):
-        load_burst_spec(path)
-    path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
-                    "amplitude = 5\nseed = -3\n")
-    with pytest.raises(ConfigError, match="seed"):
-        load_burst_spec(path)
-    for amplitude in ("high", "0.5.1"):
-        path.write_text(f"length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
-                        f"amplitude = {amplitude}\n")
-        message = f"key 'amplitude' needs a number, got '{amplitude}'"
-        with pytest.raises(ConfigError, match=message):
-            load_burst_spec(path)
-    for length in ("five", "3.0"):
-        path.write_text(f"length_days = {length}\nplant_shift = 0\nplant_scale = 4\n"
-                        "amplitude = 5\n")
-        message = f"key 'length_days' needs a whole number, got '{length}'"
-        with pytest.raises(ConfigError, match=message):
-            load_burst_spec(path)
-    # the one date form every supported Python reads
-    for start_date in ("20160601", "2016-W22-3"):
-        path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
-                        f"amplitude = 5\nstart_date = {start_date}\n")
-        with pytest.raises(ConfigError, match="needs an ISO date"):
-            load_burst_spec(path)
-    # nan fails every comparison, so it must not pass a ">= 0" check; inf
-    # passes it, and must not reach the series
-    for key in ("baseline", "noise_sigma"):
-        path.write_text("length_days = 10\nplant_shift = 0\nplant_scale = 4\n"
-                        f"amplitude = 5\n{key} = nan\n")
-        message = f"^{re.escape(str(path))}: {key} must be >= 0, got nan$"
-        with pytest.raises(ConfigError, match=message):
-            load_burst_spec(path)
-    for key in ("amplitude", "baseline", "noise_sigma"):
-        spec = {"length_days": 10, "plant_shift": 0, "plant_scale": 4, "amplitude": 5, key: "inf"}
-        path.write_text("".join(f"{k} = {v}\n" for k, v in spec.items()))
-        message = f"^{re.escape(str(path))}: {key} must be finite, got inf$"
-        with pytest.raises(ConfigError, match=message):
-            load_burst_spec(path)
-
-
-def test_load_cluster_spec_reads_the_fixture(fx):
-    spec = load_cluster_spec(Path(fx["clusters"]))
-    assert [c.keyword for c in spec.clusters] == [
-        "protest", "referendum", "petition", "terrorist act"
-    ]
-    assert [c.doc_count for c in spec.clusters] == [60, 60, 40, 40]
-    assert all(len(c.topical_vocab) == 20 for c in spec.clusters)
-    assert len(spec.shared_vocab) == 40
-    # the file sets no per-document term counts, so ClusterSpec's defaults hold
-    assert (spec.topical_terms_per_doc, spec.shared_terms_per_doc) == (12, 5)
-
-
-def test_load_cluster_spec_validates(tmp_path):
-    path = tmp_path / "c.spec"
-    path.write_text("vocab_size = 12\n")
-    with pytest.raises(ConfigError, match="cluster"):
-        load_cluster_spec(path)
-    path.write_text("cluster = protest\n")
-    with pytest.raises(ConfigError, match="keyword:count"):
-        load_cluster_spec(path)
-    path.write_text("cluster = protest:sixty\n")
-    with pytest.raises(ConfigError, match="integer"):
-        load_cluster_spec(path)
-    path.write_text("cluster = protest:6\nseed = -3\n")
-    with pytest.raises(ConfigError, match="seed"):
-        load_cluster_spec(path)
-    path.write_text("cluster = !!!:10\n")
-    message = f"^{re.escape(str(path))}: keyword '!!!' normalizes to nothing$"
-    with pytest.raises(ConfigError, match=message):
-        load_cluster_spec(path)
-    path.write_text("cluster = protest:6\nshared_terms_per_doc = 0\n")
-    message = f"^{re.escape(str(path))}: unknown key 'shared_terms_per_doc'$"
-    with pytest.raises(ConfigError, match=message):
-        load_cluster_spec(path)
-    path.write_text("cluster = protest:6\nsources = wire\n")
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: unknown key 'sources'$"):
-        load_cluster_spec(path)
-
-
-def test_spec_sizes_are_bounded_before_anything_is_built(tmp_path, monkeypatch):
-    burst, clusters = tmp_path / "b.spec", tmp_path / "c.spec"
-    plant = "plant_shift = 0\nplant_scale = 4\namplitude = 5\n"
-    burst.write_text(f"length_days = 36525\n{plant}")
-    assert load_burst_spec(burst).length_days == 36525
-    burst.write_text(f"length_days = 36526\n{plant}")
-    message = f"^{re.escape(str(burst))}: length_days must be at most 36525, got 36526$"
-    with pytest.raises(ConfigError, match=message):
-        load_burst_spec(burst)
-    clusters.write_text(f"cluster = {'a' * 100}:100000\ncluster = riot:100000\n"
-                        "vocab_size = 10000\nshared_size = 10000\n")
-    spec = load_cluster_spec(clusters)
-    assert [(c.doc_count, len(c.topical_vocab)) for c in spec.clusters] == [(100000, 10000)] * 2
-    assert len(spec.shared_vocab) == 10000
-
-    def refuse(**kwargs):
-        raise AssertionError("a vocabulary was built")
-
-    # each value over its bound fails before any cluster's vocabulary is built
-    monkeypatch.setattr(synthflow, "ClusterDef", refuse)
-    over = [
-        ("vocab_size", "cluster = protest:6\nvocab_size = 10001\n", 10000, 10001),
-        ("vocab_size", "cluster = protest:6\nvocab_size = 10000000\n", 10000, 10000000),
-        ("shared_size", "cluster = protest:6\nshared_size = 10001\n", 10000, 10001),
-        ("the total of the cluster counts", "cluster = protest:100000\ncluster = riot:100001\n",
-         200000, 200001),
-        ("clusters x vocab_size",
-         "".join(f"cluster = kw{i:03d}:1\n" for i in range(101)) + "vocab_size = 9901\n",
-         1000000, 1000001),
-        ("a cluster keyword's length", f"cluster = protest:6\ncluster = {'a' * 101}:6\n",
-         100, 101),
-    ]
-    for key, text, bound, value in over:
-        clusters.write_text(text)
-        message = f"^{re.escape(str(clusters))}: {key} must be at most {bound}, got {value}$"
-        with pytest.raises(ConfigError, match=message):
-            load_cluster_spec(clusters)
-
-
 # --- robustness ------------------------------------------------------------
 
 STOPWORDS = ("the", "and")
@@ -1348,7 +1099,7 @@ def mutated(draw, text: str) -> str:
     """The text after up to three edits, each either a word replaced by one
     of EDGE_VALUES, or a span of up to 8 characters replaced by up to 2
     characters of MUTATION_CHARS (an empty span is an insertion).  So a
-    spec's count grows at most a hundredfold per edit, and a run stays short."""
+    number grows at most a hundredfold per edit, and a run stays short."""
     for _ in range(draw(st.integers(0, 3))):
         words = list(re.finditer(r"[\w.+-]+", text))
         if words and draw(st.booleans()):
@@ -1375,21 +1126,13 @@ def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
                         encoding="utf-8")
         return str(path)
 
-    command = data.draw(st.sampled_from(["pipeline", "synth"]))
-    if command == "pipeline":
-        argv = ["pipeline", "--corpus", mutated_file("corpus.jsonl", fx["corpus"])]
-        for flag in ("--stopwords", "--lexicon", "--template"):
-            if data.draw(st.booleans()):
-                argv += [flag, mutated_file(flag[2:], fx[flag[2:]])]
-        for flag, value in FUZZED_FLAGS.items():
-            if data.draw(st.booleans()):
-                argv.append(f"{flag}={data.draw(mutated(value))}")
-        written = {MANIFEST_TXT}
-    else:
-        argv = ["synth", "--burst-spec", mutated_file("burst.spec", fx["burst"])]
+    argv = ["pipeline", "--corpus", mutated_file("corpus.jsonl", fx["corpus"])]
+    for flag in ("--stopwords", "--lexicon", "--template"):
         if data.draw(st.booleans()):
-            argv += ["--cluster-spec", mutated_file("clusters.spec", fx["clusters"])]
-        written = set(COMMANDS["synth"][1])
+            argv += [flag, mutated_file(flag[2:], fx[flag[2:]])]
+    for flag, value in FUZZED_FLAGS.items():
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(mutated(value))}")
     out = work / "out"
     caplog.clear()
     with caplog.at_level("ERROR"):
@@ -1397,4 +1140,4 @@ def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
     assert rc in (0, 1, 2), caplog.text
     assert "internal error" not in caplog.text
     if rc != 0:
-        assert not (out.exists() and written & {path.name for path in out.iterdir()})
+        assert not (out / MANIFEST_TXT).exists()

@@ -33,7 +33,7 @@ def test_readme_command_lines_parse():
         for line in "".join(blocks).replace("\\\n", " ").splitlines()
         if line.startswith("opflow ")
     ]
-    assert len(commands) == 8
+    assert len(commands) == 6
     assert {words[1] for words in commands} == set(cli.COMMANDS)
     parser = cli.build_parser()
     for words in commands:

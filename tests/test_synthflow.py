@@ -7,7 +7,10 @@ from datetime import timedelta
 import pytest
 
 from opflow.corpus import save_corpus, tokenize_corpus
-from opflow.flowseries import DEFAULT_TEMPLATE, build_daily_series, sample_template
+from opflow.errors import DataError
+from opflow.flowseries import (
+    DEFAULT_TEMPLATE, LifecycleTemplate, build_daily_series, sample_template,
+)
 from opflow.synthflow import (
     DEFAULT_SOURCES,
     BurstSpec,
@@ -15,9 +18,8 @@ from opflow.synthflow import (
     ClusterSpec,
     generate_burst_series,
     generate_cluster_corpus,
-    write_ground_truth,
 )
-from oracles import correlation_cell, pearson
+from oracles import correlation_cell, pearson, write_fixture
 
 
 def vocab(prefix, n=10):
@@ -65,11 +67,28 @@ def test_burst_spec_rejects_bad_magnitudes():
         burst(noise_sigma=-0.5)
     with pytest.raises(ValueError):
         burst(plant_shift=-1)
+    # nan fails every comparison, so it must not pass a ">= 0" check; inf
+    # passes it, and must not reach the series
+    for key in ("baseline", "noise_sigma"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got nan$"):
+            burst(**{key: float("nan")})
+    for key in ("amplitude", "baseline", "noise_sigma"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got inf$"):
+            burst(**{key: float("inf")})
+
+
+def test_specs_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+        burst(rng_seed=-3)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+        cluster_spec(rng_seed=-3)
 
 
 def test_cluster_def_normalizes_keyword():
     cdef = ClusterDef("  Terrorist ACT! ", vocab("xx"), 3)
     assert cdef.keyword == "terrorist act"
+    with pytest.raises(ValueError, match="^keyword '!!!' normalizes to nothing$"):
+        ClusterDef("!!!", vocab("xx"), 3)
 
 
 def test_cluster_def_vocab_rules():
@@ -157,6 +176,15 @@ def test_burst_series_same_seed_same_values():
     assert a.values == b.values
 
 
+def test_burst_series_refuses_an_overflowing_template():
+    # each control point is finite, but the slope between the last two is not
+    steep = LifecycleTemplate([(0.0, 0.0), (0.5, 1.0), (1.0, 1e308)])
+    message = ("^template samples overflow: a slope between two control points"
+               " is past the float range$")
+    with pytest.raises(DataError, match=message):
+        generate_burst_series(steep, burst())
+
+
 def test_burst_series_seed_changes_noise():
     a = generate_burst_series(DEFAULT_TEMPLATE, burst(noise_sigma=1.5, rng_seed=9))
     b = generate_burst_series(DEFAULT_TEMPLATE, burst(noise_sigma=1.5, rng_seed=10))
@@ -232,6 +260,19 @@ def test_document_dates_follow_the_planted_burst():
     assert pearson(hist, series.values) >= 0.9
 
 
+def test_dates_cannot_be_sampled_from_a_series_without_mass():
+    flat = LifecycleTemplate([(0.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(DataError, match="^planted series has no mass to sample dates from$"):
+        generate_cluster_corpus(cluster_spec(), flat, burst())
+
+
+def test_dates_cannot_be_sampled_from_a_series_summing_past_the_float_range():
+    # each day is finite, but the sum that dates are sampled from is not
+    message = "^planted series sums past the float range: no date can be sampled$"
+    with pytest.raises(DataError, match=message):
+        generate_cluster_corpus(cluster_spec(), DEFAULT_TEMPLATE, burst(amplitude=1e308))
+
+
 def test_date_sampling_is_proportional_not_truncated():
     # build_daily_series spans only the sampled days, which must sit
     # inside the planted window plus baseline days
@@ -240,11 +281,10 @@ def test_date_sampling_is_proportional_not_truncated():
     assert sum(series.values) == float(len(corpus))
 
 
-# --- ground truth file -----------------------------------------------------
+# --- the bundled fixture --------------------------------------------------
 
 
-def test_write_ground_truth_layout(tmp_path):
-    path = tmp_path / "truth.tsv"
-    write_ground_truth({"b": 2, "a": 1}, path)
-    assert path.read_text() == "doc_id\tcluster\na\t1\nb\t2\n"
-
+def test_the_fixture_recipe_regenerates_the_bundled_fixture(fixtures_dir, tmp_path):
+    write_fixture(tmp_path)
+    for name in ("series.csv", "corpus.jsonl", "truth.tsv"):
+        assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
