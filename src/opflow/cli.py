@@ -494,6 +494,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     with _stage("terms"):
         matched, event_corpus, table = find_events(stage_corpus, tokenized, query, lexicon, out)
         del tokenized  # free the full table: clustering reads the stage table
+        flow.table.release_lines()  # the last corpus file is written
 
     with _stage("clustering"):
         if matched:

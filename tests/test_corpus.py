@@ -265,6 +265,25 @@ def test_term_table_peak_memory_is_a_few_token_arrays():
     assert peak < 6 * 8 * len(term_ids), peak / (8 * len(term_ids))
 
 
+def test_released_lines_free_a_buffer_of_the_files_size(fixtures_dir, tmp_path):
+    path = fixtures_dir / "corpus.jsonl"
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        assert corpus.table.buffer.nbytes == size
+        held = tracemalloc.get_traced_memory()[0]
+        corpus.table.release_lines()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed >= size
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError, match=r"release_lines\(\)"):
+        save_corpus(corpus, out)
+    assert not out.exists()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n_terms: st.tuples(
     st.just(n_terms), st.lists(st.lists(st.integers(0, n_terms - 1), max_size=40), max_size=8)
@@ -580,19 +599,61 @@ def test_saved_lines_equal_the_reference_encoding(raw, tmp_path_factory):
     assert (folder / "out.jsonl").read_bytes() == want.encode("utf-8")
 
 
+# records out of (published_at, id) order, with multi-byte characters,
+# one of them escaped, so a line's byte range differs from its
+# character range
+_MULTIBYTE_RECORDS = [
+    {"id": "b", "published_at": "2016-06-25T08:00:00Z", "source": "s\u20ac",
+     "title": "\U0001f600 \u00e9t\u00e9", "body": "x\u2028y xx"},
+    {"id": "a", "published_at": "2016-06-24T08:00:00Z", "source": "s",
+     "title": "\u00e9", "body": "b xx"},
+    {"id": "c", "published_at": "2016-06-24T09:00:00+02:00", "source": "\u20ac",
+     "title": "t", "body": "\U0001f600 xx"},
+]
+
+
 @settings(max_examples=200, deadline=None)
-@given(raw=raw_records())
-def test_loaded_columns_equal_the_decoded_records(raw, tmp_path_factory):
-    _, text = raw
-    path = tmp_path_factory.mktemp("columns") / "in.jsonl"
+@given(
+    raw=raw_records(),
+    mask=st.lists(st.booleans(), min_size=5, max_size=5),
+    span=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+)
+@example(
+    raw=(_MULTIBYTE_RECORDS, "\n".join([
+        json.dumps(_MULTIBYTE_RECORDS[0], ensure_ascii=False),
+        json.dumps(_MULTIBYTE_RECORDS[1]),
+        json.dumps(_MULTIBYTE_RECORDS[2], ensure_ascii=False, separators=(",", ":")),
+    ])),
+    mask=[True, False, True, False, False],
+    span=(1, 1),
+)
+def test_loaded_columns_equal_the_decoded_records(raw, mask, span, tmp_path_factory):
+    records, text = raw
+    folder = tmp_path_factory.mktemp("columns")
+    path = folder / "in.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
-    table = load_corpus(path).table
+    corpus = load_corpus(path)
+    table = corpus.table
     want = oracles.document_columns(text)
     assert table.micros.tolist() == want["micros"]
     assert table.days.tolist() == want["days"]
     assert table.vocab == want["vocab"]
     assert table.indptr.tolist() == want["indptr"]
     assert table.term_ids.tolist() == want["term_ids"]
+    # a subset is saved as the reference lines of its records, in order
+    ordered = sorted(records, key=lambda r: (oracles.utc_instant(r["published_at"]), r["id"]))
+    days = [oracles.utc_instant(r["published_at"]).date() for r in ordered]
+    distinct = sorted(set(days))
+    lo, hi = sorted(distinct[min(i, len(distinct) - 1)] for i in span)
+    keep = mask[:len(ordered)]
+    subsets = [
+        (Corpus(table, corpus.rows[np.array(keep, dtype=bool)]), keep),
+        (filter_by_dates(corpus, lo, hi), [lo <= day <= hi for day in days]),
+    ]
+    for subset, chosen in subsets:
+        save_corpus(subset, folder / "out.jsonl")
+        lines = [oracles.json_line(r) for r, kept in zip(ordered, chosen) if kept]
+        assert (folder / "out.jsonl").read_bytes() == "".join(lines).encode("utf-8")
 
 
 def _load_error(tmp_path, line):
