@@ -397,7 +397,7 @@ def cluster_events(
     omitted: list[str] = []
     if len(vectors) < len(table):
         vectorized = set(vectors.doc_ids)
-        omitted = [doc_id for doc_id in table if doc_id not in vectorized]
+        omitted = [doc_id for doc_id in table.doc_ids if doc_id not in vectorized]
         log.warning("cluster: omitted %d zero-weight docs: %s", len(omitted), omitted[:5])
     seeds = seed_centroids(terms)
     clustering = kmeans_seeded(vectors, seeds)

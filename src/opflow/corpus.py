@@ -14,8 +14,10 @@ documents as the lines of such a file (each one's ``json_line``), so
 every corpus passes the same validation, merge and sort rules.  A
 :class:`Corpus` is an ascending array of rows of one table, so a query
 filter is a mask, a date filter a ``searchsorted`` on day ordinals, and
-a subset of a valid corpus is never validated again.  :class:`Document`
-objects are built only when asked for, one at a time, by iteration.
+a subset of a valid corpus is never validated again.  A corpus's
+ids, lines and day ordinals are read through it (``ids``, ``lines``,
+``days``).  :class:`Document` objects are built only when asked for,
+one at a time, by iteration.
 
 The output lines are one read-only UTF-8 buffer, in input order, and a
 row's line is its ``starts``..``ends`` byte range: sorting a table
@@ -163,12 +165,6 @@ class Document:
     body: str
     language: str | None = None
 
-    def day(self) -> date:
-        """Calendar date of publication (UTC); a naive time is taken as UTC."""
-        if self.published_at.tzinfo is None:
-            return self.published_at.date()
-        return self.published_at.astimezone(timezone.utc).date()
-
     @cached_property
     def json_line(self) -> str:
         """The document as one JSONL line, newline included."""
@@ -267,17 +263,6 @@ class DocumentTable:
         """Free the line buffer; a line read after this raises ValueError."""
         self.buffer = None
 
-    def lines_of(self, rows: np.ndarray | slice) -> list[str]:
-        """JSONL lines of the rows, newline included."""
-        view = self._lines()
-        spans = zip(self.starts[rows].tolist(), self.ends[rows].tolist())
-        return [str(view[start:end], "utf-8") for start, end in spans]
-
-    @property
-    def lines(self) -> list[str]:
-        """JSONL line of each row, newline included."""
-        return self.lines_of(slice(None))
-
     def document(self, row: int) -> Document:
         obj = json.loads(self._lines()[self.starts[row]:self.ends[row]].tobytes())
         return Document(
@@ -334,7 +319,10 @@ class Corpus:
     @property
     def lines(self) -> list[str]:
         """JSONL line of each document, newline included."""
-        return self.table.lines_of(self.rows)
+        table = self.table
+        view = table._lines()
+        spans = zip(table.starts[self.rows].tolist(), table.ends[self.rows].tolist())
+        return [str(view[start:end], "utf-8") for start, end in spans]
 
     @property
     def days(self) -> np.ndarray:
@@ -409,7 +397,8 @@ class TermTable:
     ``term_ids[indptr[i]:indptr[i + 1]]``; phrases are matched on it.
     Its distinct terms, in order of first appearance, and their counts
     are ``row_terms`` and ``row_counts`` over ``row_ptr[i]:row_ptr[i + 1]``.
-    ``len()`` is the number of documents and iteration yields their ids.
+    ``len()`` is the number of documents.  Iteration yields ``doc_ids``
+    for the benchmark's traced run, which reads a table's ids that way.
     A table tokenized from a corpus keeps it: its rows are the corpus's
     documents, in order.  A table selected from another shares its
     arrays when its rows are a run of the other's.

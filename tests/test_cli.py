@@ -252,6 +252,8 @@ def test_exit_1_on_terms_flag_outside_cluster(fx, tmp_path):
 BAD_FILTERS = {
     "query": (["--query", "!!!"], "query term '!!!' contains no usable tokens"),
     "exclude without query": (["--exclude", "sport"], "excluded terms need a base query"),
+    "exclude overlaps query": (["--query", "protest", "--exclude", "protest"],
+                               "excluded terms overlap a required group: ['protest']"),
 }
 
 
@@ -389,6 +391,8 @@ INPUT_FAULTS = {
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
     "stamp is a number": "line 1: key 'published_at' must be a string",
+    "record is an array": "line 1: record must be a JSON object",
+    "language is a number": "line 1: language must be a string",
     # valid UTF-8 whose JSON escape decodes to a string no file can hold
     "lone surrogate escape": (
         "stage flow: corpus.jsonl: line 1: a string holds a lone surrogate,"
@@ -420,9 +424,14 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         Path("corpus.jsonl").write_text(line, encoding="utf-8")
         argv = ["events" if fault.startswith("events") else "pipeline", "--corpus", "corpus.jsonl"]
     else:
-        stamp = 20160601 if fault == "stamp is a number" else "0001-01-01T00:00:00+01:00"
-        line = {"id": "a", "published_at": stamp, "source": "s", "title": "protest",
-                "body": "march"}
+        record = {"id": "a", "published_at": "2016-06-01T12:00:00Z", "source": "s",
+                  "title": "protest", "body": "march"}
+        line = {
+            "stamp before year 1 in UTC": {**record, "published_at": "0001-01-01T00:00:00+01:00"},
+            "stamp is a number": {**record, "published_at": 20160601},
+            "record is an array": [record],
+            "language is a number": {**record, "language": 1},
+        }[fault]
         Path("corpus.jsonl").write_text(json.dumps(line) + "\n")
         argv = ["series", "--corpus", "corpus.jsonl"]
     with caplog.at_level("ERROR"):
@@ -724,7 +733,7 @@ def test_cluster_omits_exactly_the_docs_left_without_a_vector(texts):
     vectorized = set(vectors.doc_ids)
     with tempfile.TemporaryDirectory() as out:
         omitted, clustering = cluster_events(corpus, tokenized, ["protest"], Path(out))
-    assert omitted == [doc_id for doc_id in tokenized if doc_id not in vectorized]
+    assert omitted == [doc_id for doc_id in tokenized.doc_ids if doc_id not in vectorized]
     assert clustering.vectors.doc_ids == vectors.doc_ids
     # a weight is copied out only when some term has zero weight
     dropped = len(vectors.terms) < len(tokenized.row_terms)
@@ -779,7 +788,8 @@ def test_pipeline_narrows_to_the_peak_window(fx, tmp_path):
     window_start = date.fromisoformat(top["window_start"])
     window_end = date.fromisoformat(top["window_end"])
     narrowed = load_corpus(tmp_path / "narrowed_corpus.jsonl")
-    assert all(window_start <= d.day() <= window_end for d in narrowed)
+    days = narrowed.days
+    assert window_start.toordinal() <= days[0] and days[-1] <= window_end.toordinal()
     assert 0 < len(narrowed) < 200
 
 
@@ -792,6 +802,20 @@ def test_pipeline_without_a_peak_skips_narrowing(fx, tmp_path):
     assert len(load_corpus(tmp_path / EVENT_CORPUS)) == 200
 
 
+def test_pipeline_without_event_terms_skips_clustering(fx, tmp_path):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("nosuchterm\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(out),
+                 "--stopwords", fx["stopwords"], "--threshold", "0.6",
+                 "--lexicon", str(lexicon)]) == 0
+    assert not (out / CLUSTERS_JSON).exists()
+    manifest = (out / MANIFEST_TXT).read_text().splitlines()
+    assert "# clustering: skipped (no event terms matched)" in manifest
+    listed = {line.split("\t")[0] for line in manifest if not line.startswith("#")}
+    assert listed == set(PIPELINE_ARTIFACTS) - {CLUSTERS_JSON}
+
+
 def test_pipeline_is_reproducible(fx, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run_pipeline(fx, out_a) == 0
@@ -799,39 +823,44 @@ def test_pipeline_is_reproducible(fx, tmp_path):
     assert (out_a / MANIFEST_TXT).read_bytes() == (out_b / MANIFEST_TXT).read_bytes()
 
 
-def test_pipeline_reproduces_the_golden_manifest(fx, fixtures_dir, tmp_path):
-    # the digests of every artifact for these arguments: any change to
-    # an artifact's bytes shows here
-    assert run_pipeline(fx, tmp_path) == 0
-    golden = (fixtures_dir / "pipeline_manifest.txt").read_bytes()
-    assert (tmp_path / MANIFEST_TXT).read_bytes() == golden
-
-
-def test_pipeline_reproduces_the_selective_golden_manifest(fx, fixtures_dir, tmp_path):
+# each input whose artifacts a golden manifest holds: whether the corpus
+# lines are reversed, a prefix of both input files, the flags after them,
+# and the manifest
+GOLDEN_RUNS = {
+    "fixture": (False, b"", [], "pipeline_manifest.txt"),
+    # every row is a byte run of its own, and the artifacts stay the same
+    "reversed": (True, b"", [], "pipeline_manifest.txt"),
+    "bom": (False, b"\xef\xbb\xbf", [], "pipeline_manifest.txt"),
     # a query that drops documents, so the flow and every stage after it
     # see a proper subset of the corpus
-    assert main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
-                 "--stopwords", fx["stopwords"], "--threshold", "0.6",
-                 "--query", "protest", "--exclude", "common29"]) == 0
-    assert 0 < len(load_corpus(tmp_path / "flow_corpus.jsonl")) < 200
-    golden = (fixtures_dir / "pipeline_manifest_selective.txt").read_bytes()
-    assert (tmp_path / MANIFEST_TXT).read_bytes() == golden
+    "selective": (False, b"", ["--query", "protest", "--exclude", "common29"],
+                  "pipeline_manifest_selective.txt"),
+}
 
 
-def test_pipeline_reads_a_corpus_and_stopwords_behind_a_bom(fx, fixtures_dir, tmp_path):
-    bom = b"\xef\xbb\xbf"
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_bytes(bom + Path(fx["corpus"]).read_bytes())
-    stopwords = tmp_path / "stopwords.txt"
-    stopwords.write_bytes(bom + Path(fx["stopwords"]).read_bytes())
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
+def test_pipeline_reproduces_the_golden_manifest(fx, fixtures_dir, tmp_path, run):
+    # the digests of every artifact for these arguments: any change to
+    # an artifact's bytes shows here
+    reverse, prefix, flags, golden = GOLDEN_RUNS[run]
+    lines = fx["corpus_path"].read_bytes().splitlines(keepends=True)
+    corpus, stopwords = tmp_path / "corpus.jsonl", tmp_path / "stopwords.txt"
+    corpus.write_bytes(prefix + b"".join(lines[::-1] if reverse else lines))
+    stopwords.write_bytes(prefix + Path(fx["stopwords"]).read_bytes())
     out = tmp_path / "out"
-    assert run_pipeline({"corpus": str(corpus), "stopwords": str(stopwords)}, out) == 0
-    golden = (fixtures_dir / "pipeline_manifest.txt").read_bytes()
-    assert (out / MANIFEST_TXT).read_bytes() == golden
-    # a byte order mark anywhere else is a data error
-    lines = Path(fx["corpus"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert main(["pipeline", "--corpus", str(corpus), "--out-dir", str(out),
+                 "--stopwords", str(stopwords), "--threshold", "0.6", *flags]) == 0
+    flow = len(load_corpus(out / FLOW_CORPUS))
+    assert 0 < flow < 200 if flags else flow == 200
+    assert (out / MANIFEST_TXT).read_bytes() == (fixtures_dir / golden).read_bytes()
+
+
+def test_pipeline_refuses_a_bom_inside_the_corpus(fx, tmp_path):
+    # a byte order mark anywhere but at the start is a data error
+    lines = fx["corpus_path"].read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(lines[0] + "\ufeff" + "".join(lines[1:]), encoding="utf-8")
-    assert run_pipeline({"corpus": str(corpus), "stopwords": fx["stopwords"]}, out) == 2
+    assert run_pipeline({"corpus": str(corpus), "stopwords": fx["stopwords"]}, tmp_path) == 2
 
 
 def test_pipeline_builds_no_document_objects(fx, tmp_path, monkeypatch):

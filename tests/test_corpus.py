@@ -97,7 +97,7 @@ def test_naive_times_are_utc_in_any_local_zone(monkeypatch, tmp_path):
         )
         assert naive.json_line == doc(id="a", ts="2016-06-01T23:30:00Z", source="s").json_line
         c = Corpus.from_documents([naive])
-        assert c.days.tolist() == [naive.day().toordinal()] == [date(2016, 6, 1).toordinal()]
+        assert c.days.tolist() == [date(2016, 6, 1).toordinal()]
         p = tmp_path / "c.jsonl"
         save_corpus(c, p)
         again = load_corpus(p)
@@ -110,11 +110,6 @@ def test_naive_times_are_utc_in_any_local_zone(monkeypatch, tmp_path):
 # --- documents and corpus --------------------------------------------------
 
 
-def test_document_day_is_utc_date():
-    d = doc(ts="2016-06-24T23:30:00-02:00")
-    assert d.day() == date(2016, 6, 25)
-
-
 def test_document_day_agrees_with_corpus_days_for_any_offset():
     # 00:30 at +02:00 is 22:30 UTC the day before
     d = Document(
@@ -122,11 +117,10 @@ def test_document_day_agrees_with_corpus_days_for_any_offset():
         source="s", title="tt", body="bb",
     )
     c = Corpus.from_documents([d])
-    assert d.day() == date(2016, 6, 24)
-    assert c.days.tolist() == [d.day().toordinal()]
+    assert c.days.tolist() == [date(2016, 6, 24).toordinal()]
     assert len(filter_by_dates(c, date(2016, 6, 24), date(2016, 6, 24))) == 1
     assert len(filter_by_dates(c, date(2016, 6, 25), date(2016, 6, 25))) == 0
-    assert list(c) == [d] and next(iter(c)).day() == d.day()
+    assert list(c) == [d]
 
 
 def test_corpus_equality_compares_records(tmp_path):
@@ -211,7 +205,7 @@ def test_tokenize_applies_stopwords():
 
 def test_term_table_rows_follow_the_input():
     t = table(["bb", "aa", "bb"], [], ["cc", "aa"])
-    assert list(t) == ["d0", "d1", "d2"] and len(t) == 3
+    assert t.doc_ids == ["d0", "d1", "d2"] and list(t) == t.doc_ids and len(t) == 3
     assert t.vocab == ["bb", "aa", "cc"]
     assert t.indptr.tolist() == [0, 3, 3, 5]
     assert t.row_ptr.tolist() == [0, 2, 2, 4]
@@ -599,6 +593,32 @@ def test_saved_lines_equal_the_reference_encoding(raw, tmp_path_factory):
     assert (folder / "out.jsonl").read_bytes() == want.encode("utf-8")
 
 
+def test_save_keeps_the_order_of_runs_across_write_blocks(tmp_path):
+    # the file holds one sorted run of at least one write block (128 KiB),
+    # then three blocks or more of lines in reverse order, which sort
+    # before and after the run: a long run is written as it lies, and the
+    # reversed lines, each a run of its own, are joined block by block
+    block = 1 << 17
+    words = ["protest", "marché", "vote", "città", "square", "naïve"]
+    start = datetime(2016, 6, 1, tzinfo=timezone.utc)
+
+    def record(t):
+        # two rows a minute, so ties on published_at are broken by id
+        stamp = (start + timedelta(minutes=t // 2)).strftime("%Y-%m-%dT%H:%M:%SZ")
+        body = " ".join(words[(t + j) % len(words)] for j in range(1 + t % 13))
+        return {"id": f"d{t:05d}", "published_at": stamp, "source": f"s{t % 3}",
+                "title": "tt", "body": body}
+
+    run = [oracles.json_line(record(t)) for t in range(2000, 3500)]
+    rest = [oracles.json_line(record(t)) for t in [*range(2000), *range(3500, 5500)]]
+    assert len("".join(run).encode("utf-8")) >= block
+    assert len("".join(rest).encode("utf-8")) >= 3 * block
+    _write(tmp_path, "in.jsonl", "".join(run + rest[::-1]))
+    save_corpus(load_corpus(tmp_path / "in.jsonl"), tmp_path / "out.jsonl")
+    want = "".join(rest[:2000] + run + rest[2000:])
+    assert (tmp_path / "out.jsonl").read_bytes() == want.encode("utf-8")
+
+
 # records out of (published_at, id) order, with multi-byte characters,
 # one of them escaped, so a line's byte range differs from its
 # character range
@@ -714,10 +734,11 @@ def test_load_corpus_reads_one_timestamp_grammar(tmp_path, stamp, utc):
         assert format_timestamp(doc.published_at) == utc
 
 
-def _columns(table):
+def _columns(corpus):
+    table = corpus.table
     return (
         table.ids, table.micros.tolist(), table.days.tolist(), table.sources,
-        table.source_ids.tolist(), table.lines, table.vocab, table.indptr.tolist(),
+        table.source_ids.tolist(), corpus.lines, table.vocab, table.indptr.tolist(),
         table.term_ids.tolist(),
     )
 
@@ -728,17 +749,18 @@ def test_crlf_and_lone_cr_files_load_like_lf_files(tmp_path, fixtures_dir):
     for i, end in enumerate(["\n", "\r\n", "\r"]):
         path = tmp_path / f"c{i}.jsonl"
         path.write_bytes((end.join(lines) + end).encode("utf-8"))
-        tables.append(_columns(load_corpus(path).table))
+        tables.append(_columns(load_corpus(path)))
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 BODY_WORDS = ["protest", "march", "vote", "city"]
 
 
-def _rows_by_term(table):
+def _rows_by_term(corpus):
     # each token as its term: interning follows file order, term text does not
+    table = corpus.table
     return (
-        table.ids, table.micros.tolist(), table.lines, table.indptr.tolist(),
+        table.ids, table.micros.tolist(), corpus.lines, table.indptr.tolist(),
         [table.vocab[t] for t in table.term_ids.tolist()],
     )
 
@@ -764,7 +786,7 @@ def test_saved_and_shuffled_records_give_equal_tables(ids, data, tmp_path_factor
     for name, order in [("saved", saved), ("ties", ties_descending), ("shuffled", shuffled)]:
         path = folder / f"{name}.jsonl"
         path.write_text("".join(d.json_line for d in order), encoding="utf-8")
-        tables.append(_rows_by_term(load_corpus(path).table))
+        tables.append(_rows_by_term(load_corpus(path)))
     assert tables[0][0] == [d.id for d in saved]
     assert tables[1] == tables[0] and tables[2] == tables[0]
 

@@ -187,6 +187,11 @@ def test_vectorize_omits_zero_weight_docs():
     assert vectors.doc_ids == ["c"]
 
 
+def test_vectorize_refuses_an_empty_table():
+    with pytest.raises(ValueError, match="^corpus size must be >= 1$"):
+        vectorize(TermTable.from_terms([]), np.zeros(0, dtype=np.int64))
+
+
 # --- seeds -----------------------------------------------------------------
 
 

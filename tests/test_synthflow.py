@@ -139,6 +139,28 @@ def test_cluster_spec_shared_draws_need_shared_vocab():
         cluster_spec(shared_vocab=(), shared_terms_per_doc=3)
 
 
+# each spec rule no other test reaches, with the message it raises
+SPEC_REFUSALS = {
+    "no days": (lambda: burst(length_days=0), "length_days must be >= 1, got 0"),
+    "no clusters": (lambda: cluster_spec(clusters=()), "at least one cluster is required"),
+    "shared phrase": (lambda: cluster_spec(shared_vocab=vocab("cc") + ("two words",)),
+                      "shared vocab entries must be single non-empty tokens"),
+    "shared repeat": (lambda: cluster_spec(shared_vocab=vocab("cc") + ("cc00",)),
+                      "shared vocab has duplicate terms"),
+    "no topical draws": (lambda: cluster_spec(topical_terms_per_doc=0),
+                         "topical_terms_per_doc must be >= 1"),
+    "negative shared draws": (lambda: cluster_spec(shared_terms_per_doc=-1),
+                              "shared_terms_per_doc must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("rule", SPEC_REFUSALS)
+def test_specs_refuse_each_rule(rule):
+    build, message = SPEC_REFUSALS[rule]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # --- burst series ----------------------------------------------------------
 
 
@@ -211,7 +233,7 @@ def test_every_document_carries_its_keyword():
     table = tokenize_corpus(corpus)
     for keyword_index, keyword in by_kw.items():
         carries = table.contains_any([keyword])
-        for doc_id, has_it in zip(table, carries.tolist()):
+        for doc_id, has_it in zip(table.doc_ids, carries.tolist()):
             assert has_it or truth[doc_id] != keyword_index, doc_id
 
 
@@ -220,8 +242,9 @@ def test_document_dates_and_sources_stay_in_bounds():
     bspec = burst()
     corpus, _ = generate_cluster_corpus(spec, DEFAULT_TEMPLATE, bspec)
     last = bspec.start_date + timedelta(days=bspec.length_days - 1)
+    days = corpus.days
+    assert bspec.start_date.toordinal() <= days[0] and days[-1] <= last.toordinal()
     for doc in corpus:
-        assert bspec.start_date <= doc.day() <= last
         assert doc.source in DEFAULT_SOURCES
 
 
@@ -255,8 +278,8 @@ def test_document_dates_follow_the_planted_burst():
     corpus, _ = generate_cluster_corpus(spec, DEFAULT_TEMPLATE, bspec)
     series = generate_burst_series(DEFAULT_TEMPLATE, bspec)
     hist = [0.0] * bspec.length_days
-    for doc in corpus:
-        hist[(doc.day() - bspec.start_date).days] += 1.0
+    for day in corpus.days.tolist():
+        hist[day - bspec.start_date.toordinal()] += 1.0
     assert pearson(hist, series.values) >= 0.9
 
 

@@ -133,6 +133,8 @@ def test_match_respects_top_m_cut():
     assert "protest" in all_terms
     cut = match_event_terms(ranked, DEFAULT_EVENT_LEXICON, top_m=1, tokenized=docs)
     assert cut == []
+    with pytest.raises(ValueError, match="^top_m must be >= 1, got 0$"):
+        match_event_terms(ranked, DEFAULT_EVENT_LEXICON, top_m=0, tokenized=docs)
 
 
 def test_match_phrase_needs_adjacency_evidence():
