@@ -539,8 +539,9 @@ class TermTable:
             else:
                 hit[self._phrase_rows(ids)] = True
         if words:
-            rows = csr_entry_rows(self.row_ptr)
-            hit[rows[np.isin(self.row_terms, words)]] = True
+            wanted = np.zeros(len(self.vocab), dtype=bool)
+            wanted[words] = True
+            hit[csr_entry_rows(self.row_ptr)[wanted[self.row_terms]]] = True
         return hit
 
     def _phrase_rows(self, ids: list[int]) -> np.ndarray:

@@ -12,9 +12,9 @@ masks for the admissible cells (l + k <= n) and the undefined ones.
 Zero-variance windows (or template samples) have no defined
 correlation; they are marked in the ``undefined`` mask, never by a
 value, and written as "NA" in CSV exports, so they can never masquerade
-as real peaks.  The arrays are the interface; ``Correlogram.cells``
-serves only the cell count and the values that the benchmark harness
-reads.
+as real peaks.  The arrays are the interface; ``Correlogram.cells``, a
+view built on access, serves the benchmark harness the cell count and
+the values, one shift column at a time, as the CSV export reads them.
 
 Every scale shares one set-up: one read-only window view of the
 zero-padded series, as wide as the widest fitting scale, whose first k
@@ -128,19 +128,18 @@ class Peak:
 
 class _Cells:
     """The admissible cells, as the benchmark harness reads them:
-    ``len()``, counted once, and ``values()``, each cell's float in
+    ``len()``, their count, and ``values()``, each cell's float in
     (l, k) order, or None where the correlation is undefined."""
 
     def __init__(self, corr: Correlogram) -> None:
         self._corr = corr
-        self._len = int(np.count_nonzero(corr.admissible))
 
     def __len__(self) -> int:
-        return self._len
+        return int(np.count_nonzero(self._corr.admissible))
 
     def values(self) -> Iterator[float | None]:
-        _, _, values, undefined = _admissible_cells(self._corr)
-        return (None if flat else v for v, flat in zip(values, undefined))
+        for _, _, values, undefined in _admissible_cells(self._corr):
+            yield from (None if flat else v for v, flat in zip(values, undefined))
 
 
 @dataclass(eq=False)  # arrays have no single truth value to compare by
@@ -151,8 +150,8 @@ class Correlogram:
     x[shifts[j] : shifts[j] + scales[i]] with the template resampled to
     scales[i] points.  It is meaningful only where ``admissible`` (the
     window fits: l + k <= series length) and not ``undefined`` (the
-    window or the template has zero variance).  ``cells`` gives the
-    benchmark harness the count of admissible cells and their values.
+    window or the template has zero variance).  ``cells``, built on each
+    access, serves the benchmark harness the admissible cells.
     """
 
     shifts: list[int]
@@ -162,21 +161,20 @@ class Correlogram:
     undefined: np.ndarray
     start_date: date
 
-    def __post_init__(self) -> None:
-        self.cells = _Cells(self)
+    @property
+    def cells(self) -> _Cells:
+        return _Cells(self)
 
 
-def _admissible_cells(corr: Correlogram) -> tuple[list[int], list[int], list[float], list[bool]]:
-    """Shift, scale, value and undefined flag of every admissible cell,
-    in (l, k) order."""
-    # the transposed mask is shift-major, so its cells come in (l, k) order
-    shift_at, scale_at = np.nonzero(corr.admissible.T)
-    return (
-        np.asarray(corr.shifts, dtype=np.int64)[shift_at].tolist(),
-        np.asarray(corr.scales, dtype=np.int64)[scale_at].tolist(),
-        corr.values[scale_at, shift_at].tolist(),
-        corr.undefined[scale_at, shift_at].tolist(),
-    )
+def _admissible_cells(
+    corr: Correlogram,
+) -> Iterator[tuple[int, list[int], list[float], list[bool]]]:
+    """Per shift l, in order: l, and the scale, value and undefined flag
+    of each admissible cell (l, k), in k order."""
+    # scales are sorted, so a column's admissible scales lead it
+    fits = np.count_nonzero(corr.admissible, axis=0).tolist()
+    for j, (l, fit) in enumerate(zip(corr.shifts, fits)):
+        yield l, corr.scales[:fit], corr.values[:fit, j].tolist(), corr.undefined[:fit, j].tolist()
 
 
 def build_daily_series(corpus: Corpus) -> DailySeries:
@@ -214,9 +212,13 @@ def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarra
     Every control point is finite, but a slope between two can overflow,
     so a sample past the float range is a DataError."""
     starts = np.cumsum(scales) - scales
-    index = np.arange(scales.sum()) - np.repeat(starts, scales)
+    # every integer here is below 2**53, so the float positions are exact
+    positions = np.arange(scales.sum(), dtype=float)
+    positions -= np.repeat(starts, scales)
+    positions /= np.repeat(scales - 1, scales)
     xs, ys = np.array(template.control_points).T
-    samples = np.interp(index / np.repeat(scales - 1, scales), xs, ys)
+    samples = np.interp(positions, xs, ys)
+    del positions  # before the finiteness mask, which would add to the peak
     if not np.isfinite(samples).all():
         raise DataError("template samples overflow: a slope between two control points"
                         " is past the float range")
@@ -390,10 +392,11 @@ def write_correlogram_csv(corr: Correlogram, path: str | Path) -> None:
     """CSV export with header l,k,c; undefined cells emit the token NA."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("l,k,c\n")
-        handle.writelines(
-            f"{l},{k},{'NA' if flat else repr(v)}\n"
-            for l, k, v, flat in zip(*_admissible_cells(corr))
-        )
+        for l, scales, values, undefined in _admissible_cells(corr):
+            handle.writelines(
+                f"{l},{k},{'NA' if flat else repr(v)}\n"
+                for k, v, flat in zip(scales, values, undefined)
+            )
 
 
 def write_peaks_csv(peaks: list[Peak], path: str | Path) -> None:

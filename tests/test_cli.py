@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import re
 import tempfile
@@ -821,6 +822,28 @@ def test_pipeline_is_reproducible(fx, tmp_path):
     assert run_pipeline(fx, out_a) == 0
     assert run_pipeline(fx, out_b) == 0
     assert (out_a / MANIFEST_TXT).read_bytes() == (out_b / MANIFEST_TXT).read_bytes()
+
+
+def test_a_pipeline_run_leaves_no_stage_object_in_a_reference_cycle(fx, tmp_path):
+    # an object in a cycle, with all it holds, lives until the cyclic
+    # collector runs; DEBUG_SAVEALL keeps what the collector finds.
+    # argparse's own cycles, through opflow.cli's parser, are not the stages'
+    stages = {f"opflow.{name}" for name in
+              ("corpus", "flowseries", "eventcluster", "termbase", "sourcegraph")}
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_pipeline(fx, tmp_path) == 0
+        gc.collect()
+        cyclic = {type(o).__qualname__ for o in gc.garbage if type(o).__module__ in stages}
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not cyclic
 
 
 # each input whose artifacts a golden manifest holds: whether the corpus

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import collections
+import gc
 import math
 import re
 import tempfile
 import tracemalloc
+import weakref
 from datetime import date
 from pathlib import Path
 
@@ -529,23 +532,62 @@ def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_planted_year():
         assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(shifts))
 
 
-def test_correlogram_peak_memory_is_its_output_and_one_rows_work():
-    # numpy reports its buffers to tracemalloc; each scale's row is
-    # computed whole, so no (scale x shift) scratch array adds to the
-    # three the correlogram returns
-    spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
-                     baseline=5.0, noise_sigma=5.0, rng_seed=7)
-    burst = generate_burst_series(DEFAULT_TEMPLATE, spec)
+def _traced_peak(call):
+    """call()'s result and its tracemalloc peak, above what was traced
+    before it; numpy reports its buffers to tracemalloc."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        corr = correlogram(burst, DEFAULT_TEMPLATE, list(range(7, 366)), list(range(359)))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    output = corr.values.nbytes + corr.admissible.nbytes + corr.undefined.nbytes
-    assert peak < 3.5 * output, peak / output
+
+
+def _default_grid_year():
+    """The planted year and its default grid: 64,620 admissible cells."""
+    spec = BurstSpec(length_days=365, plant_shift=120, plant_scale=40, amplitude=100.0,
+                     baseline=5.0, noise_sigma=5.0, rng_seed=7)
+    burst = generate_burst_series(DEFAULT_TEMPLATE, spec)
+    return burst, DEFAULT_TEMPLATE, list(range(7, 366)), list(range(359))
+
+
+def _grid_bytes(corr):
+    return corr.values.nbytes + corr.admissible.nbytes + corr.undefined.nbytes
+
+
+def test_correlogram_peak_memory_is_its_output_and_one_rows_work():
+    # each scale's row is computed whole, so no (scale x shift) scratch
+    # array adds to the three the correlogram returns
+    grid = _default_grid_year()
+    corr, peak = _traced_peak(lambda: correlogram(*grid))
+    assert peak < 3.5 * _grid_bytes(corr), peak / _grid_bytes(corr)
+
+
+def test_csv_and_cell_values_read_the_correlogram_one_shift_at_a_time(tmp_path):
+    corr = correlogram(*_default_grid_year())
+    assert len(corr.cells) == 64620
+    for read in (lambda: write_correlogram_csv(corr, tmp_path / "c.csv"),
+                 lambda: collections.deque(corr.cells.values(), maxlen=0)):
+        _, peak = _traced_peak(read)
+        assert peak < 0.25 * _grid_bytes(corr), peak / _grid_bytes(corr)
+
+
+def test_a_dropped_correlogram_is_freed_without_the_cyclic_collector():
+    # a reference cycle would keep the grid arrays until the collector
+    # ran; reading the cells first shows that they hold none either
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        corr = _burst_corr()
+        assert len(corr.cells) == 117 and len(list(corr.cells.values())) == 117
+        dropped = weakref.ref(corr)
+        del corr
+        assert dropped() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("power", [700, -700])
