@@ -170,19 +170,19 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
         if path is not None and not Path(path).is_file():
             raise ConfigError(f"{label} file not found: {path}")
     if math.isnan(config.threshold):
-        raise ConfigError("peak threshold must be a number, got nan")
+        raise ConfigError("--threshold must be a number, got nan")
     return config
 
 
-def _comma_terms(text: str, label: str) -> frozenset[str]:
-    """Normalized terms of a comma list; blank pieces are skipped."""
+def _comma_terms(text: str, flag: str) -> frozenset[str]:
+    """Normalized terms of the comma list given to ``flag``; blank pieces are skipped."""
     terms = set()
     for piece in text.split(","):
         if not piece.strip():
             continue
         term = normalize_term(piece)
         if not term:
-            raise ConfigError(f"{label} term {piece.strip()!r} contains no usable tokens")
+            raise ConfigError(f"{flag} term {piece.strip()!r} contains no usable tokens")
         terms.add(term)
     return frozenset(terms)
 
@@ -192,22 +192,22 @@ def parse_query(query_text: str, exclude_text: str = "") -> FlowQuery | None:
 
     Empty query text means "no filtering" and returns None.
     """
-    groups = [g for part in (query_text or "").split(";") if (g := _comma_terms(part, "query"))]
-    excluded = _comma_terms(exclude_text or "", "excluded")
+    groups = [g for part in (query_text or "").split(";") if (g := _comma_terms(part, "--query"))]
+    excluded = _comma_terms(exclude_text or "", "--exclude")
     if not groups:
         if excluded:
-            raise ConfigError("excluded terms need a base query")
+            raise ConfigError("--exclude terms need a base --query")
         return None
     try:
         return FlowQuery(required_groups=groups, excluded_terms=excluded)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"--query and --exclude: {exc}") from None
 
 
 def parse_grid(text: str, name: str, valid: range) -> list[int]:
     """"a..b" for an inclusive range, or a comma list of integers; sorted,
     without repeats.  The grid's two ends must lie in ``valid``, which is
-    checked before a range is expanded."""
+    checked before a range is expanded.  A refusal names the flag, ``--{name}s``."""
     text = text.strip()
     try:
         if ".." in text:
@@ -219,11 +219,11 @@ def parse_grid(text: str, name: str, valid: range) -> list[int]:
             raise ValueError
     except ValueError:
         raise ConfigError(
-            f"bad {name} grid {text!r}: use 'a..b' or a comma list of integers"
+            f"bad --{name}s grid {text!r}: use 'a..b' or a comma list of integers"
         ) from None
     if not (grid[0] in valid and grid[-1] in valid):
         raise ConfigError(
-            f"{name}s {text!r} outside the valid range [{valid[0]}, {valid[-1]}]"
+            f"--{name}s {text!r} outside the valid range [{valid[0]}, {valid[-1]}]"
         )
     return list(grid)
 
@@ -273,7 +273,8 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     tokenized = tokenize_corpus(corpus, stopwords)
     flow = filter_by_query(corpus, query, tokenized) if query is not None else corpus
     if len(flow) == 0:
-        raise DataError("empty flow: the query matched no documents")
+        raise DataError(f"empty flow: --query {config.query!r} matched no document of"
+                        f" {config.corpus}")
     return flow, tokenized, query
 
 
@@ -287,7 +288,7 @@ def _flow_grid(config: PipelineConfig, flow: Corpus) -> tuple[list[int], list[in
 def dynamics_series(series: DailySeries, out: Path) -> None:
     """Write the raw and smoothed daily counts of the series."""
     smoothed = smooth(series)
-    log.info("series: %d docs over %d days", int(sum(series.values)), len(series.values))
+    log.info("series: %d docs over %d days", int(series.values.sum()), len(series.values))
     write_series_csv(series, out / SERIES_RAW)
     write_series_csv(smoothed, out / SERIES_SMOOTHED)
 

@@ -7,6 +7,9 @@ window x[l:l+k] is Pearson-correlated with the template resampled to k
 points.  The resulting correlogram localizes operation-like bursts; its
 peaks map back to calendar date windows.
 
+A daily series holds one read-only float64 array of its values, copied
+once when the series is made; no stage turns it into a list and back.
+
 The correlogram is dense: one (scale x shift) float array, with boolean
 masks for the admissible cells (l + k <= n) and the undefined ones.
 Zero-variance windows (or template samples) have no defined
@@ -51,21 +54,28 @@ from .errors import DataError
 DEFAULT_SMOOTHING_WINDOW = 7
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no single truth value to compare by
 class DailySeries:
-    """Per-day values over a contiguous date range (no gaps)."""
+    """Per-day values over a contiguous date range (no gaps).
+
+    ``values`` is a read-only float64 array that the series owns: it is
+    copied once from the list or array it is given, so changing that
+    afterwards does not change the series.  It holds 8 bytes a day.
+    """
 
     start_date: date
-    values: list[float]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
+        values = np.array(self.values, dtype=np.float64)
+        if len(values) < 1:
             raise ValueError("series must have at least one day")
-        self.values = [float(v) for v in self.values]
-        if not all(map(math.isfinite, self.values)):
+        if not np.isfinite(values).all():
             raise DataError("series values must be finite")
-        if any(v < 0 for v in self.values):
+        if (values < 0).any():
             raise ValueError("series values must be non-negative")
+        values.flags.writeable = False
+        self.values = values
 
     def dates(self) -> list[date]:
         return [self.start_date + timedelta(days=i) for i in range(len(self.values))]
@@ -182,8 +192,7 @@ def build_daily_series(corpus: Corpus) -> DailySeries:
     if len(corpus) == 0:
         raise ValueError("cannot build a series from an empty corpus")
     days = corpus.days
-    counts = np.bincount(days - days[0]).astype(float)
-    return DailySeries(start_date=date.fromordinal(int(days[0])), values=counts.tolist())
+    return DailySeries(date.fromordinal(int(days[0])), np.bincount(days - days[0]))
 
 
 def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> DailySeries:
@@ -196,14 +205,14 @@ def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> Daily
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"smoothing window must be odd and positive, got {window}")
-    vals = np.asarray(series.values, dtype=float)
+    vals = series.values
     n = len(vals)
     half = min(window // 2, n - 1)  # a wider window holds the whole series
     padded = np.concatenate([np.zeros(half), vals, np.zeros(half)])
     sums = sum(padded[offset:offset + n] for offset in range(2 * half + 1))
     days = np.arange(n)
     counts = np.minimum(days + half, n - 1) - np.maximum(days - half, 0) + 1
-    return DailySeries(series.start_date, (sums / counts).tolist())
+    return DailySeries(series.start_date, sums / counts)
 
 
 def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarray:
@@ -259,7 +268,7 @@ def correlogram(
         raise ValueError("all shifts must be >= 0")
     scales = sorted(set(int(k) for k in scales))
     shifts = sorted(set(int(l) for l in shifts))
-    values = np.asarray(series.values, dtype=float)
+    values = series.values
     n = len(values)
     rescale = _extreme(values)
     scale_grid = np.asarray(scales, dtype=np.int64)
@@ -384,7 +393,7 @@ def write_series_csv(series: DailySeries, path: str | Path) -> None:
     """CSV export with header date,value."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("date,value\n")
-        for day, value in zip(series.dates(), series.values):
+        for day, value in zip(series.dates(), series.values.tolist()):
             handle.write(f"{day.isoformat()},{_format_value(value)}\n")
 
 

@@ -42,7 +42,7 @@ def horizontal_visibility_graph(series: DailySeries) -> VisibilityGraph:
     The surviving top (if any) still sees j; it pops too when its value
     only ties x[j], since the tie blocks its view past j.
     """
-    values = series.values
+    values = series.values.tolist()
     edges: set[tuple[int, int]] = set()
     stack: list[int] = []
     for j in range(len(values)):

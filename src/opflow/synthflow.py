@@ -181,7 +181,7 @@ def generate_cluster_corpus(
     """
     series = generate_burst_series(template, burst)
     with np.errstate(over="ignore"):  # finite values can sum past the float range
-        cumulative = np.cumsum(np.asarray(series.values, dtype=float))
+        cumulative = np.cumsum(series.values)
     if cumulative[-1] <= 0.0:
         raise DataError("planted series has no mass to sample dates from")
     if math.isinf(cumulative[-1]):

@@ -83,7 +83,7 @@ def test_parse_query_with_exclusions():
 
 
 def test_parse_query_exclusion_needs_base():
-    with pytest.raises(ConfigError, match="base query"):
+    with pytest.raises(ConfigError, match="base --query"):
         parse_query("", "sport")
 
 
@@ -185,7 +185,7 @@ def test_exit_1_on_a_nan_threshold(fx, tmp_path, caplog):
         rc = main(["pipeline", "--corpus", fx["corpus"], "--out-dir", str(tmp_path / "out"),
                    "--threshold", "nan"])
     assert rc == 1
-    assert "peak threshold must be a number, got nan" in caplog.text
+    assert "--threshold must be a number, got nan" in caplog.text
     assert not (tmp_path / "out" / "manifest.txt").exists()
     for threshold in (float("inf"), float("-inf")):
         config = PipelineConfig(corpus=Path(fx["corpus"]), out_dir=tmp_path / "out",
@@ -251,8 +251,8 @@ def test_exit_1_on_terms_flag_outside_cluster(fx, tmp_path):
 
 # each malformed filter, with the message it exits 1 with
 BAD_FILTERS = {
-    "query": (["--query", "!!!"], "query term '!!!' contains no usable tokens"),
-    "exclude without query": (["--exclude", "sport"], "excluded terms need a base query"),
+    "query": (["--query", "!!!"], "--query term '!!!' contains no usable tokens"),
+    "exclude without query": (["--exclude", "sport"], "--exclude terms need a base --query"),
     "exclude overlaps query": (["--query", "protest", "--exclude", "protest"],
                                "excluded terms overlap a required group: ['protest']"),
 }
@@ -297,10 +297,14 @@ def test_exit_2_on_corrupt_corpus(tmp_path):
     assert rc == 2
 
 
-def test_exit_2_when_query_matches_nothing(fx, tmp_path):
-    rc = main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
-               "--query", "unicorn sightings"])
+def test_exit_2_when_query_matches_nothing(fx, tmp_path, caplog):
+    with caplog.at_level("ERROR"):
+        rc = main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
+                   "--query", "unicorn sightings"])
     assert rc == 2
+    assert caplog.messages == [
+        f"empty flow: --query 'unicorn sightings' matched no document of {fx['corpus']}"
+    ]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -1171,11 +1175,13 @@ def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
     fx, tmp_path_factory, caplog, data
 ):
     work = tmp_path_factory.mktemp("fuzz")
+    named = []  # the path of each mutated file and each mutated flag
 
     def mutated_file(name: str, source: str) -> str:
         path = work / name
         path.write_text(data.draw(mutated(Path(source).read_text(encoding="utf-8"))),
                         encoding="utf-8")
+        named.append(str(path))
         return str(path)
 
     argv = ["pipeline", "--corpus", mutated_file("corpus.jsonl", fx["corpus"])]
@@ -1185,6 +1191,7 @@ def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
     for flag, value in FUZZED_FLAGS.items():
         if data.draw(st.booleans()):
             argv.append(f"{flag}={data.draw(mutated(value))}")
+            named.append(flag)
     out = work / "out"
     caplog.clear()
     with caplog.at_level("ERROR"):
@@ -1193,3 +1200,5 @@ def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
     assert "internal error" not in caplog.text
     if rc != 0:
         assert not (out / MANIFEST_TXT).exists()
+        # a refusal says which input to mend
+        assert any(name in caplog.text for name in named), caplog.text

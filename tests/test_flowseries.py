@@ -60,6 +60,40 @@ def test_series_rejects_empty_and_negative():
             series([1.0, bad, 2.0])
 
 
+def test_series_refuses_in_order_empty_then_non_finite_then_negative():
+    with pytest.raises(ValueError, match="at least one day"):
+        DailySeries(START, np.array([]))
+    with pytest.raises(DataError, match="finite"):
+        DailySeries(START, np.array([-1.0, math.nan]))
+    with pytest.raises(ValueError, match="non-negative") as refused:
+        DailySeries(START, np.array([1.0, -0.0, -2.0]))
+    assert type(refused.value) is ValueError
+
+
+def test_series_owns_a_read_only_float64_copy_of_its_values():
+    for given in ([1, 2, 3], np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0])):
+        s = DailySeries(START, given)
+        assert s.values.dtype == np.float64 and not s.values.flags.writeable
+        given[0] = 9
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 9.0
+
+
+def test_a_series_holds_8_bytes_a_day():
+    # a list of float objects would hold 32: an 8-byte slot and a 24-byte float
+    n = 100_000
+    given = np.arange(n, dtype=float)  # made before tracing, so only the series counts
+    tracemalloc.start()
+    try:
+        s = DailySeries(START, given)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(s.values) == n
+    assert held <= 8 * n + 4096, held / n
+
+
 def test_series_dates_are_contiguous():
     s = series([1, 2, 3])
     assert s.dates() == [date(2016, 6, 1), date(2016, 6, 2), date(2016, 6, 3)]
@@ -75,7 +109,7 @@ def test_build_daily_series_counts_per_day():
     ]
     s = build_daily_series(Corpus.from_documents(docs))
     assert s.start_date == date(2016, 6, 1)
-    assert s.values == [2.0, 0.0, 1.0]
+    assert s.values.tolist() == [2.0, 0.0, 1.0]
 
 
 def test_build_daily_series_rejects_empty_corpus():
@@ -95,17 +129,17 @@ def test_smooth_default_window_is_seven():
 
 def test_smooth_shrinks_at_edges():
     s = smooth(series([0, 0, 7, 0, 0]), window=3)
-    assert s.values == [0.0, 7 / 3, 7 / 3, 7 / 3, 0.0]
+    assert s.values.tolist() == [0.0, 7 / 3, 7 / 3, 7 / 3, 0.0]
 
 
 def test_smooth_window_one_is_identity():
     s = series([3, 1, 4, 1, 5])
-    assert smooth(s, window=1).values == s.values
+    assert smooth(s, window=1).values.tolist() == s.values.tolist()
 
 
 def test_smooth_constant_series_unchanged():
     s = smooth(series([4, 4, 4, 4, 4, 4, 4, 4]), window=7)
-    assert s.values == [4.0] * 8
+    assert s.values.tolist() == [4.0] * 8
 
 
 def test_smooth_preserves_total_roughly_and_rejects_even_window():

@@ -195,7 +195,7 @@ def test_noisy_burst_is_clamped_at_zero():
 def test_burst_series_same_seed_same_values():
     a = generate_burst_series(DEFAULT_TEMPLATE, burst(noise_sigma=1.5, rng_seed=9))
     b = generate_burst_series(DEFAULT_TEMPLATE, burst(noise_sigma=1.5, rng_seed=9))
-    assert a.values == b.values
+    assert a.values.tolist() == b.values.tolist()
 
 
 def test_burst_series_refuses_an_overflowing_template():
@@ -210,7 +210,7 @@ def test_burst_series_refuses_an_overflowing_template():
 def test_burst_series_seed_changes_noise():
     a = generate_burst_series(DEFAULT_TEMPLATE, burst(noise_sigma=1.5, rng_seed=9))
     b = generate_burst_series(DEFAULT_TEMPLATE, burst(noise_sigma=1.5, rng_seed=10))
-    assert a.values != b.values
+    assert a.values.tolist() != b.values.tolist()
 
 
 # --- cluster corpus --------------------------------------------------------
