@@ -51,23 +51,15 @@ def series(values, start=START):
 
 
 def test_series_rejects_empty_and_negative():
-    with pytest.raises(ValueError):
-        series([])
-    with pytest.raises(ValueError):
-        series([1.0, -0.5])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            series([1.0, bad, 2.0])
-
-
-def test_series_refuses_in_order_empty_then_non_finite_then_negative():
+    # in this order: empty, then non-finite (a data error), then negative
     with pytest.raises(ValueError, match="at least one day"):
-        DailySeries(START, np.array([]))
-    with pytest.raises(DataError, match="finite"):
-        DailySeries(START, np.array([-1.0, math.nan]))
+        series([])
     with pytest.raises(ValueError, match="non-negative") as refused:
-        DailySeries(START, np.array([1.0, -0.0, -2.0]))
+        series([1.0, -0.0, -0.5])
     assert type(refused.value) is ValueError
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError, match="finite"):
+            series([-1.0, bad, 2.0])
 
 
 def test_series_owns_a_read_only_float64_copy_of_its_values():
