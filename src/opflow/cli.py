@@ -234,9 +234,11 @@ MAX_GRID_CELLS = 2**24
 
 def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]:
     """Concrete scale/shift lists for a series of length n, of at most
-    MAX_GRID_CELLS cells: the series' span sizes the default grid."""
+    MAX_GRID_CELLS cells: the series' span sizes the default grid.  A
+    refusal of the span names the inputs that make the flow."""
+    flow = f"the flow of --query {config.query!r} --exclude {config.exclude!r} in {config.corpus}"
     if n < 2:
-        raise DataError(f"series of {n} day(s) is too short for correlation")
+        raise DataError(f"{flow} spans {n} day(s), too short for correlation")
     if config.scales:
         scales = parse_grid(config.scales, "scale", range(2, n + 1))
     else:
@@ -248,8 +250,9 @@ def resolve_grids(config: PipelineConfig, n: int) -> tuple[list[int], list[int]]
     cells = len(scales) * len(shifts)
     if cells > MAX_GRID_CELLS:
         raise DataError(
-            f"the grid of {len(scales)} scales x {len(shifts)} shifts has {cells} cells,"
-            f" over the limit of {MAX_GRID_CELLS}: narrow it with --scales or --shifts"
+            f"{flow} spans {n} days: the grid of {len(scales)} scales x {len(shifts)} shifts"
+            f" has {cells} cells, over the limit of {MAX_GRID_CELLS}: narrow it with --scales"
+            " or --shifts"
         )
     return scales, shifts
 
@@ -295,13 +298,17 @@ def dynamics_series(series: DailySeries, out: Path) -> None:
 
 def dynamics_correlogram(
     series: DailySeries, template: LifecycleTemplate, grid: tuple[list[int], list[int]],
-    threshold: float, out: Path,
+    config: PipelineConfig,
 ) -> list[Peak]:
     """Write the template correlation over the (scales, shifts) grid and
-    its peaks at or above the threshold; return the peaks."""
+    its peaks at or above the threshold; return the peaks.  A template
+    whose samples overflow is refused under its file's name."""
     scales, shifts = grid
-    corr = correlogram(series, template, scales=scales, shifts=shifts)
-    peaks = detect_peaks(corr, threshold)
+    try:
+        corr = correlogram(series, template, scales=scales, shifts=shifts)
+    except DataError as exc:
+        raise DataError(f"{config.template}: {exc}") from None
+    peaks = detect_peaks(corr, config.threshold)
     if not corr.admissible.any():
         log.warning(
             "correlogram: no (shift, scale) window of the grid fits the %d-day series",
@@ -312,15 +319,15 @@ def dynamics_correlogram(
             "correlogram: no defined cells: every window, or the template at its scale, is flat"
         )
     elif not peaks:
-        log.warning("correlogram: no peak at or above threshold %g", threshold)
+        log.warning("correlogram: no peak at or above threshold %g", config.threshold)
     else:
         best = peaks[0]
         log.info(
             "correlogram: best peak l=%d k=%d c=%.4f (%s..%s)",
             best.shift, best.scale, best.value, best.window_start, best.window_end,
         )
-    write_correlogram_csv(corr, out / CORRELOGRAM_CSV)
-    write_peaks_csv(peaks, out / PEAKS_CSV)
+    write_correlogram_csv(corr, Path(config.out_dir, CORRELOGRAM_CSV))
+    write_peaks_csv(peaks, Path(config.out_dir, PEAKS_CSV))
     return peaks
 
 
@@ -336,9 +343,7 @@ def cmd_correlogram(config: PipelineConfig) -> int:
     template = _template(config)
     flow, _, _ = _flow(config)
     grid = _flow_grid(config, flow)
-    dynamics_correlogram(
-        build_daily_series(flow), template, grid, config.threshold, Path(config.out_dir)
-    )
+    dynamics_correlogram(build_daily_series(flow), template, grid, config)
     return 0
 
 
@@ -474,7 +479,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     with _stage("dynamics"):
         grid = _flow_grid(config, flow)
         series = build_daily_series(flow)
-        peaks = dynamics_correlogram(series, template, grid, config.threshold, out)
+        peaks = dynamics_correlogram(series, template, grid, config)
         dynamics_series(series, out)
 
     with _stage("narrowing"):

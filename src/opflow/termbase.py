@@ -1,14 +1,13 @@
 """Significant-term extraction and event-lexicon matching.
 
-Ranks corpus terms by an aggregated tf-idf score (per-document
-tf * ln(N/df), summed over documents), intersects the top of the ranking
-with a curated lexicon of event words, and uses the surviving event
-terms to tighten the flow query so only event-bearing documents remain.
+Ranks corpus terms by an aggregated tf-idf score, a term's total count
+times ln(N/df), intersects the top of the ranking with a curated lexicon
+of event words, and uses the surviving event terms to tighten the flow
+query so only event-bearing documents remain.
 
-Scores come from the term table's arrays: df and the summed weights are
-``np.bincount`` over the rows' distinct terms, which adds each term's
-contributions one by one in document order, so the floats equal a plain
-loop over the documents.  idf is ``math.log`` per vocabulary term.
+Each score is one float product, and both its factors come from integer
+counts, so terms with equal df and total count get bit-equal scores: the
+ranking depends on the counts alone, not on the order of the documents.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ DEFAULT_TOP_M = 200
 
 @dataclass
 class TermWeight:
-    """Corpus-level significance of one term."""
+    """Corpus-level significance of one term: weight = tf_total * ln(N/df)."""
 
     term: str
     tf_total: int
@@ -64,7 +63,7 @@ def inverse_document_frequencies(df: np.ndarray, n_docs: int) -> np.ndarray:
 
 
 def compute_tfidf(tokenized: TermTable) -> list[TermWeight]:
-    """Rank the terms of the table's documents by summed tf * ln(N/df).
+    """Rank the table's terms by tf_total * ln(N/df), one float product each.
 
     N counts every document passed in, empty ones included.  Ties are
     broken by term, ascending, so the ranking is total and reproducible.
@@ -73,19 +72,11 @@ def compute_tfidf(tokenized: TermTable) -> list[TermWeight]:
     if n_docs == 0 or len(tokenized.term_ids) == 0:
         raise DataError("tf-idf needs at least one non-empty document")
     df = document_frequencies(tokenized)
-    idf = inverse_document_frequencies(df, n_docs)
-    present = np.flatnonzero(df)
-    terms = tokenized.row_terms
-    weights = np.bincount(terms, weights=tokenized.row_counts * idf[terms], minlength=len(df))
     tf_totals = np.bincount(tokenized.term_ids, minlength=len(df))
+    present = np.flatnonzero(df)
     ranked = [
-        TermWeight(term=tokenized.vocab[t], tf_total=tf, df=d, weight=w)
-        for t, tf, d, w in zip(
-            present.tolist(),
-            tf_totals[present].tolist(),
-            df[present].tolist(),
-            weights[present].tolist(),
-        )
+        TermWeight(tokenized.vocab[t], tf, d, tf * math.log(n_docs / d))
+        for t, tf, d in zip(present.tolist(), tf_totals[present].tolist(), df[present].tolist())
     ]
     ranked.sort(key=lambda tw: (-tw.weight, tw.term))
     return ranked

@@ -143,20 +143,20 @@ def source_graph(day_sources):
 
 
 def tfidf_weights(token_lists):
-    """Summed tf * ln(N/df) per term, accumulated in document order.
+    """tf_total * ln(N/df) per term, one product each, with the counts
+    taken by Counters over the token lists.
 
     Returns (term, weight) pairs sorted by weight descending, term
-    ascending, mirroring the accumulation order of the package so the
-    comparison can demand exact float equality.
+    ascending.  Each weight is one float product of an integer and one
+    ``math.log``, so the comparison can demand exact float equality.
     """
     n = len(token_lists)
     df = Counter()
+    tf_total = Counter()
     for terms in token_lists:
         df.update(set(terms))
-    weights = {}
-    for terms in token_lists:
-        for term, count in Counter(terms).items():
-            weights[term] = weights.get(term, 0.0) + count * math.log(n / df[term])
+        tf_total.update(terms)
+    weights = {term: tf_total[term] * math.log(n / df[term]) for term in df}
     return sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import hashlib
 import json
 import re
 import tempfile
@@ -117,6 +118,10 @@ def test_resolve_grids_defaults():
 def test_resolve_grids_short_series_is_a_data_error():
     with pytest.raises(DataError):
         resolve_grids(PipelineConfig(), 1)
+    # the refusal names the inputs that make the flow
+    message = r"^the flow of --query 'protest' --exclude 'sport' in c\.jsonl spans 1 day\(s\)"
+    with pytest.raises(DataError, match=message):
+        resolve_grids(PipelineConfig(corpus=Path("c.jsonl"), query="protest", exclude="sport"), 1)
 
 
 def test_resolve_grids_bounds():
@@ -133,8 +138,9 @@ def test_resolve_grids_bounds():
     # a grid of 4,096 x 4,096 cells is at the limit, and one shift more is
     # a data error; the default grid of ten years is below it
     assert len(resolve_grids(PipelineConfig(scales="2..4097", shifts="0..4095"), 5000)[1]) == 4096
-    message = (r"^the grid of 4096 scales x 4097 shifts has 16781312 cells, over the limit"
-               r" of 16777216: narrow it with --scales or --shifts$")
+    message = (r"^the flow of --query '' --exclude '' in None spans 5000 days: the grid of"
+               r" 4096 scales x 4097 shifts has 16781312 cells, over the limit of 16777216:"
+               r" narrow it with --scales or --shifts$")
     with pytest.raises(DataError, match=message):
         resolve_grids(PipelineConfig(scales="2..4097", shifts="0..4096"), 5000)
     assert len(resolve_grids(PipelineConfig(), 3653)[1]) == 3647
@@ -388,11 +394,14 @@ INPUT_FAULTS = {
     "pipeline": "stage terms: tf-idf needs at least one non-empty document",
     "events": "tf-idf needs at least one non-empty document",
     "century-long flow": (
-        "stage dynamics: the grid of 36520 scales x 36520 shifts has 1333710400 cells,"
+        "stage dynamics: the flow of --query '' --exclude '' in corpus.jsonl spans 36526 days:"
+        " the grid of 36520 scales x 36520 shifts has 1333710400 cells,"
         " over the limit of 16777216: narrow it with --scales or --shifts"
     ),
     # each control point is finite, but the slope between the last two is not
-    "template slope past the float range": "stage dynamics: template samples overflow",
+    "template slope past the float range": (
+        "stage dynamics: template.txt: template samples overflow"
+    ),
     "artifact is a directory": f"Is a directory: '{Path('out', SERIES_RAW)}'",
     "stamp before year 1 in UTC": "line 1: bad published_at: date value out of range",
     "stamp is a number": "line 1: key 'published_at' must be a string",
@@ -1143,9 +1152,12 @@ MUTATION_CHARS = "0123456789.-+e ,;:=#\n\ufeffnaifx"
 EDGE_VALUES = (
     "0", "1", "-1", "2", "0.5", "1000", "1e-320", "1e308", "nan", "inf", "-inf", "\\ud800",
 )
+# the input files the fuzz gate mutates, by their flag's name, the
+# corpus first
+FUZZED_FILES = ("corpus", "stopwords", "lexicon", "template")
 # the pipeline flags the fuzz gate mutates, each with a value that works
 FUZZED_FLAGS = {
-    "--query": "protest,referendum;petition", "--exclude": "common29",
+    "--query": "protest,referendum,petition", "--exclude": "common29",
     "--scales": "10..40", "--shifts": "0..20", "--threshold": "0.6",
 }
 
@@ -1174,31 +1186,38 @@ def mutated(draw, text: str) -> str:
 def test_mutated_inputs_exit_0_1_or_2_and_a_failed_run_writes_no_result(
     fx, tmp_path_factory, caplog, data
 ):
+    # one input is mutated; every other one the run is given works, so a
+    # run that fails fails for that input, and most runs reach clustering
     work = tmp_path_factory.mktemp("fuzz")
-    named = []  # the path of each mutated file and each mutated flag
-
-    def mutated_file(name: str, source: str) -> str:
-        path = work / name
-        path.write_text(data.draw(mutated(Path(source).read_text(encoding="utf-8"))),
-                        encoding="utf-8")
-        named.append(str(path))
-        return str(path)
-
-    argv = ["pipeline", "--corpus", mutated_file("corpus.jsonl", fx["corpus"])]
-    for flag in ("--stopwords", "--lexicon", "--template"):
-        if data.draw(st.booleans()):
-            argv += [flag, mutated_file(flag[2:], fx[flag[2:]])]
+    target = data.draw(st.sampled_from([*FUZZED_FILES, *FUZZED_FLAGS]))
+    named = str(work / target) if target in FUZZED_FILES else target
+    argv = ["pipeline"]
+    for name in FUZZED_FILES:
+        if name == target:
+            text = data.draw(mutated(Path(fx[name]).read_text(encoding="utf-8")))
+            Path(named).write_text(text, encoding="utf-8")
+            argv += [f"--{name}", named]
+        elif name == "corpus" or data.draw(st.booleans()):
+            argv += [f"--{name}", fx[name]]
+    flags = {flag for flag in FUZZED_FLAGS if flag == target or data.draw(st.booleans())}
+    if "--exclude" in flags:
+        flags.add("--query")  # --exclude needs a base --query
     for flag, value in FUZZED_FLAGS.items():
-        if data.draw(st.booleans()):
-            argv.append(f"{flag}={data.draw(mutated(value))}")
-            named.append(flag)
+        if flag in flags:
+            argv.append(f"{flag}={data.draw(mutated(value)) if flag == target else value}")
     out = work / "out"
     caplog.clear()
     with caplog.at_level("ERROR"):
         rc = main([*argv, "--out-dir", str(out)])
     assert rc in (0, 1, 2), caplog.text
     assert "internal error" not in caplog.text
-    if rc != 0:
+    if rc == 0:
+        # each digest in the manifest is that of the file it names
+        for line in (out / MANIFEST_TXT).read_text(encoding="utf-8").splitlines():
+            name, tab, digest = line.partition("\t")
+            if tab:
+                assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+    else:
         assert not (out / MANIFEST_TXT).exists()
         # a refusal says which input to mend
-        assert any(name in caplog.text for name in named), caplog.text
+        assert named in caplog.text, caplog.text

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opflow.corpus import FlowQuery, TermTable
+from opflow.corpus import FlowQuery, TermTable, load_corpus, read_terms, tokenize_corpus
 from opflow.errors import DataError
 from opflow.termbase import (
     DEFAULT_EVENT_LEXICON,
@@ -65,6 +66,35 @@ def test_tfidf_rejects_all_empty():
         compute_tfidf(toks([], []))
     with pytest.raises(ValueError):
         compute_tfidf(toks())
+
+
+def assert_count_ties_are_exact(ranked):
+    """Terms with equal df and tf_total have bit-equal weights and rank
+    by term; returns the number of such groups with more than one term."""
+    groups = defaultdict(list)
+    for tw in ranked:
+        groups[(tw.df, tw.tf_total)].append(tw)
+    for (df, tf_total), group in groups.items():
+        assert len({tw.weight for tw in group}) == 1, (df, tf_total)
+        assert [tw.term for tw in group] == sorted(tw.term for tw in group), (df, tf_total)
+    return sum(len(group) > 1 for group in groups.values())
+
+
+def test_tfidf_ties_in_counts_are_exact_on_a_hand_built_table():
+    # df 3 and tf_total 5 each, but with the 3 in a different document:
+    # summed per document in document order, 1 + 3 + 1 and 1 + 1 + 3
+    # times ln(4/3) differ in the last bit
+    ranked = compute_tfidf(toks(["bb", "aa"], ["bb", "aa", "aa", "aa"], ["aa", "bb", "bb", "bb"],
+                                ["zz"]))
+    assert assert_count_ties_are_exact(ranked) == 1
+    assert [tw.term for tw in ranked[:2]] == ["aa", "bb"]
+    assert ranked[0].weight == 5 * math.log(4 / 3)
+
+
+def test_tfidf_ties_in_counts_are_exact_on_the_fixture(fixtures_dir):
+    tokenized = tokenize_corpus(load_corpus(fixtures_dir / "corpus.jsonl"),
+                                frozenset(read_terms(fixtures_dir / "stopwords.txt")))
+    assert assert_count_ties_are_exact(compute_tfidf(tokenized)) > 0
 
 
 @settings(max_examples=60)
