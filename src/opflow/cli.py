@@ -276,8 +276,10 @@ def _flow(config: PipelineConfig) -> tuple[Corpus, TermTable, FlowQuery | None]:
     tokenized = tokenize_corpus(corpus, stopwords)
     flow = filter_by_query(corpus, query, tokenized) if query is not None else corpus
     if len(flow) == 0:
-        raise DataError(f"empty flow: --query {config.query!r} matched no document of"
-                        f" {config.corpus}")
+        flags = f"--query {config.query!r}"
+        if config.exclude:
+            flags += f" --exclude {config.exclude!r}"
+        raise DataError(f"empty flow: {flags} matched no document of {config.corpus}")
     return flow, tokenized, query
 
 

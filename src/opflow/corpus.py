@@ -38,8 +38,11 @@ ensure_ascii=False)`` would write it as it stands, and published_at as
 ``YYYY-MM-DDTHH:MM:SSZ``, which formats back to itself.  Such a line is
 read without ``json.loads``.  Every other line, and a matched one whose
 date does not exist, is decoded, validated field by field and encoded.
-Either way the record's text is then tokenized once, by one shared
-tail, so a text with no token is the same error on both paths.
+Either way the record's line is then encoded to UTF-8 and its text
+tokenized once, by one shared tail, so a string holding a lone surrogate
+(which a JSON escape or a ``Document`` can bring, but no line decoded
+from a UTF-8 file holds) and a text with no token are each the same
+error on both paths.
 
 Text is tokenized word by word: a whitespace-separated word's term ids
 are computed once per load and looked up for every later occurrence.
@@ -76,16 +79,17 @@ from .errors import DataError
 # runs of length >= 2, and one search tells whether a text has a token.
 _ANY_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
 # a record line exactly as Document.json_line writes it, newline
-# included; S stands for a character that JSON writes as it stands and
-# UTF-8 encodes (no surrogate), so no string needs an escape, and the
-# instant is one that format_timestamp writes back unchanged.  Groups:
-# id, published_at without its "Z", source, title, body.
+# included; S stands for a character that JSON writes as it stands, so
+# no string needs an escape, and the instant is one that format_timestamp
+# writes back unchanged.  A lone surrogate matches S, but every line's
+# UTF-8 encoding refuses it, on either path.  Groups: id, published_at
+# without its "Z", source, title, body.
 _RECORD_RE = re.compile(
     (
         r'\{"id": "(S+)", "published_at": "([0-9]{4}-[0-9]{2}-[0-9]{2}'
         r'T[0-9]{2}:[0-9]{2}:[0-9]{2})Z", "source": "(S*)", "title": "(S*)",'
         r' "body": "(S*)"(?:, "language": "S*")?\}\n'
-    ).replace("S", r'[^"\\\x00-\x1f\ud800-\udfff]')
+    ).replace("S", r'[^"\\\x00-\x1f]')
 )
 # the instants datetime.fromisoformat reads on Python 3.10, which 3.11
 # widened to basic and week forms: YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]]

@@ -21,8 +21,15 @@ the values, one shift column at a time, as the CSV export reads them.
 
 Every scale shares one set-up: one read-only window view of the
 zero-padded series, as wide as the widest fitting scale, whose first k
-columns are the length-k windows, and one interpolation that samples the
-template at every fitting scale.  Then each scale's row is computed
+columns are the length-k windows.  The template's terms depend only on
+its control points and the fitting scales, and are kept for the last
+such pair (``_template_terms``): one interpolation samples the template
+at every fitting scale, and each scale's samples are tested for
+flatness, rescaled (for extreme amplitudes) and centered in place, and
+their sum of squares taken.  A new (template, grid) pays for that once,
+before the grid arrays are made; a scan against the last one pays
+nothing.  The memo holds the sum of the fitting scales in floats, and
+one float and one flag a scale.  Then each scale's row is computed
 whole, values and undefined mask, on the rows of the requested shifts
 that fit, gathered from the view.  That copy is rescaled (for extreme
 values), centered and, once its products with the template are summed,
@@ -39,8 +46,9 @@ top_n-th largest value before it sorts them.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -215,9 +223,12 @@ def smooth(series: DailySeries, window: int = DEFAULT_SMOOTHING_WINDOW) -> Daily
     return DailySeries(series.start_date, sums / counts)
 
 
-def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarray:
-    """The template resampled to k points on the grid i/(k-1), for each
-    scale k in turn, concatenated: one interpolation serves every scale.
+def _sample_scales(
+    points: Sequence[tuple[float, float]], scales: np.ndarray,
+) -> np.ndarray:
+    """The template of these control points resampled to k points on the
+    grid i/(k-1), for each scale k in turn, concatenated: one
+    interpolation serves every scale.
     Every control point is finite, but a slope between two can overflow,
     so a sample past the float range is a DataError."""
     starts = np.cumsum(scales) - scales
@@ -225,7 +236,7 @@ def _sample_scales(template: LifecycleTemplate, scales: np.ndarray) -> np.ndarra
     positions = np.arange(scales.sum(), dtype=float)
     positions -= np.repeat(starts, scales)
     positions /= np.repeat(scales - 1, scales)
-    xs, ys = np.array(template.control_points).T
+    xs, ys = np.array(points).T
     samples = np.interp(positions, xs, ys)
     del positions  # before the finiteness mask, which would add to the peak
     if not np.isfinite(samples).all():
@@ -238,7 +249,36 @@ def sample_template(template: LifecycleTemplate, k: int) -> list[float]:
     """Resample the template to k points on the uniform grid (i-1)/(k-1)."""
     if k < 2:
         raise ValueError(f"template must be sampled at k >= 2 points, got {k}")
-    return _sample_scales(template, np.array([k])).tolist()
+    return _sample_scales(template.control_points, np.array([k])).tolist()
+
+
+@functools.lru_cache(maxsize=1)
+def _template_terms(
+    points: tuple[tuple[float, float], ...], scales: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The template's terms at each scale k of a sorted grid, which the
+    correlogram reuses for every window: the samples of every scale,
+    concatenated, each scale's rescaled (for extreme amplitudes) and
+    centered; each scale's sum of squares of its centered samples; and
+    whether its samples are all equal.  The arrays are read-only, since
+    every later call with the same control points and scales shares
+    them; a refusal is not kept, so it is raised on every call."""
+    fitting = np.asarray(scales, dtype=np.int64)
+    samples = _sample_scales(points, fitting)
+    rescale = _extreme(samples)
+    starts = np.cumsum(fitting) - fitting
+    # the template has no variance at a scale where its samples are equal
+    flat = np.minimum.reduceat(samples, starts) == np.maximum.reduceat(samples, starts)
+    sums_of_squares = np.empty(len(scales))
+    for i, (k, start) in enumerate(zip(scales, starts.tolist())):
+        p = samples[start:start + k]
+        if rescale:  # r is scale-free and a power-of-two scale is exact
+            np.ldexp(p, -np.frexp(p.max())[1], out=p)
+        p -= np.add.reduce(p) / k
+        sums_of_squares[i] = np.add.reduce(p * p)
+    for array in (samples, sums_of_squares, flat):
+        array.flags.writeable = False
+    return samples, sums_of_squares, flat
 
 
 def _extreme(values: np.ndarray) -> bool:
@@ -276,10 +316,14 @@ def correlogram(
     # shifts are sorted, so the admissible ones (l <= n - k) lead; scales
     # are too, so the scales with an admissible shift lead
     fits = np.searchsorted(shift_grid, n - scale_grid, side="right")
+    fitting = scale_grid[fits > 0]
+    # first, so that a new (template, grid) frees its sampling's scratch
+    # before the grid arrays are made
+    centered, sums_of_squares, flat = _template_terms(
+        tuple(map(tuple, template.control_points)), tuple(fitting.tolist()))
     admissible = np.arange(len(shifts)) < fits[:, None]
     grid = np.zeros(admissible.shape)
     undefined = np.zeros(admissible.shape, dtype=bool)
-    fitting = scale_grid[fits > 0]
     if len(fitting):
         # row l holds values[l:l + k] in its first k columns, for every fitting k
         widest = int(fitting[-1])
@@ -292,25 +336,18 @@ def correlogram(
         changes = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
         at = shift_grid[:fits[0]]  # the shifts at which the smallest scale fits
         changes_at = changes[at]
-        samples = _sample_scales(template, fitting)
-        rescale_template = _extreme(samples)
-        starts = np.cumsum(fitting) - fitting
-        # the template, too, has no variance at a scale where its samples are equal
-        flat = np.minimum.reduceat(samples, starts) == np.maximum.reduceat(samples, starts)
-        per_scale = zip(fitting.tolist(), starts.tolist(), fits.tolist(), flat.tolist())
+        per_scale = zip(fitting.tolist(), fits.tolist(), flat.tolist(), sums_of_squares)
+        start = 0  # each scale's samples follow those of the smaller scales
         with np.errstate(invalid="ignore", divide="ignore"):  # a flat window or template is 0/0
-            for i, (k, start, fit, flat_template) in enumerate(per_scale):
+            for i, (k, fit, flat_template, p_ss) in enumerate(per_scale):
+                p = centered[start:start + k]
+                start += k
                 # the gather copies the windows, so they are centered in place
                 x = rows[at[:fit], :k]
                 if rescale:  # r is scale-free and a power-of-two scale is exact
                     np.ldexp(x, -np.frexp(x.max(axis=1))[1][:, None], out=x)
-                p = samples[start:start + k]
-                if rescale_template:
-                    p = np.ldexp(p, -np.frexp(p.max())[1])
-                p_centered = p - np.add.reduce(p) / k
-                p_ss = np.add.reduce(p_centered * p_centered)
                 x -= (np.add.reduce(x, axis=1) / k)[:, None]
-                numerator = np.add.reduce(x * p_centered, axis=1)
+                numerator = np.add.reduce(x * p, axis=1)
                 x_ss = np.add.reduce(np.multiply(x, x, out=x), axis=1)
                 np.multiply(x_ss, p_ss, out=x_ss)
                 np.divide(numerator, np.sqrt(x_ss, out=x_ss), out=grid[i, :fit])

@@ -303,14 +303,18 @@ def test_exit_2_on_corrupt_corpus(tmp_path):
     assert rc == 2
 
 
-def test_exit_2_when_query_matches_nothing(fx, tmp_path, caplog):
+@pytest.mark.parametrize("flags", [
+    {"--query": "unicorn sightings"},
+    # the query alone keeps 60 documents; the exclusion drops every one
+    {"--query": "protest", "--exclude": ",".join(f"protesttopic{i:02d}" for i in range(20))},
+], ids=["query", "exclude"])
+def test_exit_2_when_query_matches_nothing(fx, tmp_path, caplog, flags):
     with caplog.at_level("ERROR"):
         rc = main(["series", "--corpus", fx["corpus"], "--out-dir", str(tmp_path),
-                   "--query", "unicorn sightings"])
+                   *(word for flag in flags.items() for word in flag)])
     assert rc == 2
-    assert caplog.messages == [
-        f"empty flow: --query 'unicorn sightings' matched no document of {fx['corpus']}"
-    ]
+    named = " ".join(f"{flag} {value!r}" for flag, value in flags.items())
+    assert caplog.messages == [f"empty flow: {named} matched no document of {fx['corpus']}"]
 
 
 @pytest.mark.parametrize("command, flag", [

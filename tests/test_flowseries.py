@@ -28,6 +28,7 @@ from opflow.flowseries import (
     DailySeries,
     LifecycleTemplate,
     _sample_scales,
+    _template_terms,
     build_daily_series,
     correlogram,
     detect_peaks,
@@ -199,7 +200,7 @@ def test_sample_template_matches_piecewise_oracle():
 ], ids=["default", "four-point"])
 def test_one_sampling_of_every_scale_equals_each_scale_sampled_alone(template):
     scales = np.arange(2, 401)
-    batched = _sample_scales(template, scales)
+    batched = _sample_scales(template.control_points, scales)
     xs, ys = (np.array(column) for column in zip(*template.control_points))
     start = 0
     for k in scales.tolist():
@@ -321,6 +322,12 @@ def test_correlogram_input_validation():
         correlogram(s, DEFAULT_TEMPLATE, scales=[1], shifts=[0])
     with pytest.raises(ValueError):
         correlogram(s, DEFAULT_TEMPLATE, scales=[3], shifts=[-1])
+    # the template's terms are kept, but a refusal is not: a template
+    # whose samples overflow is refused on every call
+    steep = LifecycleTemplate([(0.0, 0.0), (0.5, 1.0), (1.0, 1e308)])
+    for _ in range(2):
+        with pytest.raises(DataError, match="^template samples overflow"):
+            correlogram(s, steep, scales=[4, 5], shifts=[0])
 
 
 def test_correlogram_flat_series_all_undefined():
@@ -556,6 +563,17 @@ def test_correlogram_keeps_the_bits_of_the_per_scale_kernel_on_a_planted_year():
     values = generate_burst_series(DEFAULT_TEMPLATE, spec).values
     for shifts in (range(356), range(5, 300)):  # every shift, and a run from past 0
         assert_pinned(values, DEFAULT_TEMPLATE, list(range(10, 121)), list(shifts))
+    # the template's terms are kept for the last (template, grid), so calls
+    # alternate two templates and two grids, rebuild the template as an
+    # equal object, and change its points between two calls
+    peaked = LifecycleTemplate([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
+    rebuilt = LifecycleTemplate(list(DEFAULT_TEMPLATE.control_points))
+    bursts, sparse = list(range(10, 121)), list(range(2, 366, 9))
+    for template, scales in [(peaked, bursts), (peaked, sparse), (DEFAULT_TEMPLATE, sparse),
+                             (DEFAULT_TEMPLATE, bursts), (peaked, bursts), (rebuilt, bursts)]:
+        assert_pinned(values, template, scales, list(range(356)))
+    rebuilt.control_points[5] = (0.55, 0.5)
+    assert_pinned(values, rebuilt, bursts, list(range(356)))
 
 
 def _traced_peak(call):
@@ -585,10 +603,25 @@ def _grid_bytes(corr):
 
 def test_correlogram_peak_memory_is_its_output_and_one_rows_work():
     # each scale's row is computed whole, so no (scale x shift) scratch
-    # array adds to the three the correlogram returns
+    # array adds to the three the correlogram returns; the template's
+    # terms are computed on the first call with a (template, grid), before
+    # the grid arrays, and then kept: one float per fitting scale's sample
     grid = _default_grid_year()
-    corr, peak = _traced_peak(lambda: correlogram(*grid))
-    assert peak < 3.5 * _grid_bytes(corr), peak / _grid_bytes(corr)
+    _template_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        output = _grid_bytes(correlogram(*grid))
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    _, repeat = _traced_peak(lambda: correlogram(*grid))
+    samples = 8 * sum(range(7, 366))
+    assert peak < 3.5 * output, peak / output
+    assert peak <= 1.94 * output, peak / output
+    assert repeat <= peak - samples, repeat / output  # a repeat call samples nothing
+    assert held <= samples + 32 * 1024, held  # once the correlogram is dropped
 
 
 def test_csv_and_cell_values_read_the_correlogram_one_shift_at_a_time(tmp_path):
