@@ -14,14 +14,12 @@ bucket (index 0) and never contribute to the clustering quality Q.
 
 Every float sum runs left to right in a fixed order, as a plain Python
 loop over term maps would, never pairwise (``np.sum``) or compensated
-(builtin ``sum`` on Python >= 3.12).  Each similarity is summed once,
-over the smaller of its two maps: a row's terms in first-appearance
-order, added column by column over the rows (:func:`_row_sums`), or the
-centroid's terms in its own order, over each term's postings, which a
-stable sort of the term ids lists in row order.  A term's weights over
-cluster members are added in doc-id order (``np.bincount``), and Q over
-documents in order.  So vectors, similarities, Q and centroids are the
-same bits on every supported Python version.
+(builtin ``sum`` on Python >= 3.12).  A row's norm and each of its
+similarities are summed over the row's own terms, in first-appearance
+order, and a term's weights over cluster members in doc-id order: each
+by ``np.bincount``, which adds its weights in entry order from 0.0.  Q
+is summed over documents in order.  So vectors, similarities, Q and
+centroids are the same bits on every supported Python version.
 """
 
 from __future__ import annotations
@@ -73,24 +71,13 @@ class DocVectors:
         return len(self.doc_ids)
 
     @cached_property
-    def _columns(self) -> np.ndarray:
-        return _columns_of(self.indptr)
+    def _rows(self) -> np.ndarray:
+        """Row index of every entry."""
+        return csr_entry_rows(self.indptr)
 
     @cached_property
     def _term_index(self) -> dict[str, int]:
         return {term: i for i, term in enumerate(self.vocab)}
-
-    @cached_property
-    def _by_term(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The same entries grouped by term (CSC): pointer, rows, weights."""
-        # a stable sort of 16-bit keys is a radix sort, and the stable
-        # permutation of equal ids does not depend on the key width
-        keys = self.terms.astype(np.uint16) if len(self.vocab) <= 1 << 16 else self.terms
-        order = np.argsort(keys, kind="stable")
-        del keys
-        pointer = csr_offsets(np.bincount(self.terms, minlength=len(self.vocab)))
-        rows = np.repeat(np.arange(len(self), dtype=_index_dtype(len(self))), np.diff(self.indptr))
-        return pointer, rows[order], self.weights[order]
 
     @cached_property
     def _id_order(self) -> np.ndarray:
@@ -128,35 +115,6 @@ class Clustering:
     iterations: int
 
 
-def _index_dtype(top: int) -> type:
-    """The narrower integer type that holds indices up to ``top``."""
-    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
-
-
-def _columns_of(indptr: np.ndarray) -> np.ndarray:
-    """The rows padded to equal length, as a (width x rows) matrix of
-    entry indices: row ``i``'s ``j``-th entry index at ``[j, i]``, and
-    ``indptr[-1]``, one past the last entry, where the row is shorter."""
-    lengths = np.diff(indptr)
-    starts, end = indptr[:-1], int(indptr[-1])
-    columns = np.empty((int(lengths.max(initial=0)), len(lengths)), dtype=_index_dtype(end))
-    for j, column in enumerate(columns):
-        column[:] = np.where(lengths > j, starts + j, end)
-    return columns
-
-
-def _row_sums(values: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Sum of each row's values, added left to right from 0.0, where
-    ``values`` holds the entries and then one 0.0, at which
-    :func:`_columns_of` points a row's padding.  A sum that starts at
-    +0.0 is never -0.0, and adding +0.0 changes no other value, so the
-    padding changes no bit of any sum."""
-    total = np.zeros(columns.shape[1])
-    for column in columns:
-        total += values[column]
-    return total
-
-
 def vectorize(tokenized: TermTable, df: np.ndarray) -> DocVectors:
     """tf * ln(N/df) weights per document, L2-normalized, N the number
     of documents.
@@ -176,11 +134,7 @@ def vectorize(tokenized: TermTable, df: np.ndarray) -> DocVectors:
     if not kept.all():
         raw, rows, terms = raw[kept], rows[kept], terms[kept]
     indptr = csr_offsets(np.bincount(rows, minlength=len(tokenized)))
-    squares = np.empty(len(raw) + 1)
-    np.multiply(raw, raw, out=squares[:-1])
-    squares[-1] = 0.0
-    norms = np.sqrt(_row_sums(squares, _columns_of(indptr)))
-    del squares
+    norms = np.sqrt(np.bincount(rows, weights=raw * raw, minlength=len(tokenized)))
     raw /= norms[rows]
     nonempty = np.flatnonzero(np.diff(indptr))
     return DocVectors(
@@ -214,33 +168,17 @@ def seed_centroids(event_terms: list[str]) -> list[Centroid]:
 
 def _sims(vectors: DocVectors, centroid: Centroid) -> np.ndarray:
     """Dot product of every vector with the centroid, summed left to
-    right over the smaller of the two term maps (the vector's when they
-    are the same size), in that map's order; in [0, 1] for unit vectors
-    with non-negative weights.  Each row is summed in that one order."""
+    right from 0.0 over the vector's terms, in its order; in [0, 1] for
+    unit vectors with non-negative weights.  A term the centroid lacks
+    adds a zero product, which changes no sum that starts at +0.0."""
     index = vectors._term_index
-    known = [(index[t], w) for t, w in centroid.weights.items() if t in index]
-    size = len(centroid.weights)
-    longer = np.diff(vectors.indptr) > size
-    sims = np.zeros(len(vectors))
-    if not longer.all():
-        dense = np.zeros(len(vectors.vocab))
-        for term_id, w in known:
-            dense[term_id] = w
-        # a row no longer than the centroid has no entry past column ``size``
-        products = np.empty(len(vectors.terms) + 1)
-        # every id is in range; "clip" writes into ``out`` without a buffer
-        np.take(dense, vectors.terms, out=products[:-1], mode="clip")
-        products[:-1] *= vectors.weights
-        products[-1] = 0.0
-        sims = _row_sums(products, vectors._columns[:size])
-    if longer.any():
-        pointer, rows, doc_weights = vectors._by_term
-        in_centroid_order = np.zeros(len(vectors))
-        for term_id, w in known:
-            span = slice(pointer[term_id], pointer[term_id + 1])
-            in_centroid_order[rows[span]] += w * doc_weights[span]
-        sims = np.where(longer, in_centroid_order, sims)
-    return sims
+    dense = np.zeros(len(vectors.vocab))
+    for t, w in centroid.weights.items():
+        if t in index:
+            dense[index[t]] = w
+    products = dense[vectors.terms]
+    products *= vectors.weights
+    return np.bincount(vectors._rows, weights=products, minlength=len(vectors))
 
 
 def assign(vectors: DocVectors, centroids: list[Centroid]) -> tuple[np.ndarray, np.ndarray]:

@@ -169,22 +169,8 @@ def _left_to_right(values):
 
 def sparse_dot(vector, centroid):
     """Dot product of two {term: weight} maps, summed left to right over
-    the smaller map (the vector's when they are the same size), in that
-    map's order."""
-    small, large = (centroid, vector) if len(centroid) < len(vector) else (vector, centroid)
-    return _left_to_right(w * large[t] for t, w in small.items() if t in large)
-
-
-def row_sums_by_column(values, indptr, size):
-    """Each CSR row's first ``size`` values (all of a shorter row's)
-    summed left to right from 0.0, one column of the rows at a time:
-    column ``j`` is scattered onto the rows that have a ``j``-th entry."""
-    lengths = np.diff(indptr)
-    total = np.zeros(len(lengths))
-    for j in range(size):
-        rows = np.flatnonzero(lengths > j)
-        total[rows] += values[indptr[rows] + j]
-    return total
+    the vector's terms, in its order."""
+    return _left_to_right(w * centroid[t] for t, w in vector.items() if t in centroid)
 
 
 def seeded_kmeans(docs, seed_terms, max_iter, top_t):
@@ -194,10 +180,9 @@ def seeded_kmeans(docs, seed_terms, max_iter, top_t):
     tf * ln(N/df) per term (terms in first-appearance order), zero
     weights dropped, L2-normalized; a document left with no weight gets
     no vector.  A seed centroid is uniform over the seed term's sorted
-    distinct tokens.  A similarity is the dot product over the smaller
-    of the two maps (the document's when they are the same size), in
-    that map's order.  A document goes to the centroid of largest
-    similarity, ties to the smallest index, and to 0 when every
+    distinct tokens.  A similarity is the dot product over the
+    document's terms, in its order.  A document goes to the centroid of
+    largest similarity, ties to the smallest index, and to 0 when every
     similarity is 0.  A centroid becomes the mean of its members summed
     in doc-id order, cut to its top_t terms (weight descending, then
     term), renormalized; an empty cluster keeps its centroid.  Passes

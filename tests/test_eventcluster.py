@@ -19,8 +19,6 @@ from opflow.eventcluster import (
     Centroid,
     Clustering,
     DocVectors,
-    _columns_of,
-    _row_sums,
     _sims,
     assign,
     kmeans_seeded,
@@ -102,9 +100,9 @@ def test_sums_run_left_to_right_on_every_python():
     assert centroid.weights["aa"] == 1.0
 
 
-def test_postings_and_sims_of_a_vocabulary_wider_than_16_bits():
+def test_sims_of_a_vocabulary_wider_than_16_bits():
     # term ids past 65,535 whose low 16 bits equal those of earlier rows'
-    # ids, so postings sorted on 16-bit keys would come out interleaved
+    # ids, so a gather through 16-bit ids would read the wrong weights
     n_terms = 70_000
     rng = np.random.default_rng(7)
     rows = []
@@ -120,12 +118,6 @@ def test_postings_and_sims_of_a_vocabulary_wider_than_16_bits():
         terms=np.array([t for r in rows for t in r], dtype=np.int64),
         weights=np.array([w for r in rows for w in r.values()]),
     )
-    order = np.argsort(vectors.terms, kind="stable")
-    pointer, posting_rows, posting_weights = vectors._by_term
-    assert np.array_equal(pointer, csr_offsets(np.bincount(vectors.terms, minlength=n_terms)))
-    assert np.array_equal(posting_rows, csr_entry_rows(vectors.indptr)[order])
-    assert _bits(posting_weights.tolist()) == _bits(vectors.weights[order].tolist())
-
     maps = [{f"t{t}": w for t, w in r.items()} for r in rows]
     centroids = [
         {"t65536": 0.6, "t0": 0.8},  # shorter than every row
@@ -135,33 +127,38 @@ def test_postings_and_sims_of_a_vocabulary_wider_than_16_bits():
         got = _sims(vectors, Centroid(cluster_index=1, weights=weights))
         assert _bits(got.tolist()) == _bits(oracles.sparse_dot(m, weights) for m in maps)
 
+    # a row longer than the centroid, sharing 3 terms with it: added in
+    # the row's order, not the centroid's
+    weights = {"c": 0.63, "b": 0.07, "a": 0.01}
+    vector = {"a": 0.24, "b": 0.54, "c": 0.37, "d": 0.6}
+    (got,) = _sims(vectors_of({"d": vector}), Centroid(cluster_index=1, weights=weights))
+    assert got.hex() == oracles.sparse_dot(vector, weights).hex() == "0x1.17dbf487fcb92p-2"
+
 
 @st.composite
 def csr_layouts(draw):
-    """Row lengths with empty rows, all rows empty (width 0) or one long
-    row; finite values of either sign; and a column cut up to the width."""
+    """Row lengths with empty rows, all rows empty or one long row, and
+    finite values of either sign."""
     lengths = draw(st.one_of(
         st.lists(st.integers(0, 6), max_size=12),
         st.lists(st.just(0), min_size=1, max_size=4),
         st.integers(20, 60).map(lambda n: [0, n, 1, 0]),
     ))
     n = sum(lengths)
-    values = draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n))
-    return lengths, values, draw(st.integers(0, max(lengths, default=0)))
+    return lengths, draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n))
 
 
 @settings(max_examples=300, deadline=None)
 @given(csr_layouts())
-def test_padded_row_sums_equal_the_column_scatter_bit_for_bit(layout):
-    # the padding adds +0.0, which changes no sum that starts at +0.0
-    lengths, values, size = layout
+def test_bincount_row_sums_add_left_to_right_bit_for_bit(layout):
+    # every row sum of vectors and k-means rests on this; with no
+    # entries np.bincount returns integer zeros, so compare as floats
+    lengths, values = layout
     indptr = csr_offsets(np.array(lengths, dtype=np.int64))
-    values = np.array(values, dtype=float)
-    columns = _columns_of(indptr)
-    assert columns.shape == (max(lengths, default=0), len(lengths))
-    got = _row_sums(np.append(values, 0.0), columns[:size])
-    want = oracles.row_sums_by_column(values, indptr, size)
-    assert _bits(got.tolist()) == _bits(want.tolist())
+    got = np.bincount(csr_entry_rows(indptr), weights=np.array(values, dtype=float),
+                      minlength=len(lengths))
+    want = [oracles._left_to_right(values[a:b]) for a, b in zip(indptr[:-1], indptr[1:])]
+    assert _bits(map(float, got.tolist())) == _bits(want)
 
 
 # --- vectorize -------------------------------------------------------------
