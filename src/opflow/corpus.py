@@ -6,27 +6,27 @@ queries (AND of OR-groups, plus exclusions) and date ranges.  All
 operations are pure: they return new objects and never mutate inputs.
 
 A corpus file is read in one validated pass into a
-:class:`DocumentTable`: per document its id, its UTC timestamp as int64
-microseconds, its UTC day ordinal, its source id (sources ranked by
-name), its output line, and its interned token stream before stopwords,
-all sorted by (published_at, id).  ``Corpus.from_documents`` reads
-documents as the lines of such a file (each one's ``json_line``), so
-every corpus passes the same validation, merge and sort rules.  A
-:class:`Corpus` is an ascending array of rows of one table, so a query
-filter is a mask, a date filter a ``searchsorted`` on day ordinals, and
-a subset of a valid corpus is never validated again.  A corpus's
-ids, lines and day ordinals are read through it (``ids``, ``lines``,
-``days``).  :class:`Document` objects are built only when asked for,
-one at a time, by iteration.
+:class:`DocumentTable`: per document its id, its UTC day ordinal, its
+source id (sources ranked by name), its output line, and its interned
+token stream before stopwords, all sorted by (published_at, id).
+``Corpus.from_documents`` reads documents as the lines of such a file
+(each one's ``json_line``), so every corpus passes the same validation,
+merge and sort rules.  A :class:`Corpus` is an ascending array of rows
+of one table, so a query filter is a mask, a date filter a
+``searchsorted`` on day ordinals, and a subset of a valid corpus is
+never validated again.  A corpus's ids and day ordinals are read
+through it (``ids``, ``days``).  :class:`Document` objects are built
+only when asked for, one at a time, by iteration, each from its line.
 
 The output lines are one read-only UTF-8 buffer, in input order, and a
 row's line is its ``starts``..``ends`` byte range: sorting a table
-permutes the offsets, never the bytes.  ``save_corpus`` writes a corpus
-as byte runs, one per maximal run of rows that lie back to back in the
-buffer, so a sorted file's date range is one write.  The buffer is one
-allocation, so :meth:`DocumentTable.release_lines` hands its memory
-back to the system once the last corpus is written; a line read after
-that raises ``ValueError``.
+permutes the offsets, never the bytes.  ``save_corpus`` hands the file
+one slice of the buffer per maximal run of rows that lie back to back
+in it, so a sorted file's date range is one write and no line is
+copied.  The buffer is one allocation, so
+:meth:`DocumentTable.release_lines` hands its memory back to the system
+once the last corpus is written; a line read after that raises
+``ValueError``.
 
 A record's output line is its input line, newline added where missing,
 when ``_RECORD_RE`` matches that line whole, which proves it equals the
@@ -100,6 +100,8 @@ _ISO_INSTANT_RE = re.compile(
     r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?",
     re.DOTALL,
 )
+# the characters U+0000..U+001F, which a source may not hold
+_CONTROL_RE = re.compile(r"[\x00-\x1f]")
 # one encoder for every line: json.dumps would build one per record
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -107,7 +109,6 @@ _NAIVE_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 _DAY_MICROS = 86_400_000_000
 _EPOCH_ORDINAL = _EPOCH.toordinal()
-_WRITE_BLOCK = 1 << 17  # bytes of short runs that save_corpus joins into one write
 
 
 def _extract_tokens(text: str) -> list[str]:
@@ -182,18 +183,16 @@ class Document:
 class DocumentTable:
     """Documents as columns, one row each, sorted by (published_at, id).
 
-    ``micros`` holds UTC microseconds since 1970-01-01 and ``days`` the
-    ordinals of the UTC dates; ``source_ids`` index ``sources``, which
-    is sorted by name.  Row ``i``'s JSONL line, newline included, is
-    the UTF-8 of ``buffer[starts[i]:ends[i]]``; ``buffer`` is ``None``
-    once the lines are released.  Row ``i``'s tokens, stopwords
-    included, are ``term_ids[indptr[i]:indptr[i + 1]]`` over ``vocab``.
-    A row's :class:`Document` is built from its line and timestamp on
-    demand.
+    ``days`` holds the ordinals of the UTC dates; ``source_ids`` index
+    ``sources``, which is sorted by name.  Row ``i``'s JSONL line,
+    newline included, is the UTF-8 of ``buffer[starts[i]:ends[i]]``;
+    ``buffer`` is ``None`` once the lines are released.  Row ``i``'s
+    tokens, stopwords included, are ``term_ids[indptr[i]:indptr[i + 1]]``
+    over ``vocab``.  A row's :class:`Document`, its timestamp included,
+    is built from its line on demand.
     """
 
     ids: list[str]
-    micros: np.ndarray
     days: np.ndarray
     sources: list[str]
     source_ids: np.ndarray
@@ -243,7 +242,6 @@ class DocumentTable:
         indptr.flags.writeable = term_ids.flags.writeable = False
         return cls(
             ids=ids,
-            micros=stamps,
             days=stamps // _DAY_MICROS + _EPOCH_ORDINAL,
             sources=names,
             source_ids=source_ids,
@@ -271,7 +269,7 @@ class DocumentTable:
         obj = json.loads(self._lines()[self.starts[row]:self.ends[row]].tobytes())
         return Document(
             id=obj["id"],
-            published_at=_EPOCH + int(self.micros[row]) * _MICROSECOND,
+            published_at=parse_timestamp(obj["published_at"]),
             source=obj["source"],
             title=obj["title"],
             body=obj["body"],
@@ -301,12 +299,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other: object) -> bool:
-        # a line encodes its record exactly, so equal lines are equal records
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return len(self) == len(other) and self.lines == other.lines
-
     def __iter__(self):
         # one at a time: a corpus's documents take many times its lines
         return map(self.table.document, self.rows.tolist())
@@ -319,14 +311,6 @@ class Corpus:
     @property
     def ids(self) -> list[str]:
         return self._column(self.table.ids)
-
-    @property
-    def lines(self) -> list[str]:
-        """JSONL line of each document, newline included."""
-        table = self.table
-        view = table._lines()
-        spans = zip(table.starts[self.rows].tolist(), table.ends[self.rows].tolist())
-        return [str(view[start:end], "utf-8") for start, end in spans]
 
     @property
     def days(self) -> np.ndarray:
@@ -632,6 +616,8 @@ def _parse_line(
         title, body = obj["title"], obj["body"]
         if not doc_id:
             raise DataError(f"line {line_no}: empty id")
+        if _CONTROL_RE.search(source):  # a tab or line break would split a TSV row
+            raise DataError(f"line {line_no}: source {source!r} holds a control character")
         try:
             instant = parse_timestamp(stamp)
         except (ValueError, OverflowError) as exc:  # overflow: a range end moved to UTC
@@ -741,40 +727,16 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus back out as JSONL; load_corpus(save_corpus(c)) == c."""
+    """Write the corpus back out as JSONL, the lines of each maximal run
+    of rows that lie back to back in the buffer as one slice of it."""
     table = corpus.table
     view = table._lines()
     starts, ends = table.starts[corpus.rows], table.ends[corpus.rows]
     with open(path, "wb") as handle:
         if len(corpus):
-            handle.writelines(_byte_blocks(view, starts, ends))
-
-
-def _byte_blocks(view: memoryview, starts: np.ndarray, ends: np.ndarray) -> Iterable:
-    """The byte ranges of a view of a whole buffer, in order, as few
-    buffers.  A maximal run of ranges that lie back to back is one range.
-    A run of at least ``_WRITE_BLOCK`` bytes is a slice of the view;
-    shorter runs are copied out and joined, about ``_WRITE_BLOCK`` bytes
-    at a time, since a write per run costs more than the copy when runs
-    are single lines."""
-    breaks = np.flatnonzero(starts[1:] != ends[:-1]) + 1
-    starts, ends = starts[np.r_[0, breaks]], ends[np.r_[breaks - 1, -1]]
-    sizes = ends - starts
-    before = (np.cumsum(sizes) - sizes) // _WRITE_BLOCK
-    long = sizes >= _WRITE_BLOCK
-    # a block starts at each long run, after it, and at each multiple of the block size
-    cuts = np.flatnonzero(np.r_[True, (before[1:] != before[:-1]) | long[1:] | long[:-1]])
-    bounds = cuts.tolist() + [len(sizes)]
-    starts, ends = starts.tolist(), ends.tolist()
-    # short runs are sliced from the buffer itself: a memoryview slice is
-    # tracked by the garbage collector, and one per line made saving a
-    # reversed corpus about 10% slower
-    data = view.obj
-    for first, end in zip(bounds, bounds[1:]):
-        if end - first == 1:
-            yield view[starts[first]:ends[first]]
-        else:
-            yield b"".join(map(data.__getitem__, map(slice, starts[first:end], ends[first:end])))
+            breaks = np.flatnonzero(starts[1:] != ends[:-1]) + 1
+            runs = zip(starts[np.r_[0, breaks]].tolist(), ends[np.r_[breaks - 1, -1]].tolist())
+            handle.writelines(view[start:end] for start, end in runs)
 
 
 def read_terms(path: str | Path) -> list[str]:

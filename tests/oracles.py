@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections import Counter
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -285,12 +285,11 @@ def document_columns(text):
             [vocab.setdefault(t, len(vocab)) for t in terms],
         ))
     rows.sort(key=lambda row: row[:2])
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     indptr = [0]
     for _, _, ids in rows:
         indptr.append(indptr[-1] + len(ids))
     return {
-        "micros": [(when - epoch) // timedelta(microseconds=1) for when, _, _ in rows],
+        "instants": [when for when, _, _ in rows],
         "days": [when.date().toordinal() for when, _, _ in rows],
         "vocab": list(vocab),
         "indptr": indptr,

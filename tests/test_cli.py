@@ -417,6 +417,13 @@ INPUT_FAULTS = {
         " which UTF-8 cannot encode"
     ),
     "events lone surrogate escape": "corpus.jsonl: line 1: a string holds a lone surrogate",
+    # an escaped tab or line break that would split a row of the source-graph TSVs
+    "source holds a tab": (
+        "stage flow: corpus.jsonl: line 1: source 'agency\\talpha' holds a control character"
+    ),
+    "source holds a line break": (
+        "stage flow: corpus.jsonl: line 1: source 'line\\nbreak' holds a control character"
+    ),
 }
 
 
@@ -449,9 +456,11 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
             "stamp is a number": {**record, "published_at": 20160601},
             "record is an array": [record],
             "language is a number": {**record, "language": 1},
+            "source holds a tab": {**record, "source": "agency\talpha"},
+            "source holds a line break": {**record, "source": "line\nbreak"},
         }[fault]
         Path("corpus.jsonl").write_text(json.dumps(line) + "\n")
-        argv = ["series", "--corpus", "corpus.jsonl"]
+        argv = ["pipeline" if fault.startswith("source") else "series", "--corpus", "corpus.jsonl"]
     with caplog.at_level("ERROR"):
         assert main([*argv, "--out-dir", "out"]) == 2
     assert INPUT_FAULTS[fault] in caplog.text
@@ -463,7 +472,7 @@ def test_exit_2_on_an_input_fault_a_stage_finds(fx, tmp_path, monkeypatch, caplo
         assert not Path("out", SERIES_SMOOTHED).exists()
         assert not Path("out", CORRELOGRAM_CSV).exists()
         assert not Path("out", PEAKS_CSV).exists()
-    if fault.endswith("lone surrogate escape"):
+    if fault.endswith("lone surrogate escape") or fault.startswith("source"):
         assert not any(Path("out").iterdir())
 
 

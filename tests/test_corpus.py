@@ -101,7 +101,9 @@ def test_naive_times_are_utc_in_any_local_zone(monkeypatch, tmp_path):
         p = tmp_path / "c.jsonl"
         save_corpus(c, p)
         again = load_corpus(p)
-        assert again == c and again.days.tolist() == c.days.tolist()
+        assert _saved(again, tmp_path / "again.jsonl") == naive.json_line.encode("utf-8")
+        assert [d.published_at for d in again] == [datetime(2016, 6, 1, 23, 30, tzinfo=timezone.utc)]
+        assert again.days.tolist() == c.days.tolist()
     finally:
         monkeypatch.undo()
         time.tzset()
@@ -123,24 +125,14 @@ def test_document_day_agrees_with_corpus_days_for_any_offset():
     assert list(c) == [d]
 
 
-def test_corpus_equality_compares_records(tmp_path):
-    c = Corpus.from_documents([doc(id="a"), doc(id="b", title="Naïve café")])
-    p = tmp_path / "c.jsonl"
-    save_corpus(c, p)
-    assert load_corpus(p) == c
-    assert c == Corpus.from_documents([doc(id="b", title="Naïve café"), doc(id="a")])
-    assert c != Corpus.from_documents([doc(id="a")])
-    assert c != Corpus.from_documents([doc(id="a"), doc(id="b", title="cafe")])
-
-
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(DataError, match="line 2: duplicate id 'x' with differing content"):
         Corpus.from_documents([doc(id="x"), doc(id="x", ts="2016-06-25T08:00:00Z")])
 
 
-def test_from_documents_merges_identical_duplicates():
+def test_from_documents_merges_identical_duplicates(tmp_path):
     c = Corpus.from_documents([doc(id="x"), doc(id="y"), doc(id="x")])
-    assert c == Corpus.from_documents([doc(id="x"), doc(id="y")])
+    assert _saved(c, tmp_path / "c.jsonl") == (doc(id="x").json_line + doc(id="y").json_line).encode("utf-8")
 
 
 def test_from_documents_rejects_a_tokenless_document_as_load_corpus_does(tmp_path):
@@ -362,6 +354,12 @@ def _write(tmp_path, name, text):
     return p
 
 
+def _saved(corpus, path):
+    """The bytes ``save_corpus`` writes for the corpus."""
+    save_corpus(corpus, path)
+    return path.read_bytes()
+
+
 GOOD_LINE = (
     '{"id": "a", "published_at": "2016-06-24T08:00:00Z", "source": "s",'
     ' "title": "Referendum", "body": "words here"}'
@@ -518,10 +516,10 @@ def test_lines_laid_out_as_saved_are_kept_without_encoding(tmp_path, monkeypatch
 
 # characters json.dumps escapes, or writes as they stand, or the loader
 # must not take for line ends
-TRICKY = st.text(
-    alphabet=st.sampled_from(list('ab Z"\\/\x00\x1f\t\r\n\x7f\x85é€\u2028\u2029\U0001f600')),
-    max_size=6,
-)
+TRICKY_CHARS = list('ab Z"\\/\x00\x1f\t\r\n\x7f\x85é€\u2028\u2029\U0001f600')
+TRICKY = st.text(alphabet=st.sampled_from(TRICKY_CHARS), max_size=6)
+# a source holds none of U+0000..U+001F (test_a_source_with_a_control_character_is_refused)
+TRICKY_SOURCE = st.text(alphabet=st.sampled_from([c for c in TRICKY_CHARS if c >= " "]), max_size=6)
 
 
 @st.composite
@@ -549,7 +547,7 @@ def raw_records(draw):
         record = {
             "id": doc_id,
             "published_at": stamp,
-            "source": draw(TRICKY),
+            "source": draw(TRICKY_SOURCE),
             "title": draw(TRICKY),
             "body": draw(TRICKY) + " xx",  # every record keeps a token
         }
@@ -593,11 +591,10 @@ def test_saved_lines_equal_the_reference_encoding(raw, tmp_path_factory):
     assert (folder / "out.jsonl").read_bytes() == want.encode("utf-8")
 
 
-def test_save_keeps_the_order_of_runs_across_write_blocks(tmp_path):
-    # the file holds one sorted run of at least one write block (128 KiB),
-    # then three blocks or more of lines in reverse order, which sort
-    # before and after the run: a long run is written as it lies, and the
-    # reversed lines, each a run of its own, are joined block by block
+def test_save_keeps_the_order_of_long_and_single_line_runs(tmp_path):
+    # the file holds one sorted run of at least 128 KiB, then at least
+    # three times as many bytes of lines in reverse order, which sort
+    # before and after the run: each reversed line is a run of its own
     block = 1 << 17
     words = ["protest", "marché", "vote", "città", "square", "naïve"]
     start = datetime(2016, 6, 1, tzinfo=timezone.utc)
@@ -617,6 +614,54 @@ def test_save_keeps_the_order_of_runs_across_write_blocks(tmp_path):
     save_corpus(load_corpus(tmp_path / "in.jsonl"), tmp_path / "out.jsonl")
     want = "".join(rest[:2000] + run + rest[2000:])
     assert (tmp_path / "out.jsonl").read_bytes() == want.encode("utf-8")
+
+
+class _RecordingFile:
+    """A file opened for writing that keeps every part written to it."""
+
+    def __init__(self, path, mode):
+        self.handle = open(path, mode)
+        self.parts = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def writelines(self, parts):
+        parts = list(parts)
+        self.parts += parts
+        self.handle.writelines(parts)
+
+
+def test_save_hands_the_file_one_slice_of_the_buffer_per_run(tmp_path, monkeypatch, fixtures_dir):
+    import opflow.corpus as corpus_module
+
+    whole = load_corpus(fixtures_dir / "corpus.jsonl")
+    week = filter_by_dates(whole, date(2016, 6, 20), date(2016, 6, 26))
+    # every fifth row, and rows 100..150: 29 single rows and one run of 51
+    keep = np.arange(len(whole)) % 5 == 0
+    keep[100:151] = True
+    masked = Corpus(whole.table, whole.rows[keep])
+    reversed_path = tmp_path / "reversed.jsonl"
+    lines = (fixtures_dir / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    reversed_path.write_bytes(b"".join(lines[::-1]))
+    scattered = load_corpus(reversed_path)  # no row lies right after the row before it
+    opened = []
+    monkeypatch.setattr(
+        corpus_module, "open", lambda *args: opened.append(_RecordingFile(*args)) or opened[-1],
+        raising=False,
+    )
+    # the fixture is saved sorted, so its rows lie in the buffer in row order
+    for corpus, runs in [(week, 1), (masked, 30), (scattered, len(scattered))]:
+        saved = _saved(corpus, tmp_path / "out.jsonl")
+        parts = opened[-1].parts
+        assert len(parts) == runs and b"".join(parts) == saved
+        # slices of the table's own buffer: no line is copied
+        assert all(isinstance(part, memoryview) and part.obj is corpus.table.buffer.obj for part in parts)
+    assert 1 < len(week) < len(whole) and len(masked) == 29 + 51
+    assert saved == b"".join(lines)  # the reversed file saved in row order
 
 
 # records out of (published_at, id) order, with multi-byte characters,
@@ -655,7 +700,7 @@ def test_loaded_columns_equal_the_decoded_records(raw, mask, span, tmp_path_fact
     corpus = load_corpus(path)
     table = corpus.table
     want = oracles.document_columns(text)
-    assert table.micros.tolist() == want["micros"]
+    assert [d.published_at for d in corpus] == want["instants"]
     assert table.days.tolist() == want["days"]
     assert table.vocab == want["vocab"]
     assert table.indptr.tolist() == want["indptr"]
@@ -706,6 +751,25 @@ def test_lines_in_saved_layout_keep_the_errors_of_their_fields(tmp_path):
     assert _load_error(tmp_path, control) == f"line 1: invalid JSON: {decode.value.msg}"
 
 
+@pytest.mark.parametrize(
+    "char", ["\x00", "\t", "\n", "\r", "\x1f"], ids=["U+0000", "tab", "lf", "cr", "U+001F"]
+)
+def test_a_source_with_a_control_character_is_refused(tmp_path, char):
+    # only a JSON escape brings one in, since the saved layout holds none;
+    # in a source-graph TSV a tab or a line break would split the row
+    source = f"agency{char}alpha"
+    line = GOOD_LINE.replace('"s"', json.dumps(source))
+    message = f"line 1: source {source!r} holds a control character"
+    assert _load_error(tmp_path, line) == message
+    with pytest.raises(DataError) as from_documents:
+        Corpus.from_documents([doc(source=source)])
+    assert str(from_documents.value) == message
+    # the characters from U+0020 on are kept, escaped ones too
+    kept = GOOD_LINE.replace('"s"', json.dumps("agency \x7f\x85alpha"))
+    [loaded] = load_corpus(_write(tmp_path, "kept.jsonl", kept + "\n"))
+    assert loaded.source == "agency \x7f\x85alpha"
+
+
 @pytest.mark.parametrize("stamp", [
     "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"
 ], ids=["before-year-1-in-utc", "after-year-9999-in-utc"])
@@ -734,11 +798,11 @@ def test_load_corpus_reads_one_timestamp_grammar(tmp_path, stamp, utc):
         assert format_timestamp(doc.published_at) == utc
 
 
-def _columns(corpus):
+def _columns(corpus, path):
     table = corpus.table
     return (
-        table.ids, table.micros.tolist(), table.days.tolist(), table.sources,
-        table.source_ids.tolist(), corpus.lines, table.vocab, table.indptr.tolist(),
+        table.ids, [d.published_at for d in corpus], table.days.tolist(), table.sources,
+        table.source_ids.tolist(), _saved(corpus, path), table.vocab, table.indptr.tolist(),
         table.term_ids.tolist(),
     )
 
@@ -749,18 +813,18 @@ def test_crlf_and_lone_cr_files_load_like_lf_files(tmp_path, fixtures_dir):
     for i, end in enumerate(["\n", "\r\n", "\r"]):
         path = tmp_path / f"c{i}.jsonl"
         path.write_bytes((end.join(lines) + end).encode("utf-8"))
-        tables.append(_columns(load_corpus(path)))
+        tables.append(_columns(load_corpus(path), tmp_path / f"out{i}.jsonl"))
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 BODY_WORDS = ["protest", "march", "vote", "city"]
 
 
-def _rows_by_term(corpus):
+def _rows_by_term(corpus, path):
     # each token as its term: interning follows file order, term text does not
     table = corpus.table
     return (
-        table.ids, table.micros.tolist(), corpus.lines, table.indptr.tolist(),
+        table.ids, [d.published_at for d in corpus], _saved(corpus, path), table.indptr.tolist(),
         [table.vocab[t] for t in table.term_ids.tolist()],
     )
 
@@ -786,7 +850,7 @@ def test_saved_and_shuffled_records_give_equal_tables(ids, data, tmp_path_factor
     for name, order in [("saved", saved), ("ties", ties_descending), ("shuffled", shuffled)]:
         path = folder / f"{name}.jsonl"
         path.write_text("".join(d.json_line for d in order), encoding="utf-8")
-        tables.append(_rows_by_term(load_corpus(path)))
+        tables.append(_rows_by_term(load_corpus(path), folder / f"{name}.out.jsonl"))
     assert tables[0][0] == [d.id for d in saved]
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
